@@ -244,16 +244,19 @@ func BenchmarkFullEvaluation(b *testing.B) {
 // Micro-benchmarks of the simulator's hot paths.
 
 // BenchmarkMachineReference measures the per-reference simulation cost on
-// the full base machine running a mixed workload.
+// the full base machine running a mixed workload. The workload is built
+// once, outside the timed loop; every iteration replays it through fresh
+// stream cursors, so only the machine is timed.
 func BenchmarkMachineReference(b *testing.B) {
 	app, _ := workloads.ByName("moldyn")
 	cfg := workloads.DefaultConfig()
 	cfg.Scale = 0.25
+	built := app.Build(cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	total := int64(0)
 	for i := 0; i < b.N; i++ {
-		w := app.Build(cfg)
+		w := built.Fresh()
 		m, err := machine.New(config.Base(config.RNUMA), machine.WithHomes(w.Homes))
 		if err != nil {
 			b.Fatal(err)

@@ -67,6 +67,23 @@ func (g Geometry) BlocksFor(pages int) int {
 	return pages << (g.PageShift - g.BlockShift)
 }
 
+// MaxSegmentBlocks bounds the size, in blocks, of a shared segment read
+// from untrusted input (a trace header, a snapshot). The directory and the
+// verification table index blocks densely, so the bound caps what such
+// input can make the simulator allocate: 2^24 blocks is 64 MB of int32
+// index. The largest full-scale workload needs about 2^17.
+const MaxSegmentBlocks = 1 << 24
+
+// CheckSegment reports whether a segment of `pages` pages stays within
+// MaxSegmentBlocks. The geometry must be valid.
+func (g Geometry) CheckSegment(pages int) error {
+	if pages < 0 || pages > MaxSegmentBlocks>>(g.PageShift-g.BlockShift) {
+		return fmt.Errorf("addr: %d pages of %d blocks exceed the %d-block segment bound",
+			pages, g.BlocksPerPage(), MaxSegmentBlocks)
+	}
+	return nil
+}
+
 // Validate reports whether the geometry is internally consistent.
 func (g Geometry) Validate() error {
 	if g.BlockShift < 2 || g.BlockShift > 12 {

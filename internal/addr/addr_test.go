@@ -99,6 +99,22 @@ func TestGeometryValidate(t *testing.T) {
 	}
 }
 
+// TestCheckSegment: the bound is exact in blocks, whatever the geometry.
+func TestCheckSegment(t *testing.T) {
+	for _, g := range []Geometry{Default, {BlockShift: 2, PageShift: 24}} {
+		limit := MaxSegmentBlocks / g.BlocksPerPage()
+		if err := g.CheckSegment(limit); err != nil {
+			t.Errorf("%v: %d pages (%d blocks) rejected: %v", g, limit, g.BlocksFor(limit), err)
+		}
+		if err := g.CheckSegment(limit + 1); err == nil {
+			t.Errorf("%v: %d pages (%d blocks) accepted", g, limit+1, g.BlocksFor(limit+1))
+		}
+		if err := g.CheckSegment(-1); err == nil {
+			t.Errorf("%v: negative page count accepted", g)
+		}
+	}
+}
+
 func TestGeometryString(t *testing.T) {
 	if s := Default.String(); s == "" {
 		t.Error("empty geometry string")

@@ -24,8 +24,9 @@
 // protocol free of transient states and makes its invariants directly
 // checkable (see the Check method).
 //
-// Entries live in a pooled slice indexed by a block map, so creating or
-// fetching an entry allocates nothing at steady state. The trade-off is
+// Entries live in a pooled slice in creation order, found through a dense
+// block-indexed table, so fetching an entry costs one slice load and
+// creating one allocates nothing at steady state. The trade-off is
 // aliasing: pointers returned by Entry/Peek/Each, and the Invalidate
 // slices returned by Fetch/Upgrade, are valid only until the next call
 // that may create an entry or produce another invalidation set. The
@@ -37,6 +38,7 @@ import (
 	"math/bits"
 
 	"rnuma/internal/addr"
+	"rnuma/internal/dense"
 )
 
 // Entry is the directory state for one block.
@@ -52,7 +54,7 @@ func bit(n addr.NodeID) uint32 { return 1 << uint(n) }
 // Dir is the machine-wide directory (logically distributed across homes;
 // the home node of a block is a property of its page, held by the machine).
 type Dir struct {
-	index   map[addr.BlockNum]int32
+	index   []int32         // block -> entry index + 1; 0 = no entry
 	entries []Entry         // pooled entry storage, one per touched block
 	blocks  []addr.BlockNum // parallel to entries: which block each describes
 	nodes   int
@@ -61,26 +63,35 @@ type Dir struct {
 
 // New builds a directory for a machine with the given node count.
 func New(nodes int) *Dir {
-	return &Dir{index: make(map[addr.BlockNum]int32), nodes: nodes}
+	return &Dir{nodes: nodes}
+}
+
+// find returns the entry index of a block, or -1 when it has none.
+func (d *Dir) find(b addr.BlockNum) int {
+	if int(b) < len(d.index) {
+		return int(d.index[b]) - 1
+	}
+	return -1
 }
 
 // Entry returns the entry for a block, creating it on first touch. The
 // pointer aliases pooled storage: it is valid only until the next call
 // that may create an entry.
 func (d *Dir) Entry(b addr.BlockNum) *Entry {
-	if i, ok := d.index[b]; ok {
+	if i := d.find(b); i >= 0 {
 		return &d.entries[i]
 	}
-	d.index[b] = int32(len(d.entries))
+	d.index = dense.Grow(d.index, int(b)+1)
 	d.entries = append(d.entries, Entry{Owner: addr.NoNode})
 	d.blocks = append(d.blocks, b)
+	d.index[b] = int32(len(d.entries))
 	return &d.entries[len(d.entries)-1]
 }
 
 // Peek returns the entry without creating it. The pointer aliases pooled
 // storage (see Entry).
 func (d *Dir) Peek(b addr.BlockNum) (*Entry, bool) {
-	if i, ok := d.index[b]; ok {
+	if i := d.find(b); i >= 0 {
 		return &d.entries[i], true
 	}
 	return nil, false
@@ -89,8 +100,8 @@ func (d *Dir) Peek(b addr.BlockNum) (*Entry, bool) {
 // Blocks returns how many blocks have directory state.
 func (d *Dir) Blocks() int { return len(d.entries) }
 
-// Each calls fn for every block with directory state, in no particular
-// order (invariant checkers and diagnostics).
+// Each calls fn for every block with directory state, in creation order
+// (invariant checkers and diagnostics).
 func (d *Dir) Each(fn func(addr.BlockNum, *Entry)) {
 	for i := range d.entries {
 		fn(d.blocks[i], &d.entries[i])
@@ -217,7 +228,7 @@ func (d *Dir) SetHomeVersion(b addr.BlockNum, version uint32) {
 
 // HomeVersion returns the version stored at home memory.
 func (d *Dir) HomeVersion(b addr.BlockNum) uint32 {
-	if i, ok := d.index[b]; ok {
+	if i := d.find(b); i >= 0 {
 		return d.entries[i].Version
 	}
 	return 0
@@ -252,12 +263,13 @@ func (d *Dir) SetState(blocks []addr.BlockNum, entries []Entry) error {
 	if len(blocks) != len(entries) {
 		return fmt.Errorf("directory: %d blocks for %d entries", len(blocks), len(entries))
 	}
-	index := make(map[addr.BlockNum]int32, len(blocks))
+	var index []int32
 	for i, b := range blocks {
-		if _, dup := index[b]; dup {
+		index = dense.Grow(index, int(b)+1)
+		if index[b] != 0 {
 			return fmt.Errorf("directory: duplicate entry for block %d", b)
 		}
-		index[b] = int32(i)
+		index[b] = int32(i + 1)
 	}
 	d.index = index
 	d.blocks = append(d.blocks[:0], blocks...)

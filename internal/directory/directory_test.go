@@ -326,3 +326,42 @@ func TestStateRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestEntryAllocationFree: fetching an existing block's entry through
+// the dense index allocates nothing.
+func TestEntryAllocationFree(t *testing.T) {
+	d := New(8)
+	for b := addr.BlockNum(0); b < 4096; b += 7 {
+		d.Entry(b)
+	}
+	if n := testing.AllocsPerRun(500, func() {
+		d.Entry(4095).Version++
+		d.Entry(0).Version++
+	}); n != 0 {
+		t.Errorf("Entry on an existing block allocates %.1f times", n)
+	}
+}
+
+// TestSetStateReplacesIndex: restoring over a populated directory drops
+// the old blocks and finds every restored one, in creation order.
+func TestSetStateReplacesIndex(t *testing.T) {
+	d := New(4)
+	d.Fetch(900, 1, false)
+	if err := d.SetState([]addr.BlockNum{12, 3}, []Entry{{Owner: 2, Sharers: 1 << 2}, {Owner: addr.NoNode, Version: 9}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d.Peek(900); ok {
+		t.Error("block from before SetState survived it")
+	}
+	if e, ok := d.Peek(12); !ok || e.Owner != 2 {
+		t.Errorf("restored block 12 = %+v, %v", e, ok)
+	}
+	if v := d.HomeVersion(3); v != 9 {
+		t.Errorf("restored block 3 home version %d, want 9", v)
+	}
+	var order []addr.BlockNum
+	d.Each(func(b addr.BlockNum, _ *Entry) { order = append(order, b) })
+	if len(order) != 2 || order[0] != 12 || order[1] != 3 {
+		t.Errorf("Each visited %v, want creation order [12 3]", order)
+	}
+}

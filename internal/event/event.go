@@ -1,13 +1,27 @@
 // Package event provides the discrete-event machinery of the simulator: a
-// min-ordered actor queue that always advances the processor with the
-// globally smallest clock, and FIFO-server resources that model contention
-// at the memory bus, the network interfaces, and the protocol controllers.
+// queue that always yields the processor with the globally smallest clock,
+// and FIFO-server resources that model contention at the memory bus, the
+// network interfaces, and the protocol controllers.
+//
+// The queue is a tournament (winner) tree with one fixed leaf per actor
+// ID. A key packs an actor's clock above its ID, so a single unsigned
+// compare orders actors by (clock, id), and every inner node holds the
+// smaller key of its two children: the root names the next actor to run.
+// Rescheduling an actor rewrites its leaf and replays the matches on the
+// path to the root, one branch-free min per level, with nothing written
+// back into the actors. The runner-up is the smallest key among the
+// siblings of the winner's path.
 //
 // Because the engine only ever processes the event with the minimum
 // timestamp, resource acquisitions are causally consistent: an actor that
 // acquires a resource at time t can never be preempted retroactively by an
 // actor whose clock is still behind t.
 package event
+
+import (
+	"fmt"
+	"math"
+)
 
 // Resource is a FIFO server: callers acquire it at some time and hold it
 // for an occupancy; later callers queue behind earlier ones. It accumulates
@@ -91,147 +105,154 @@ func (r *Resource) SetState(s ResourceState) {
 type Actor struct {
 	ID    int
 	Clock int64
-	index int // heap position; -1 when not queued
 }
 
-// Queue is a min-heap of actors ordered by clock (ties broken by ID for
-// determinism). The zero value is ready to use.
+const (
+	// idBits is the width of the ID field of a packed key: 9 bits cover
+	// the largest machine config accepts, 32 nodes x 16 CPUs.
+	idBits = 9
+	// maxActors bounds actor IDs: a queue holds actors 0..maxActors-1.
+	maxActors = 1 << idBits
+	idMask    = maxActors - 1
+	// maxClock is the largest clock a queued actor may carry. A larger or
+	// negative clock would wrap into another actor's key, so it panics.
+	maxClock = 1<<(63-idBits) - 1
+	// empty is the key of a leaf with no actor queued: it loses every
+	// match, and a root holding it means the queue is empty.
+	empty = math.MaxUint64
+)
+
+// Queue orders queued actors by clock, ties broken by ID for determinism.
+// The zero value is ready to use.
 //
-// The heap is hand-rolled rather than layered on container/heap: the
-// simulator performs one queue operation per memory reference, and the
-// interface dispatch per Less/Swap dominated the event loop's profile.
-// The ordering keys (clock, id) are stored inline in the heap slice so
-// sift operations compare without dereferencing actors — the pointer
-// chase per comparison was the next-largest line item. Update and Remove
-// let the hot loop reschedule the current actor in place instead of
-// paying a full Pop+Push.
+// The simulator performs one queue operation per memory reference, so
+// the structure is built for Update and SecondClock: both walk one
+// leaf-to-root path of a tree sized to the largest ID pushed (five levels
+// for the base machine's 32 CPUs) and allocate nothing.
 type Queue struct {
-	h []entry
+	tree   []uint64 // tree[1] is the root; the leaf of ID i is tree[leaves+i]
+	actors []*Actor // by ID; nil when not queued
+	leaves int      // a power of two, or 0 before the first Push
+	n      int      // queued actors
 }
 
-// entry is one heap slot: the ordering key plus the actor it schedules.
-type entry struct {
-	clock int64
-	id    int32
-	a     *Actor
-}
+// ValidClock reports whether a queue key can carry the clock c, that is
+// whether c lies in [0, 2^54).
+func ValidClock(c int64) bool { return uint64(c) <= maxClock }
 
-func (e *entry) before(o *entry) bool {
-	if e.clock != o.clock {
-		return e.clock < o.clock
+// key packs an actor's (clock, id) ordering into one word.
+func key(a *Actor) uint64 {
+	if !ValidClock(a.Clock) {
+		clockOutOfRange(a)
 	}
-	return e.id < o.id
+	return uint64(a.Clock)<<idBits | uint64(a.ID)
 }
 
-func (q *Queue) up(i int) {
-	h := q.h
-	e := h[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.before(&h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		h[i].a.index = i
-		i = parent
+func clockOutOfRange(a *Actor) {
+	panic(fmt.Sprintf("event: actor %d clock %d outside [0, %d]", a.ID, a.Clock, int64(maxClock)))
+}
+
+// set stores leaf id's key and replays the matches up to the root: each
+// parent's key is the smaller of the key just computed and its sibling's.
+func (q *Queue) set(id int, k uint64) {
+	t := q.tree
+	i := q.leaves + id
+	t[i] = k
+	for i > 1 {
+		k = min(k, t[i^1])
+		i >>= 1
+		t[i] = k
 	}
-	h[i] = e
-	e.a.index = i
 }
 
-func (q *Queue) down(i int) {
-	h := q.h
-	n := len(h)
-	e := h[i]
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && h[r].before(&h[child]) {
-			child = r
-		}
-		if !h[child].before(&e) {
-			break
-		}
-		h[i] = h[child]
-		h[i].a.index = i
-		i = child
+// grow widens the tree to at least n leaves, keeping every queued key.
+func (q *Queue) grow(n int) {
+	leaves := 1
+	for leaves < n {
+		leaves <<= 1
 	}
-	h[i] = e
-	e.a.index = i
+	tree := make([]uint64, 2*leaves)
+	for i := range tree {
+		tree[i] = empty
+	}
+	copy(tree[leaves:], q.tree[q.leaves:])
+	for i := leaves - 1; i >= 1; i-- {
+		tree[i] = min(tree[2*i], tree[2*i+1])
+	}
+	actors := make([]*Actor, leaves)
+	copy(actors, q.actors)
+	q.tree, q.actors, q.leaves = tree, actors, leaves
 }
 
-// Push inserts an actor into the queue.
+// Push inserts an actor into the queue. Its ID must lie in [0, 512) and
+// not be queued already.
 func (q *Queue) Push(a *Actor) {
-	a.index = len(q.h)
-	q.h = append(q.h, entry{clock: a.Clock, id: int32(a.ID), a: a})
-	q.up(a.index)
+	if a.ID < 0 || a.ID >= maxActors {
+		panic(fmt.Sprintf("event: actor ID %d outside [0, %d)", a.ID, maxActors))
+	}
+	k := key(a)
+	if a.ID >= q.leaves {
+		q.grow(a.ID + 1)
+	}
+	if q.actors[a.ID] != nil {
+		panic(fmt.Sprintf("event: actor %d already queued", a.ID))
+	}
+	q.actors[a.ID] = a
+	q.n++
+	q.set(a.ID, k)
 }
 
 // Pop removes and returns the actor with the smallest clock, or nil if the
 // queue is empty.
 func (q *Queue) Pop() *Actor {
-	if len(q.h) == 0 {
-		return nil
+	a := q.Peek()
+	if a != nil {
+		q.Remove(a)
 	}
-	a := q.h[0].a
-	q.remove(0)
 	return a
 }
 
 // Peek returns the actor with the smallest clock without removing it.
 func (q *Queue) Peek() *Actor {
-	if len(q.h) == 0 {
+	if q.n == 0 {
 		return nil
 	}
-	return q.h[0].a
+	return q.actors[q.tree[1]&idMask]
 }
 
-// Update restores heap order after the actor's clock advanced in place.
-// Clocks only ever move forward, so the actor can only sink.
-func (q *Queue) Update(a *Actor) {
-	i := a.index
-	q.h[i].clock = a.Clock
-	q.down(i)
-}
+// Update restores the queue order after a queued actor's clock changed in
+// place.
+func (q *Queue) Update(a *Actor) { q.set(a.ID, key(a)) }
 
 // SecondClock returns the smallest clock among actors other than the
 // current top, with ok=false when the queue holds at most one actor. The
 // event loop uses it to decide whether advancing the top actor's clock
-// would overtake anyone — without paying an Update to find out.
+// would overtake anyone — without paying an Update to find out. It reads
+// the tree, not the actors, so it stays valid while the top actor's Clock
+// field runs ahead of its last Update.
 func (q *Queue) SecondClock() (int64, bool) {
-	if len(q.h) < 2 {
+	if q.n < 2 {
 		return 0, false
 	}
-	s := q.h[1].clock
-	if len(q.h) > 2 && q.h[2].before(&q.h[1]) {
-		s = q.h[2].clock
+	t := q.tree
+	i := q.leaves + int(t[1]&idMask)
+	s := uint64(empty)
+	for i > 1 {
+		s = min(s, t[i^1])
+		i >>= 1
 	}
-	return s, true
+	return int64(s >> idBits), true
 }
 
 // Remove deletes a queued actor regardless of its position.
-func (q *Queue) Remove(a *Actor) { q.remove(a.index) }
-
-func (q *Queue) remove(i int) {
-	h := q.h
-	n := len(h) - 1
-	a := h[i].a
-	if i != n {
-		h[i] = h[n]
-		h[i].a.index = i
+func (q *Queue) Remove(a *Actor) {
+	if a.ID < 0 || a.ID >= q.leaves || q.actors[a.ID] != a {
+		panic(fmt.Sprintf("event: actor %d is not queued", a.ID))
 	}
-	h[n] = entry{}
-	q.h = h[:n]
-	if i != n {
-		// The displaced actor may need to move either way relative to its
-		// new subtree.
-		q.down(i)
-		q.up(i)
-	}
-	a.index = -1
+	q.actors[a.ID] = nil
+	q.n--
+	q.set(a.ID, empty)
 }
 
 // Len reports the number of queued actors.
-func (q *Queue) Len() int { return len(q.h) }
+func (q *Queue) Len() int { return q.n }

@@ -181,3 +181,154 @@ func TestResourceStateRoundTrip(t *testing.T) {
 		t.Errorf("post-restore acquire start %d, want %d", a, b)
 	}
 }
+
+// model is the brute-force reference the queue is checked against: the
+// queued actors' clocks by ID, scanned linearly on every query.
+type model map[int]int64
+
+// top returns the (clock, id)-smallest queued actor's ID, or -1.
+func (m model) top() int {
+	best := -1
+	for id, c := range m {
+		if best < 0 || c < m[best] || (c == m[best] && id < best) {
+			best = id
+		}
+	}
+	return best
+}
+
+// second returns the smallest clock among actors other than the top.
+func (m model) second() (int64, bool) {
+	top, ok, s := m.top(), false, int64(0)
+	for id, c := range m {
+		if id != top && (!ok || c < s) {
+			s, ok = c, true
+		}
+	}
+	return s, ok
+}
+
+// TestQueueMatchesLinearScan drives the queue and the brute-force model
+// through the same random Push/Update/Remove/Pop sequences — sparse IDs
+// up to 511, clocks drawn from a handful of values so ties dominate —
+// and checks Peek, Len and SecondClock against the model after every
+// step.
+func TestQueueMatchesLinearScan(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ids := rng.Perm(maxActors)[:1+rng.Intn(40)]
+		ids = append(ids, 0, maxActors-1)
+		actors := make(map[int]*Actor)
+		for _, id := range ids {
+			actors[id] = &Actor{ID: id}
+		}
+		clock := func() int64 {
+			if rng.Intn(20) == 0 {
+				return maxClock - rng.Int63n(4)
+			}
+			return rng.Int63n(6)
+		}
+		var q Queue
+		m := model{}
+		for step := 0; step < 400; step++ {
+			id := ids[rng.Intn(len(ids))]
+			a := actors[id]
+			_, queued := m[id]
+			switch op := rng.Intn(4); {
+			case !queued && op < 3:
+				a.Clock = clock()
+				q.Push(a)
+				m[id] = a.Clock
+			case queued && op < 2:
+				a.Clock = clock()
+				q.Update(a)
+				m[id] = a.Clock
+			case queued && op == 2:
+				q.Remove(a)
+				delete(m, id)
+			default:
+				got, want := q.Pop(), m.top()
+				if want < 0 {
+					if got != nil {
+						t.Fatalf("seed %d step %d: Pop on empty queue returned actor %d", seed, step, got.ID)
+					}
+					continue
+				}
+				if got == nil || got.ID != want {
+					t.Fatalf("seed %d step %d: Pop returned %v, want actor %d", seed, step, got, want)
+				}
+				delete(m, want)
+			}
+			if q.Len() != len(m) {
+				t.Fatalf("seed %d step %d: Len %d, want %d", seed, step, q.Len(), len(m))
+			}
+			if want, got := m.top(), q.Peek(); (want < 0) != (got == nil) || (got != nil && got.ID != want) {
+				t.Fatalf("seed %d step %d: Peek returned %v, want actor %d", seed, step, got, want)
+			}
+			ws, wok := m.second()
+			if s, ok := q.SecondClock(); s != ws || ok != wok {
+				t.Fatalf("seed %d step %d: SecondClock = %d,%v, want %d,%v", seed, step, s, ok, ws, wok)
+			}
+		}
+	}
+}
+
+// mustPanic fails the test unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestQueuePackedRange: a clock or ID that does not fit the packed key
+// panics instead of wrapping into another actor's key.
+func TestQueuePackedRange(t *testing.T) {
+	var q Queue
+	mustPanic(t, "Push with a negative clock", func() { q.Push(&Actor{ID: 1, Clock: -1}) })
+	mustPanic(t, "Push with a clock past maxClock", func() { q.Push(&Actor{ID: 1, Clock: maxClock + 1}) })
+	mustPanic(t, "Push with ID 512", func() { q.Push(&Actor{ID: maxActors}) })
+	mustPanic(t, "Push with a negative ID", func() { q.Push(&Actor{ID: -1}) })
+	if q.Len() != 0 {
+		t.Fatalf("rejected pushes left %d actors queued", q.Len())
+	}
+
+	a := &Actor{ID: 3, Clock: maxClock}
+	q.Push(a)
+	mustPanic(t, "Push of a queued actor", func() { q.Push(&Actor{ID: 3}) })
+	a.Clock = maxClock + 1
+	mustPanic(t, "Update past maxClock", func() { q.Update(a) })
+	mustPanic(t, "Remove of an unqueued actor", func() { q.Remove(&Actor{ID: 2}) })
+	a.Clock = maxClock
+	if got := q.Pop(); got != a || q.Len() != 0 {
+		t.Errorf("after the rejected calls Pop = %v with %d left, want actor 3 alone", got, q.Len())
+	}
+}
+
+// TestQueueHotPathAllocs pins the per-reference operations of the event
+// loop at zero allocations.
+func TestQueueHotPathAllocs(t *testing.T) {
+	var q Queue
+	actors := make([]Actor, 32)
+	for i := range actors {
+		actors[i] = Actor{ID: i, Clock: int64(i * 7 % 5)}
+		q.Push(&actors[i])
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		a := q.Peek()
+		a.Clock += 3
+		q.Update(a)
+	}); n != 0 {
+		t.Errorf("Update allocates %.1f times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := q.SecondClock(); !ok {
+			t.Fatal("SecondClock on a full queue reported no runner-up")
+		}
+	}); n != 0 {
+		t.Errorf("SecondClock allocates %.1f times per call", n)
+	}
+}

@@ -124,11 +124,19 @@ func (h *Harness) Run(appName string, sys config.System) (*stats.Run, error) {
 // simulation per key ever runs, even under concurrent requests (from
 // this harness or any other harness sharing the store).
 func (h *Harness) runJob(j Job) (*stats.Run, error) {
+	run, _, err := h.runShared(j, nil)
+	return run, err
+}
+
+// runShared is runJob drawing catalog workloads from a Prefetch's shared
+// builds (nil builds afresh). simulated reports whether this call ran
+// the simulation rather than reading the store.
+func (h *Harness) runShared(j Job, b *builds) (run *stats.Run, simulated bool, err error) {
 	key := h.KeyFor(j)
 	st := h.store()
 	run, owner, err := st.StartOrWait(key)
 	if !owner {
-		return run, err
+		return run, false, err
 	}
 	// The claim MUST resolve: a panic in simulate would otherwise leave
 	// every waiter on this key blocked forever. Commit the failure as the
@@ -144,26 +152,33 @@ func (h *Harness) runJob(j Job) (*stats.Run, error) {
 			panic(r)
 		}
 	}()
-	run, err = h.simulate(j)
+	run, err = h.simulate(j, b)
 	h.sims.Add(1)
 	st.Commit(key, run, err)
 	committed = true
-	return run, err
+	return run, true, err
+}
+
+// workloadConfig sizes a job's workload: the system's machine shape plus
+// the harness's scale and seed.
+func (h *Harness) workloadConfig(sys config.System) workloads.Config {
+	return workloads.Config{
+		Nodes:       sys.Nodes,
+		CPUsPerNode: sys.CPUsPerNode,
+		Geometry:    sys.Geometry,
+		Scale:       h.Scale,
+		Seed:        h.Seed,
+	}
 }
 
 // simulate builds the workload and machine for a job and runs it. Each
 // call constructs a fresh Machine, so concurrent jobs share no mutable
 // state; the workload build is deterministic (fixed seeds), so results do
-// not depend on the schedule. Registered sources (spec files, recorded
+// not depend on the schedule, nor on whether the references come from a
+// build shared through b. Registered sources (spec files, recorded
 // traces) take precedence over the built-in catalog.
-func (h *Harness) simulate(j Job) (*stats.Run, error) {
-	cfg := workloads.Config{
-		Nodes:       j.Sys.Nodes,
-		CPUsPerNode: j.Sys.CPUsPerNode,
-		Geometry:    j.Sys.Geometry,
-		Scale:       h.Scale,
-		Seed:        h.Seed,
-	}
+func (h *Harness) simulate(j Job, b *builds) (*stats.Run, error) {
+	cfg := h.workloadConfig(j.Sys)
 	var w *workloads.Workload
 	if src := h.source(j.App); src != nil {
 		var err error
@@ -175,7 +190,7 @@ func (h *Harness) simulate(j Job) (*stats.Run, error) {
 		if !ok {
 			return nil, fmt.Errorf("harness: unknown application %q", j.App)
 		}
-		w = app.Build(cfg)
+		w = b.workload(app, cfg)
 	}
 	// Check also releases the workload's resources (trace sources hold an
 	// open file), so it must run on every path once the workload is

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"rnuma/internal/config"
 	"rnuma/internal/machine"
 	"rnuma/internal/stats"
+	"rnuma/internal/workloads"
 )
 
 // Job identifies one simulation: an application under a system
@@ -174,6 +176,10 @@ const progressPeriod = 2 * time.Second
 // cache and surface from the (deterministic, serial) assembly instead, so
 // a failing configuration reports the same error no matter how the
 // schedule interleaved.
+//
+// Jobs are dispatched grouped by application (see byApp), and a catalog
+// workload is built once per (application, workload config) for all the
+// simulations of the group, then dropped after the group's last job.
 func (h *Harness) Prefetch(p *Plan) {
 	jobs := p.Jobs()
 	w := h.workers()
@@ -183,6 +189,8 @@ func (h *Harness) Prefetch(p *Plan) {
 	if w <= 1 || len(jobs) < 2 {
 		return // serial mode: assembly runs each job on first use
 	}
+	jobs = byApp(jobs)
+	b := h.newBuilds(jobs)
 	var done, refs atomic.Int64
 	finish := h.progressLoop(len(jobs), &done, &refs)
 	ch := make(chan Job)
@@ -192,10 +200,11 @@ func (h *Harness) Prefetch(p *Plan) {
 		go func() {
 			defer wg.Done()
 			for j := range ch {
-				run, _ := h.runJob(j) //nolint:errcheck // cached; assembly reports it
-				if run != nil {
+				run, simulated, _ := h.runShared(j, b) //nolint:errcheck // cached; assembly reports it
+				if simulated && run != nil {
 					refs.Add(run.Refs)
 				}
+				b.done(j)
 				done.Add(1)
 			}
 		}()
@@ -206,6 +215,98 @@ func (h *Harness) Prefetch(p *Plan) {
 	close(ch)
 	wg.Wait()
 	finish()
+}
+
+// byApp returns the jobs reordered so each application's jobs run back to
+// back: applications in order of first appearance, each one's jobs in
+// plan order. A group's simulations then share one workload build.
+func byApp(jobs []Job) []Job {
+	first := make(map[string]int)
+	for _, j := range jobs {
+		if _, ok := first[j.App]; !ok {
+			first[j.App] = len(first)
+		}
+	}
+	out := append([]Job(nil), jobs...)
+	sort.SliceStable(out, func(a, b int) bool { return first[out[a].App] < first[out[b].App] })
+	return out
+}
+
+// builds shares catalog workload builds among one Prefetch's jobs. The
+// first simulation of an (application, config) group builds the
+// workload; every simulation of the group replays the same reference
+// slices through fresh cursors; the group's last job drops the build.
+// Registered sources are never shared: they keep precedence over the
+// catalog, and trace sources hand out consume-once streams.
+type builds struct {
+	h      *Harness
+	mu     sync.Mutex
+	groups map[buildKey]*buildGroup
+}
+
+type buildKey struct {
+	app string
+	cfg workloads.Config
+}
+
+type buildGroup struct {
+	pending int // jobs of the group not yet done
+	once    sync.Once
+	w       *workloads.Workload
+}
+
+// newBuilds counts the plan's jobs per catalog (application, config).
+func (h *Harness) newBuilds(jobs []Job) *builds {
+	b := &builds{h: h, groups: make(map[buildKey]*buildGroup)}
+	for _, j := range jobs {
+		if k, ok := b.key(j); ok {
+			g := b.groups[k]
+			if g == nil {
+				g = &buildGroup{}
+				b.groups[k] = g
+			}
+			g.pending++
+		}
+	}
+	return b
+}
+
+// key is a job's build group; ok is false for registered sources.
+func (b *builds) key(j Job) (buildKey, bool) {
+	if b.h.source(j.App) != nil {
+		return buildKey{}, false
+	}
+	return buildKey{j.App, b.h.workloadConfig(j.Sys)}, true
+}
+
+// workload returns app's workload at cfg with fresh stream cursors,
+// building it on the group's first call; a nil builds (serial mode)
+// builds afresh. newBuilds counted every job's group before dispatch and
+// done drops a group only after its last job, so the group exists.
+func (b *builds) workload(app workloads.App, cfg workloads.Config) *workloads.Workload {
+	if b == nil {
+		return app.Build(cfg)
+	}
+	b.mu.Lock()
+	g := b.groups[buildKey{app.Name, cfg}]
+	b.mu.Unlock()
+	g.once.Do(func() { g.w = app.Build(cfg) })
+	return g.w.Fresh()
+}
+
+// done retires one job of its group, dropping the build after the last.
+func (b *builds) done(j Job) {
+	k, ok := b.key(j)
+	if !ok {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if g := b.groups[k]; g != nil {
+		if g.pending--; g.pending == 0 {
+			delete(b.groups, k)
+		}
+	}
 }
 
 // progressLoop starts the periodic progress reporter (a no-op without a

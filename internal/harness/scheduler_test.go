@@ -8,6 +8,9 @@ import (
 	"testing"
 
 	"rnuma/internal/config"
+	"rnuma/internal/stats"
+	"rnuma/internal/trace"
+	"rnuma/internal/workloads"
 )
 
 // TestPlanDedup: figures that share configurations (the ideal baseline,
@@ -183,5 +186,127 @@ func TestRunPlanResults(t *testing.T) {
 		if !ok || run == nil || run.ExecCycles == 0 {
 			t.Errorf("missing or empty result for %q", j.Key())
 		}
+	}
+}
+
+// TestPrefetchProgressCountsOnlySimulations: the progress line counts
+// the references of the runs the Prefetch itself simulated, so a warm
+// re-Prefetch of the same plan — every job a store hit — reports 0 refs
+// instead of the whole plan's references over a near-zero elapsed time.
+func TestPrefetchProgressCountsOnlySimulations(t *testing.T) {
+	h := New(0.05)
+	h.Workers = 2
+	p := NewPlan().AddRuns([]string{"fft"}, config.Base(config.CCNUMA), config.Base(config.SCOMA))
+	last := func(b *bytes.Buffer) string {
+		lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+		return lines[len(lines)-1]
+	}
+
+	var cold bytes.Buffer
+	h.Progress = &cold
+	h.Prefetch(p)
+	var refs int64
+	for _, j := range p.Jobs() {
+		run, err := h.runJob(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs += run.Refs
+	}
+	if want := fmt.Sprintf("2/2 jobs, %.2fM refs,", float64(refs)/1e6); !strings.Contains(last(&cold), want) {
+		t.Errorf("cold Prefetch reported %q, want %q", last(&cold), want)
+	}
+
+	var warm bytes.Buffer
+	h.Progress = &warm
+	h.Prefetch(p)
+	if want := "2/2 jobs, 0.00M refs, 0.00M refs/s"; !strings.Contains(last(&warm), want) {
+		t.Errorf("warm Prefetch reported %q, want %q", last(&warm), want)
+	}
+}
+
+// TestByAppGroupsStably: Prefetch's dispatch order runs each
+// application's jobs back to back, applications in order of first
+// appearance and each one's jobs in plan order.
+func TestByAppGroupsStably(t *testing.T) {
+	cc, sc := config.Base(config.CCNUMA), config.Base(config.SCOMA)
+	jobs := []Job{NewJob("lu", cc), NewJob("fft", cc), NewJob("lu", sc), NewJob("barnes", cc), NewJob("fft", sc)}
+	got := byApp(jobs)
+	for i, w := range []int{0, 2, 1, 4, 3} {
+		if got[i].Key() != jobs[w].Key() {
+			t.Errorf("byApp position %d holds %s, want %s", i, got[i].Key(), jobs[w].Key())
+		}
+	}
+}
+
+// TestSharedBuildsMatchFreshBuilds: simulations that replay one shared
+// build per application, two at a time (the test runs under -race in
+// CI), give results identical under stats.Diff to simulations that each
+// build their own workload.
+func TestSharedBuildsMatchFreshBuilds(t *testing.T) {
+	apps := []string{"fft", "moldyn", "lu"}
+	p := NewPlan().AddRuns(apps, config.Ideal(), config.Base(config.CCNUMA),
+		config.Base(config.SCOMA), config.Base(config.RNUMA))
+	shared := New(0.05)
+	shared.Workers = 2
+	shared.Prefetch(p)
+	if got := shared.Simulations(); got != int64(p.Len()) {
+		t.Fatalf("Prefetch simulated %d jobs, want %d", got, p.Len())
+	}
+	fresh := New(0.05)
+	fresh.Workers = 1
+	for _, j := range p.Jobs() {
+		got, ok, err := shared.Store.Get(shared.KeyFor(j))
+		if !ok || err != nil {
+			t.Fatalf("%s: shared-build result missing (%v)", j.Key(), err)
+		}
+		want, err := fresh.runJob(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := stats.Diff(want, got); !d.Identical() {
+			t.Errorf("%s: shared build differs from a fresh build in %d counters", j.Key(), d.Differing)
+		}
+	}
+}
+
+// TestBuildsShareAndDrop: one Prefetch's builds hand every simulation of
+// an (application, config) group fresh cursors over the same references,
+// drop the build after the group's last job, and leave registered
+// sources out, including one that shadows a catalog name.
+func TestBuildsShareAndDrop(t *testing.T) {
+	h := New(0.05)
+	src, err := SpecSource([]byte(strings.Replace(testSpec, `"src-test"`, `"fft"`, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Register(src); err != nil {
+		t.Fatal(err)
+	}
+	cc, sc := config.Base(config.CCNUMA), config.Base(config.SCOMA)
+	jobs := []Job{NewJob("lu", cc), NewJob("lu", sc), NewJob("fft", cc)}
+	b := h.newBuilds(jobs)
+	if len(b.groups) != 1 {
+		t.Fatalf("%d build groups, want 1 (lu; the registered fft is not shared)", len(b.groups))
+	}
+	app, _ := workloads.ByName("lu")
+	cfg := h.workloadConfig(cc)
+	w1, w2 := b.workload(app, cfg), b.workload(app, cfg)
+	v1 := w1.Streams[0].(trace.Batcher).NextBatch(1)
+	v2 := w2.Streams[0].(trace.Batcher).NextBatch(1)
+	if len(v1) != 1 || &v1[0] != &v2[0] {
+		t.Error("two simulations of one group do not replay the same references")
+	}
+	if r, ok := w2.Streams[1].Next(); !ok || r != w1.Streams[1].(trace.Batcher).NextBatch(1)[0] {
+		t.Error("a fresh cursor does not start at the first reference")
+	}
+	b.done(jobs[0])
+	b.done(jobs[2])
+	if len(b.groups) != 1 {
+		t.Error("build dropped before its group's last job")
+	}
+	b.done(jobs[1])
+	if len(b.groups) != 0 {
+		t.Error("build kept after its group's last job")
 	}
 }

@@ -100,3 +100,47 @@ func TestBarrierAllWaitersResumeTogether(t *testing.T) {
 		t.Errorf("finish skew after barrier = %d cycles, want small", d)
 	}
 }
+
+// TestGapTieDoesNotDefer pins the event loop's gap-deferral rule: a CPU
+// whose compute gap lands its clock exactly on a lower-ID CPU's clock
+// issues the reference at once (it defers only when another CPU is
+// strictly earlier), while one cycle more defers it behind that CPU.
+func TestGapTieDoesNotDefer(t *testing.T) {
+	local := trace.Ref{Page: 1, Off: 0} // node 1 owns odd pages: CPUs 2 and 3
+	// CPUs 0 and 1 idle; CPU 2's first reference alone sets its clock.
+	probe := newTiny(t, config.CCNUMA)
+	run, err := probe.Run(streams4(map[int][]trace.Ref{2: {local}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat := run.ExecCycles
+	if lat <= 0 || lat >= 1<<16-1 {
+		t.Fatalf("first-reference latency %d does not fit a gap", lat)
+	}
+
+	for _, tc := range []struct {
+		gap    int64
+		defers bool
+	}{{lat - 1, false}, {lat, false}, {lat + 1, true}} {
+		m := newTiny(t, config.CCNUMA)
+		err := m.Start(streams4(map[int][]trace.Ref{
+			2: {local, {Page: 1, Off: 1}},
+			3: {{Page: 3, Off: 0, Gap: uint16(tc.gap)}},
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two references in: CPU 2's first, then either CPU 3's (issued
+		// at once) or CPU 2's second (CPU 3 deferred behind it).
+		if _, err := m.RunUntilRefs(2); err != nil {
+			t.Fatal(err)
+		}
+		c2, c3 := m.cpus[2], m.cpus[3]
+		deferred := c3.HasPending && c3.Refs == 0 && c2.Refs == 2
+		issued := !c3.HasPending && c3.Refs == 1 && c2.Refs == 1
+		if deferred != tc.defers || issued == tc.defers {
+			t.Errorf("gap %d (CPU 2 at %d): CPU 2 ran %d refs, CPU 3 ran %d with pending=%v; want deferred=%v",
+				tc.gap, lat, c2.Refs, c3.Refs, c3.HasPending, tc.defers)
+		}
+	}
+}

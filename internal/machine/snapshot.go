@@ -246,6 +246,11 @@ func (m *Machine) Restore(s *Snapshot) error {
 	if len(s.CPUs) != len(m.cpus) {
 		return fmt.Errorf("machine: snapshot has %d CPUs, machine has %d", len(s.CPUs), len(m.cpus))
 	}
+	for i := range s.CPUs {
+		if c := s.CPUs[i].Clock; !event.ValidClock(c) {
+			return fmt.Errorf("machine: snapshot CPU %d clock %d outside the event queue's range", i, c)
+		}
+	}
 	if len(s.PerNodeRepl) != len(m.nodes) {
 		return fmt.Errorf("machine: snapshot has %d per-node replacement counts, machine has %d nodes", len(s.PerNodeRepl), len(m.nodes))
 	}
@@ -258,6 +263,18 @@ func (m *Machine) Restore(s *Snapshot) error {
 	}
 	if s.RefetchNodes != m.sys.Nodes {
 		return fmt.Errorf("machine: snapshot refetch table built for %d nodes, machine has %d", s.RefetchNodes, m.sys.Nodes)
+	}
+	// Every block with directory state lies in a page the snapshot's
+	// per-page state covers; the directory indexes blocks densely, so the
+	// segment is bounded and an out-of-range block is rejected before
+	// either can size the index.
+	if err := m.g.CheckSegment(pages); err != nil {
+		return fmt.Errorf("machine: snapshot: %w", err)
+	}
+	for _, b := range s.DirBlocks {
+		if int(b) >= pages*m.bpp {
+			return fmt.Errorf("machine: snapshot directory block %d beyond its %d pages", b, pages)
+		}
 	}
 	if err := m.dir.SetState(s.DirBlocks, s.DirEntries); err != nil {
 		return err

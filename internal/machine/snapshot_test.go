@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rnuma/internal/addr"
 	"rnuma/internal/config"
 	"rnuma/internal/trace"
 )
@@ -228,6 +229,30 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 	if err := fresh().Restore(&bad); err == nil {
 		t.Error("snapshot with inconsistent per-page state accepted")
+	}
+	bad = *snap
+	bad.DirBlocks = append([]addr.BlockNum(nil), snap.DirBlocks...)
+	bad.DirBlocks[0] = addr.BlockNum(len(snap.Homes) * sys.Geometry.BlocksPerPage())
+	if err := fresh().Restore(&bad); err == nil {
+		t.Error("snapshot with a directory block beyond its pages accepted")
+	}
+	// A consistent per-page state one page past the segment bound.
+	bad = *snap
+	pages := addr.MaxSegmentBlocks/sys.Geometry.BlocksPerPage() + 1
+	bad.Homes = make([]addr.NodeID, pages)
+	bad.PageFlags = make([]uint8, pages)
+	bad.SCOMAMapped = make([]uint16, pages)
+	bad.Seen = make([]bool, pages*sys.Nodes)
+	if err := fresh().Restore(&bad); err == nil {
+		t.Error("snapshot with a segment beyond the block bound accepted")
+	}
+	for _, clock := range []int64{-1, 1 << 60} {
+		bad = *snap
+		bad.CPUs = append([]CPUState(nil), snap.CPUs...)
+		bad.CPUs[1].Clock = clock
+		if err := fresh().Restore(&bad); err == nil {
+			t.Errorf("snapshot with CPU clock %d accepted", clock)
+		}
 	}
 	bad = *snap
 	bad.Run = nil

@@ -99,8 +99,9 @@ const (
 	// traces never hit them — while a crafted header cannot demand
 	// absurd allocations. The page bound matters beyond this package:
 	// replay sizes the machine's dense per-page state (homes, sharing
-	// flags, per-(node,page) counters) from the header's page count, so
-	// pages and pages*nodes must stay small enough that a ~50-byte
+	// flags, per-(node,page) counters) and its dense block index from the
+	// header's page count, so pages, pages*nodes and pages*blocks-per-page
+	// (addr.MaxSegmentBlocks) must stay small enough that a ~50-byte
 	// malicious file cannot OOM the simulator before a record is read.
 	maxCPUs    = 1 << 12
 	maxNodes   = 1 << 10
@@ -182,6 +183,11 @@ func (h Header) Validate() error {
 	if h.SharedPages*h.Nodes > maxPageNodeProduct {
 		return fmt.Errorf("tracefile: %d pages x %d nodes exceeds the %d-entry dense-state bound",
 			h.SharedPages, h.Nodes, maxPageNodeProduct)
+	}
+	// Replay's directory indexes the segment's blocks densely: small
+	// blocks in large pages must not turn a few pages into gigabytes.
+	if err := h.Geometry.CheckSegment(h.SharedPages); err != nil {
+		return fmt.Errorf("tracefile: %w", err)
 	}
 	if len(h.Name) > maxNameLen {
 		return fmt.Errorf("tracefile: name length %d exceeds %d", len(h.Name), maxNameLen)

@@ -314,6 +314,7 @@ func TestHeaderValidate(t *testing.T) {
 		{"home out of range", func(h *Header) { h.Homes[0] = addr.NodeID(h.Nodes) }},
 		{"negative pages", func(h *Header) { h.SharedPages = -1 }},
 		{"bad geometry", func(h *Header) { h.Geometry.PageShift = 1 }},
+		{"segment beyond block bound", func(h *Header) { h.Geometry = addr.Geometry{BlockShift: 2, PageShift: 24} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -327,6 +328,21 @@ func TestHeaderValidate(t *testing.T) {
 	}
 	if err := base.Validate(); err != nil {
 		t.Errorf("valid header rejected: %v", err)
+	}
+}
+
+// TestReaderRejectsOversizedSegment: a header whose geometry turns a few
+// pages into more blocks than addr.MaxSegmentBlocks is refused while the
+// header is decoded, before any record is read, so a small crafted file
+// cannot make replay size a multi-gigabyte dense directory index.
+func TestReaderRejectsOversizedSegment(t *testing.T) {
+	h := testHeader()
+	data := encode(t, h, randRefs(h, 50, 3))
+	// After the magic and the version byte come the block and page
+	// shifts: 4-byte blocks in 16 MB pages make 2^22 blocks a page.
+	data[len(magic)+1], data[len(magic)+2] = 2, 24
+	if _, err := NewReader(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "segment bound") {
+		t.Fatalf("NewReader on %d pages of 2^22 blocks: err %v, want the segment bound", h.SharedPages, err)
 	}
 }
 

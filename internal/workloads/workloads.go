@@ -86,6 +86,27 @@ type Workload struct {
 	// client that issued it (compiled multi-tenant scenarios); the
 	// machine splits the run's counters per client when it is present.
 	Attribution *trace.Attribution
+
+	// refs are the generated per-CPU references behind Streams (nil for
+	// workloads not built by a Builder).
+	refs [][]trace.Ref
+}
+
+// Fresh returns a copy of a Builder-made workload whose streams are new
+// cursors at the start of the generated reference slices. One build can
+// then drive any number of simulations, concurrently too: the slices and
+// the home map are only ever read. Every catalog application is
+// Builder-made; Fresh panics on a workload that is not.
+func (w *Workload) Fresh() *Workload {
+	if w.refs == nil {
+		panic(fmt.Sprintf("workloads: Fresh on %q, which no Builder made", w.Name))
+	}
+	cp := *w
+	cp.Streams = make([]trace.Stream, len(w.refs))
+	for i, r := range w.refs {
+		cp.Streams[i] = trace.FromSlice(r)
+	}
+	return &cp
 }
 
 // ResolveHomes materializes the workload's home function into a dense
@@ -277,6 +298,7 @@ func (b *Builder) Finish(name, desc, input string) *Workload {
 			return addr.NodeID(p) % nodes
 		},
 		SharedPages: int(b.next),
+		refs:        b.refs,
 	}
 }
 
