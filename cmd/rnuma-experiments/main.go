@@ -2,23 +2,23 @@
 //
 // Usage:
 //
-//	rnuma-experiments [-exp all|fig5|table4|fig6|fig7|fig8|fig9|model|lu|sweep|dilate|geometry|grid|timeline|traffic]
+//	rnuma-experiments [-exp all|fig5|table4|fig6|fig7|fig8|fig9|model|lu|sweep|grid|timeline|traffic]
 //	                  [-apps barnes,lu,...] [-specs a.json,b.json]
 //	                  [-traces x.trace,...] [-scale 1.0] [-seed 0]
 //	                  [-parallel N] [-v] [-progress] [-window N]
-//	                  [-sweep-trace x.trace] [-sweep-app em3d] [-sweep-nodes 4,8,16]
+//	                  [-sweep-trace x.trace] [-sweep-app em3d]
 //	                  [-sweep-axis nodes|dilate|block|page|threshold] [-sweep-values ...]
-//	                  [-dilate-factors 1/2,1,2,4] [-geometry-axis block|page] [-geometry-values ...]
 //	                  [-grid-axes block,threshold] [-grid-values-a ...] [-grid-values-b ...]
 //	                  [-grid-bound 1.10] [-grid-json grid.json]
-//	                  [-diff a.trace,b.trace] [-diff-protocol rnuma]
 //
 // Each experiment prints the corresponding rows/series of the paper's
 // evaluation (Section 5); see EXPERIMENTS.md for paper-vs-measured values.
 // The selected experiments' (application, system) grids are combined into
 // one deduplicated plan and executed across -parallel workers (default
 // GOMAXPROCS) before the figures are assembled, so shared configurations
-// (the ideal baseline, the base protocols) simulate once.
+// (the ideal baseline, the base protocols) simulate once. The figures,
+// sweeps and grids run through rnuma-serve's job executor
+// (serve.Execute), so the CLI prints exactly what the daemon serves.
 //
 // -specs and -traces register declarative workload files and recorded
 // traces as additional applications: their rows appear in every selected
@@ -30,13 +30,12 @@
 // parameter axis and normalized to the same-configuration ideal machine
 // at every point:
 //
-//   - -exp sweep sweeps the node count (-sweep-nodes), or any axis via
-//     -sweep-axis/-sweep-values (nodes, dilate, block, page, threshold);
-//   - -exp dilate sweeps compute-gap scale factors (-dilate-factors,
-//     default 1/2,1,2,4) — the "faster processors" study: x1/2 halves
-//     every compute gap, doubling the relative cost of memory;
-//   - -exp geometry sweeps the block or page size (-geometry-axis,
-//     -geometry-values) through geometry retargeting;
+//   - -exp sweep sweeps one axis (-sweep-axis, default nodes) over
+//     -sweep-values (default per axis): nodes retargets the machine
+//     shape, dilate scales compute gaps — the "faster processors" study:
+//     x1/2 halves every compute gap, doubling the relative cost of
+//     memory — block and page retarget the geometry, and threshold forks
+//     R-NUMA's relocation threshold;
 //   - -exp grid sweeps two axes at once (-grid-axes "x,y", values from
 //     -grid-values-a/-grid-values-b, defaulting per axis) and renders a
 //     heat map of the per-cell R-NUMA/best ratio, the exact numbers, and
@@ -63,11 +62,6 @@
 // to every simulation; -progress reports scheduler throughput to stderr
 // while a parallel plan executes.
 //
-// -diff a.trace,b.trace replays both captures under one configuration
-// (-diff-protocol) and prints the per-counter stats delta table — the
-// report form of `rnuma-trace diffstats`, without the exit-status gate —
-// then exits without running any -exp experiment.
-//
 // Exit status: 0 on success, 1 on runtime errors (bad trace files,
 // simulation failures), 2 on usage errors — unknown flags, axes, or
 // unparseable -sweep-values/-grid-values-* entries (the offending token
@@ -90,6 +84,7 @@ import (
 	"rnuma/internal/harness"
 	"rnuma/internal/model"
 	"rnuma/internal/report"
+	"rnuma/internal/serve"
 	"rnuma/internal/stats"
 	"rnuma/internal/telemetry"
 	"rnuma/internal/tracefile"
@@ -111,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("rnuma-experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp         = fs.String("exp", "all", "experiment: all, fig5, table4, fig6, fig7, fig8, fig9, model, lu, sweep, dilate, geometry, grid, timeline, traffic")
+		exp         = fs.String("exp", "all", "experiment: all, fig5, table4, fig6, fig7, fig8, fig9, model, lu, sweep, grid, timeline, traffic")
 		apps        = fs.String("apps", "", "comma-separated application subset (default: all ten)")
 		specs       = fs.String("specs", "", "comma-separated workload spec files to add as applications")
 		traces      = fs.String("traces", "", "comma-separated recorded trace files to add as applications")
@@ -121,20 +116,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		verbose     = fs.Bool("v", false, "log run progress")
 		sweepTrace  = fs.String("sweep-trace", "", "recorded trace to sweep (default: record -sweep-app at the 8x4 base shape)")
 		sweepApp    = fs.String("sweep-app", "em3d", "catalog application to record for the sweep when no -sweep-trace is given")
-		sweepNodes  = fs.String("sweep-nodes", "4,8,16", "comma-separated node counts for -exp sweep")
 		sweepAxis   = fs.String("sweep-axis", "nodes", "-exp sweep axis: nodes, dilate, block, page, threshold")
 		sweepVals   = fs.String("sweep-values", "", "comma-separated values for -sweep-axis (default per axis)")
-		dilateVals  = fs.String("dilate-factors", "1/2,1,2,4", "comma-separated gap scale factors for -exp dilate")
-		geomAxis    = fs.String("geometry-axis", "block", "-exp geometry axis: block or page")
-		geomVals    = fs.String("geometry-values", "", "comma-separated sizes in bytes (default 16,32,64,128 for block; 2048,4096,8192 for page)")
 		gridAxes    = fs.String("grid-axes", "block,threshold", "-exp grid axes \"x,y\"; the x transform applies first")
 		gridValsA   = fs.String("grid-values-a", "", "comma-separated values for the first grid axis (default per axis)")
 		gridValsB   = fs.String("grid-values-b", "", "comma-separated values for the second grid axis (default per axis)")
 		gridBound   = fs.Float64("grid-bound", 0, "knee bound on R-NUMA/best for -exp grid (0 = default 1.10)")
 		gridJSON    = fs.String("grid-json", "", "also write -exp grid's JSON document to this file")
 		trafficSpec = fs.String("traffic", "", "traffic scenario file for -exp traffic")
-		diffPair    = fs.String("diff", "", "two traces \"a.trace,b.trace\" to replay and diff counter-by-counter")
-		diffProto   = fs.String("diff-protocol", "rnuma", "protocol for -diff: ccnuma, scoma, rnuma, ideal")
 		window      = fs.Int64("window", 0, "telemetry window in references (0 = off; -exp timeline defaults it)")
 		progress    = fs.Bool("progress", false, "report scheduler progress (jobs done, refs/s) to stderr")
 	)
@@ -178,26 +167,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// -window attaches the sampling probe to every simulation the harness
 	// runs; figures are unaffected (they read counters, not timelines).
 	h.Telemetry = telemetry.Config{Window: *window}
-
-	// -diff is a standalone mode: replay the two captures under one
-	// configuration, print the per-counter delta table, and exit. Unlike
-	// `rnuma-trace diffstats` it always exits 0 on a successful
-	// comparison — this is the report form, not the regression gate.
-	if *diffPair != "" {
-		paths := splitList(*diffPair)
-		if len(paths) != 2 {
-			dieUsage(fmt.Errorf("-diff wants exactly two traces, got %q", *diffPair))
-		}
-		sys, err := config.SystemByName(*diffProto)
-		die(err)
-		a, err := harness.ReplayFile(paths[0], sys)
-		die(err)
-		b, err := harness.ReplayFile(paths[1], sys)
-		die(err)
-		fmt.Fprintf(stdout, "diff %s vs %s (%s)\n\n", paths[0], paths[1], sys.Name)
-		report.DeltaTable(stdout, paths[0], paths[1], stats.Diff(a.Run, b.Run), false)
-		return 0
-	}
 
 	// Spec and trace files join the application list: every selected
 	// figure then carries their rows next to the catalog's. A registered
@@ -244,41 +213,16 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		report.Model(stdout, p)
 		sep()
 	}
-	if want("fig5") {
-		curves, err := h.Figure5(list)
-		die(err)
-		report.Figure5(stdout, curves)
-		sep()
-	}
-	if want("table4") {
-		rows, err := h.Table4(list)
-		die(err)
-		report.Table4(stdout, rows)
-		sep()
-	}
-	if want("fig6") {
-		rows, err := h.Figure6(list)
-		die(err)
-		report.Figure6(stdout, rows)
-		sep()
-	}
-	if want("fig7") {
-		rows, err := h.Figure7(list)
-		die(err)
-		report.Figure7(stdout, rows)
-		sep()
-	}
-	if want("fig8") {
-		rows, err := h.Figure8(list)
-		die(err)
-		report.Figure8(stdout, rows)
-		sep()
-	}
-	if want("fig9") {
-		rows, err := h.Figure9(list)
-		die(err)
-		report.Figure9(stdout, rows)
-		sep()
+	// The paper figures run through the daemon's executor: one
+	// experiments job per figure, each followed by the separator.
+	for _, f := range []struct{ exp, figure string }{
+		{"fig5", "5"}, {"table4", "table4"}, {"fig6", "6"}, {"fig7", "7"}, {"fig8", "8"}, {"fig9", "9"},
+	} {
+		if want(f.exp) {
+			_, err := serve.Execute(h, serve.Job{Type: "experiments", Figures: []string{f.figure}, Apps: list}, stdout)
+			die(err)
+			sep()
+		}
 	}
 	if want("lu") {
 		share, err := h.LuImbalance()
@@ -287,11 +231,15 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stdout, "(the paper attributes lu's relocation-overhead sensitivity to two overloaded nodes)")
 	}
 
-	// The sensitivity experiments replay one capture transformed along a
-	// parameter axis via the trace transform layer. They need a trace
-	// (recorded here when none is given), so they run only when asked
-	// for by name, not under "all".
-	record := func() []byte {
+	// The sensitivity experiments replay one capture transformed along
+	// parameter axes. They need a trace (recorded here when none is
+	// given), so they run only when asked for by name, not under "all".
+	capture := func() (data []byte, name string) {
+		if *sweepTrace != "" {
+			b, err := os.ReadFile(*sweepTrace)
+			die(err)
+			return b, *sweepTrace
+		}
 		app, ok := workloads.ByName(*sweepApp)
 		if !ok {
 			dieUsage(fmt.Errorf("unknown -sweep-app %q", *sweepApp))
@@ -299,10 +247,20 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		cfg := workloads.DefaultConfig()
 		cfg.Scale, cfg.Seed = *scale, *seed
 		var buf bytes.Buffer
-		if _, _, err := tracefile.WriteWorkload(&buf, app.Build(cfg), cfg); err != nil {
-			die(err)
-		}
-		return buf.Bytes()
+		_, _, err := tracefile.WriteWorkload(&buf, app.Build(cfg), cfg)
+		die(err)
+		return buf.Bytes(), *sweepApp
+	}
+	// execute runs a sweep or grid job over the capture through the
+	// daemon's executor and returns its JSON document.
+	execute := func(job serve.Job) any {
+		data, name := capture()
+		a, err := serve.NewArtifact(serve.KindTrace, data, name, "")
+		die(err)
+		job.Artifact = a
+		doc, err := serve.Execute(h, job, stdout)
+		die(err)
+		return doc
 	}
 	defaultValues := map[harness.Axis]string{
 		harness.AxisNodes:     "4,8,16",
@@ -321,44 +279,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		dieUsage(err)
 		return values
 	}
-	sensitivity := func(axis harness.Axis, csv string) {
-		values := parseValues(axis, csv)
-		var (
-			points []harness.AxisPoint
-			name   string
-			err    error
-		)
-		if *sweepTrace != "" {
-			points, name, err = h.SweepFile(*sweepTrace, axis, values)
-		} else {
-			points, name, err = h.Sweep(record(), axis, values)
-		}
-		die(err)
-		report.Sensitivity(stdout, name, axis, points)
-	}
 
 	if *exp == "sweep" {
 		axis, err := harness.ParseAxis(*sweepAxis)
 		dieUsage(err)
-		csv := *sweepVals
-		if axis == harness.AxisNodes && csv == "" {
-			// The original node-count sweep keeps its -sweep-nodes
-			// spelling; it now rides the generalized axis engine like
-			// every other sweep.
-			csv = *sweepNodes
-		}
-		sensitivity(axis, csv)
-	}
-	if *exp == "dilate" {
-		sensitivity(harness.AxisDilate, *dilateVals)
-	}
-	if *exp == "geometry" {
-		axis, err := harness.ParseAxis(*geomAxis)
-		dieUsage(err)
-		if axis != harness.AxisBlockSize && axis != harness.AxisPageSize {
-			dieUsage(fmt.Errorf("-geometry-axis must be block or page, got %q", *geomAxis))
-		}
-		sensitivity(axis, *geomVals)
+		execute(serve.Job{Type: "sweep", Axis: axis, Values: parseValues(axis, *sweepVals)})
 	}
 
 	// -exp grid sweeps two axes at once and renders the heat map, exact
@@ -376,18 +301,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if axisX == axisY {
 			dieUsage(fmt.Errorf("-grid-axes must name two different axes, got %q", *gridAxes))
 		}
-		xs := parseValues(axisX, *gridValsA)
-		ys := parseValues(axisY, *gridValsB)
-		var g *harness.Grid
-		if *sweepTrace != "" {
-			g, err = h.SweepGridFile(*sweepTrace, axisX, xs, axisY, ys)
-		} else {
-			g, err = h.SweepGrid(record(), axisX, xs, axisY, ys)
-		}
-		die(err)
-		report.Grid(stdout, g, *gridBound)
+		doc := execute(serve.Job{Type: "grid", Axis: axisX, Values: parseValues(axisX, *gridValsA),
+			AxisB: axisY, ValuesB: parseValues(axisY, *gridValsB), KneeBound: *gridBound})
 		if *gridJSON != "" {
-			doc := report.NewGridDoc(g, *gridBound)
 			b, err := json.MarshalIndent(doc, "", "  ")
 			die(err)
 			die(os.WriteFile(*gridJSON, append(b, '\n'), 0o644))
@@ -463,17 +379,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if !tcfg.Enabled() {
 			tcfg = telemetry.Config{Window: telemetry.DefaultWindow}
 		}
-		var (
-			data []byte
-			name string
-		)
-		if *sweepTrace != "" {
-			b, err := os.ReadFile(*sweepTrace)
-			die(err)
-			data, name = b, *sweepTrace
-		} else {
-			data, name = record(), *sweepApp
-		}
+		data, name := capture()
 		res, err := harness.Replay(bytes.NewReader(data), config.Base(config.RNUMA),
 			harness.WithThresholds(thresholds...), harness.WithTelemetry(tcfg))
 		die(err)

@@ -17,8 +17,8 @@
 //	rnuma-trace diffstats <a> <b> [-protocol ccnuma|scoma|rnuma] [-bc B] [-pc P] [-T N] [-soft] [-ideal] [-v]
 //	rnuma-trace info   <file>
 //	rnuma-trace replay <file> [-protocol ccnuma|scoma|rnuma] [-bc B] [-pc P] [-T N] [-soft] [-ideal]
+//	                  [-scale S] [-seed N] [-nodes N] [-cpus N]
 //	                  [-window N] [-timeline out.json] [-events out.json] [-cpuprofile f] [-memprofile f]
-//	rnuma-trace replay -traffic <file> [-scale S] [-seed N] [-nodes N] [-cpus N] [same system/telemetry flags]
 //	rnuma-trace snapshot <file> -refs N [-o snap.rnss] [-window N] [-protocol P] [-bc B] [-pc P] [-T N] [-soft] [-ideal]
 //	rnuma-trace resume <file> -snap snap.rnss [-T N] [-timeline out.json] [-events out.json]
 //
@@ -46,21 +46,26 @@
 // the same for a declarative JSON workload spec (see internal/spec), or —
 // with -traffic — for a multi-tenant traffic scenario (see
 // internal/traffic), whose clients' streams it interleaves by arrival
-// time into one ordinary trace. replay -traffic compiles and runs a
-// scenario directly, keeping the per-client attribution the encoded
-// trace cannot carry: the report gains a per-client counter table and
-// per-client timeline sparklines. Both
-// write to stdout with -o - (the default is <name>.trace), so traces pipe
-// straight into `rnuma-sim -trace -`. cut slices a trace by per-CPU
+// time into one ordinary trace. Both write to stdout with -o - (the
+// default is <name>.trace), so traces pipe straight into
+// `rnuma-trace replay -`. cut slices a trace by per-CPU
 // record range and/or CPU subset, preserving the recorded machine shape
 // (dropped CPUs become empty streams, so cuts replay on the recorded
 // machine); cat concatenates traces of identical machine shape — cutting
 // a trace into range slices and catting them back recomposes it exactly.
 // Writers emit the compressed version-2 format by default; -v1 selects
 // the legacy format and -raw keeps version 2 but stores chunks
-// uncompressed. info prints a trace's header and per-CPU record counts;
-// replay runs one through the simulated machine of the recorded shape
-// and prints the run's statistics.
+// uncompressed. info prints a trace's header and per-CPU record counts.
+//
+// replay runs one input through rnuma-serve's job executor
+// (serve.Execute) and prints the run's statistics and its normalized
+// execution time, the same report the daemon serves for a replay job.
+// The input's kind is sniffed from its content: a trace replays on the
+// machine of its recorded shape; a declarative spec or a traffic
+// scenario is built for the -nodes/-cpus shape at -scale/-seed. A
+// scenario keeps the per-client attribution an encoded trace cannot
+// carry, so its report gains a per-client counter table and per-client
+// timeline sparklines.
 //
 // Exit status: 0 on success, 1 on errors (and on diff/diffstats
 // difference), 2 on usage errors.
@@ -95,6 +100,7 @@ import (
 	"rnuma/internal/machine"
 	"rnuma/internal/profiling"
 	"rnuma/internal/report"
+	"rnuma/internal/serve"
 	"rnuma/internal/spec"
 	"rnuma/internal/stats"
 	"rnuma/internal/telemetry"
@@ -208,13 +214,12 @@ subcommands:
       drift within ±P percent, structural changes still fail)
   info   <file>
       print a trace's header, format version, home histogram, and per-CPU record counts
-  replay <file> [-protocol P] [-bc B] [-pc P] [-T N] [-soft] [-ideal]
+  replay <file> [-protocol P] [-bc B] [-pc P] [-T N] [-soft] [-ideal] [-scale S] [-seed N] [-nodes N] [-cpus N]
          [-window N] [-timeline f.json] [-events f.json] [-cpuprofile f] [-memprofile f]
-      run a trace through the simulated machine of its recorded shape;
+      run a trace through the simulated machine of its recorded shape, or
+      a spec or traffic scenario (sniffed) built for -nodes x -cpus at
+      -scale/-seed (a scenario adds per-client counters and sparklines);
       -window samples telemetry every N refs, -timeline/-events export it
-  replay -traffic <file> [-scale S] [-seed N] [-nodes N] [-cpus N] [system/telemetry flags]
-      compile and run a traffic scenario with per-client attribution
-      (adds the per-client counter table and timeline sparklines)
   snapshot <file> -refs N [-o snap.rnss] [-window N] [-protocol P] [-bc B] [-pc P] [-T N] [-soft] [-ideal]
       replay a trace up to N references and checkpoint the paused machine
       (-window checkpoints a telemetry probe along with it)
@@ -835,8 +840,7 @@ func (c cli) parseWithTarget(fs *flag.FlagSet, args []string) (string, error) {
 }
 
 // openTrace resolves a trace argument: a path or "-" for stdin. The
-// positional form (info/replay) also accepts -trace for symmetry with
-// rnuma-sim.
+// subcommands that take one input also accept it as -trace.
 func (c cli) openTrace(positional, tracePath string) (io.ReadCloser, string, error) {
 	path := tracePath
 	if path == "" {
@@ -1044,7 +1048,12 @@ func (c cli) cmdResume(args []string) error {
 	// Match replay's output: a file trace re-replays on the ideal
 	// machine for the normalization line (stdin can't be read twice).
 	if name != "stdin" && sys.BlockCacheBytes != config.InfiniteBlockCache {
-		base, err := harness.ReplayFile(name, config.Ideal())
+		f, _, err := c.openTrace(name, "")
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		base, err := harness.Replay(f, config.Ideal())
 		if err != nil {
 			return err
 		}
@@ -1055,14 +1064,17 @@ func (c cli) cmdResume(args []string) error {
 	return nil
 }
 
+// cmdReplay runs one input through the daemon's job executor: a trace
+// replays on its recorded shape, a spec or a traffic scenario (sniffed
+// from the content) is built for the -nodes/-cpus shape at
+// -scale/-seed.
 func (c cli) cmdReplay(args []string) error {
 	fs := c.flagSet("replay")
-	tracePath := fs.String("trace", "", `trace file ("-" = stdin; also accepted positionally)`)
-	trafficPath := fs.String("traffic", "", "traffic scenario file: compile and replay its multi-tenant mix instead of a trace")
-	scale := fs.Float64("scale", 1.0, "workload scale (traffic mode only)")
-	seed := fs.Int64("seed", 0, "workload RNG seed (traffic mode only)")
-	nodes := fs.Int("nodes", 8, "SMP nodes (traffic mode only)")
-	cpus := fs.Int("cpus", 4, "CPUs per node (traffic mode only)")
+	tracePath := fs.String("trace", "", `input file ("-" = stdin; also accepted positionally)`)
+	scale := fs.Float64("scale", 1.0, "workload scale (spec and traffic inputs only)")
+	seed := fs.Int64("seed", 0, "workload RNG seed (spec and traffic inputs only)")
+	nodes := fs.Int("nodes", 8, "SMP nodes (spec and traffic inputs only)")
+	cpus := fs.Int("cpus", 4, "CPUs per node (spec and traffic inputs only)")
 	system := systemFlags(fs)
 	tcfg, timelineOut, eventsOut := telemetryFlags(fs)
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the replay to this file")
@@ -1071,105 +1083,42 @@ func (c cli) cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *trafficPath != "" {
-		if target != "" || *tracePath != "" {
-			return fmt.Errorf("replay takes a trace or -traffic, not both")
-		}
-		return c.replayTraffic(*trafficPath,
-			workloads.Config{Nodes: *nodes, CPUsPerNode: *cpus, Geometry: addr.Default, Scale: *scale, Seed: *seed},
-			system, tcfg, *timelineOut, *eventsOut, *cpuProfile, *memProfile)
-	}
-
 	r, name, err := c.openTrace(target, *tracePath)
 	if err != nil {
 		return err
 	}
-	defer r.Close()
+	data, err := io.ReadAll(r)
+	r.Close()
+	if err != nil {
+		return err
+	}
+	baseDir := ""
+	if name != "stdin" {
+		baseDir = filepath.Dir(name)
+	}
+	a, err := serve.NewArtifact("", data, name, baseDir)
+	if err != nil {
+		return err
+	}
 	sys, err := system()
 	if err != nil {
 		return err
 	}
+	sys.Nodes, sys.CPUsPerNode = *nodes, *cpus
+	h := harness.New(*scale)
+	h.Seed = *seed
+	h.Telemetry = tcfg()
+
 	stop, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		return err
 	}
-	res, err := harness.Replay(r, sys, harness.WithTelemetry(tcfg()))
+	doc, err := serve.Execute(h, serve.Job{Type: "replay", Artifact: a, System: sys, Normalize: true}, c.stdout)
 	if perr := stop(); err == nil {
 		err = perr
 	}
 	if err != nil {
 		return err
 	}
-	run, hdr := res.Run, res.Header
-	fmt.Fprintf(c.stdout, "trace: %s (workload %s, %d nodes x %d CPUs)\n", name, hdr.Name, hdr.Nodes, hdr.CPUs/hdr.Nodes)
-	report.RunSummary(c.stdout, sys.Name, run)
-	if run.Timeline != nil {
-		fmt.Fprintln(c.stdout)
-		report.Timeline(c.stdout, name, run.Timeline)
-	}
-	if err := c.exportTimeline(*timelineOut, *eventsOut, run.Timeline); err != nil {
-		return err
-	}
-
-	// A file (unlike stdin) can be replayed a second time for the
-	// ideal-machine normalization every figure uses.
-	if name != "stdin" && sys.BlockCacheBytes != config.InfiniteBlockCache {
-		base, err := harness.ReplayFile(name, config.Ideal())
-		if err != nil {
-			return err
-		}
-		if base.Run.ExecCycles > 0 {
-			fmt.Fprintf(c.stdout, "  normalized exec time:  %.3f (vs infinite block cache)\n", run.Normalized(base.Run))
-		}
-	}
-	return nil
-}
-
-// replayTraffic compiles a traffic scenario and runs its multi-tenant mix
-// through the machine, reporting the run summary, the per-client counter
-// split, and (when probed) the timeline with per-client sparklines.
-func (c cli) replayTraffic(path string, cfg workloads.Config,
-	system func() (config.System, error), tcfg func() telemetry.Config,
-	timelineOut, eventsOut, cpuProfile, memProfile string) error {
-	sc, err := loadTraffic(path, cfg)
-	if err != nil {
-		return err
-	}
-	sys, err := system()
-	if err != nil {
-		return err
-	}
-	stop, err := profiling.Start(cpuProfile, memProfile)
-	if err != nil {
-		return err
-	}
-	run, err := harness.RunWorkload(sc.Workload(), sc.Cfg, sys, harness.WithTelemetry(tcfg()))
-	if perr := stop(); err == nil {
-		err = perr
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(c.stdout, "traffic: %s (%d clients, %d nodes x %d CPUs)\n",
-		sc.Name, len(sc.Clients), sc.Cfg.Nodes, sc.Cfg.CPUsPerNode)
-	report.RunSummary(c.stdout, sys.Name, run)
-	fmt.Fprintln(c.stdout)
-	report.ClientTable(c.stdout, run)
-	if run.Timeline != nil {
-		fmt.Fprintln(c.stdout)
-		report.Timeline(c.stdout, sc.Name, run.Timeline)
-	}
-	if err := c.exportTimeline(timelineOut, eventsOut, run.Timeline); err != nil {
-		return err
-	}
-	if sys.BlockCacheBytes != config.InfiniteBlockCache {
-		base, err := harness.RunWorkload(sc.Workload(), sc.Cfg, config.Ideal())
-		if err != nil {
-			return err
-		}
-		if base.ExecCycles > 0 {
-			fmt.Fprintf(c.stdout, "  normalized exec time:  %.3f (vs infinite block cache)\n", run.Normalized(base))
-		}
-	}
-	return nil
+	return c.exportTimeline(*timelineOut, *eventsOut, doc.(report.RunDoc).Run.Timeline)
 }

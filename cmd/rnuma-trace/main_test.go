@@ -81,8 +81,41 @@ func TestPipedInfoAndReplay(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("replay exited %d: %s", code, stderr)
 	}
-	if !strings.Contains(stdout, "run: CC-NUMA") {
-		t.Errorf("replay output missing run summary:\n%s", stdout)
+	// stdin is read once into memory, so even a piped trace replays a
+	// second time for the ideal-machine normalization.
+	for _, want := range []string{"trace: stdin (workload fft", "run: CC-NUMA", "normalized exec time:"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("replay output missing %q:\n%s", want, stdout)
+		}
+	}
+}
+
+// TestReplaySniffsSpec: replay recognizes a workload spec by its content,
+// from a file or stdin, and builds it for the -nodes/-cpus shape.
+func TestReplaySniffsSpec(t *testing.T) {
+	spec := filepath.Join("..", "..", "examples", "specs", "halo.json")
+	code, stdout, stderr := runCLI(t, nil, "replay", spec, "-nodes", "4", "-cpus", "2", "-scale", "0.05")
+	if code != 0 {
+		t.Fatalf("replay of a spec exited %d: %s", code, stderr)
+	}
+	for _, want := range []string{"spec: halo-exchange (4 nodes x 2 CPUs)", "run: R-NUMA", "normalized exec time:"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("spec replay output missing %q:\n%s", want, stdout)
+		}
+	}
+	data, err := os.ReadFile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, piped, stderr := runCLI(t, data, "replay", "-", "-nodes", "4", "-cpus", "2", "-scale", "0.05")
+	if code != 0 {
+		t.Fatalf("replay of a piped spec exited %d: %s", code, stderr)
+	}
+	if piped != stdout {
+		t.Errorf("piped spec replay differs from the file replay:\n%s\nvs\n%s", piped, stdout)
+	}
+	if code, _, _ := runCLI(t, []byte(`{"name": "broken"`), "replay", "-"); code != 1 {
+		t.Errorf("replay of malformed JSON exited %d, want 1", code)
 	}
 }
 
@@ -565,7 +598,8 @@ func TestInfoZeroReferenceTrace(t *testing.T) {
 
 // TestTrafficGenAndReplay drives the committed example scenarios end to
 // end: gen -traffic produces an ordinary trace (info-readable), and
-// replay -traffic reports the per-client counter table and timeline.
+// replay, given the scenario positionally, reports the per-client
+// counter table and timeline.
 func TestTrafficGenAndReplay(t *testing.T) {
 	scenario := filepath.Join("..", "..", "examples", "scenarios", "steady-mix.json")
 
@@ -586,9 +620,9 @@ func TestTrafficGenAndReplay(t *testing.T) {
 	}
 
 	code, stdout, stderr = runCLI(t, nil,
-		"replay", "-traffic", scenario, "-scale", "0.05", "-window", "4096")
+		"replay", scenario, "-scale", "0.05", "-window", "4096")
 	if code != 0 {
-		t.Fatalf("replay -traffic exited %d: %s", code, stderr)
+		t.Fatalf("replay of a scenario exited %d: %s", code, stderr)
 	}
 	for _, want := range []string{
 		"traffic: steady-mix (2 clients",
@@ -598,14 +632,10 @@ func TestTrafficGenAndReplay(t *testing.T) {
 		"normalized exec time:",
 	} {
 		if !strings.Contains(stdout, want) {
-			t.Errorf("replay -traffic output missing %q", want)
+			t.Errorf("scenario replay output missing %q", want)
 		}
 	}
 
-	// A trace and -traffic together are ambiguous.
-	if code, _, _ := runCLI(t, nil, "replay", "x.trace", "-traffic", scenario); code != 1 {
-		t.Errorf("replay with both a trace and -traffic exited %d, want 1", code)
-	}
 	// gen needs exactly one source.
 	if code, _, _ := runCLI(t, nil, "gen", "-spec", "a.json", "-traffic", "b.json"); code != 1 {
 		t.Errorf("gen with -spec and -traffic exited %d, want 1", code)
@@ -617,15 +647,15 @@ func TestTrafficModeErrors(t *testing.T) {
 	if code, _, _ := runCLI(t, nil, "gen", "-traffic", "absent.json", "-o", "-"); code != 1 {
 		t.Errorf("gen -traffic on a missing file exited %d, want 1", code)
 	}
-	if code, _, _ := runCLI(t, nil, "replay", "-traffic", "absent.json"); code != 1 {
-		t.Errorf("replay -traffic on a missing file exited %d, want 1", code)
+	if code, _, _ := runCLI(t, nil, "replay", "absent.json"); code != 1 {
+		t.Errorf("replay of a missing scenario file exited %d, want 1", code)
 	}
-	code, _, stderr := runCLI(t, nil, "replay", "-traffic", scenario, "-scale", "0.02", "-protocol", "doom")
+	code, _, stderr := runCLI(t, nil, "replay", scenario, "-scale", "0.02", "-protocol", "doom")
 	if code != 1 || !strings.Contains(stderr, "doom") {
-		t.Errorf("replay -traffic -protocol doom exited %d (%s), want 1 naming the protocol", code, stderr)
+		t.Errorf("scenario replay -protocol doom exited %d (%s), want 1 naming the protocol", code, stderr)
 	}
-	if code, _, _ := runCLI(t, nil, "replay", "-traffic", scenario, "-scale", "0.02",
+	if code, _, _ := runCLI(t, nil, "replay", scenario, "-scale", "0.02",
 		"-cpuprofile", filepath.Join(t.TempDir(), "no", "such", "dir", "p")); code != 1 {
-		t.Errorf("replay -traffic with an unwritable -cpuprofile exited %d, want 1", code)
+		t.Errorf("scenario replay with an unwritable -cpuprofile exited %d, want 1", code)
 	}
 }

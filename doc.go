@@ -30,8 +30,8 @@
 //     with per-record client attribution (per-tenant stats/telemetry)
 //   - internal/tracefile — the binary trace capture/replay format
 //     (streaming writer, lazy demuxing reader with record-level seeking
-//     that skips whole compressed chunks undecoded, live-simulation tee,
-//     per-chunk DEFLATE compression in format v2, stream-level Cut/Cat
+//     that skips whole compressed chunks undecoded, per-chunk DEFLATE
+//     compression in format v2, stream-level Cut/Cat
 //     splicing, and the transform layer: Retarget onto a different
 //     machine shape under pluggable page-remapping policies and CPU
 //     fold policies (modulo or weighted interleave), RetargetGeometry
@@ -45,7 +45,7 @@
 //   - internal/stats — the per-run counter set, plus Diff: the
 //     per-counter delta table (absolute + relative + refetch-map
 //     digest) between two runs that rnuma-trace diffstats and
-//     rnuma-experiments -diff render, and its Tolerance classification
+//     rnuma-serve diffstats jobs render, and its Tolerance classification
 //     (timing counters may drift within a band, structural counters
 //     must match exactly) behind diffstats -tol
 //   - internal/telemetry — the reference-windowed sampling probe: every
@@ -55,8 +55,8 @@
 //     and schedule-independent — serial, parallel, trunk-and-fork, and
 //     snapshot-resumed replays produce bit-identical timelines because
 //     checkpoints carry the probe cursor
-//   - internal/profiling — shared -cpuprofile/-memprofile plumbing for
-//     rnuma-sim and rnuma-trace replay
+//   - internal/profiling — -cpuprofile/-memprofile plumbing for
+//     rnuma-trace replay
 //   - internal/harness — the experiment-plan layer and concurrent
 //     scheduler that regenerate every table and figure; spec files and
 //     recorded traces register as workload sources whose memo keys hash
@@ -76,11 +76,14 @@
 //     cmd/rnuma-serve: content-addressed artifact uploads (traces,
 //     specs, traffic scenarios), replay/sweep/grid/diffstats/
 //     experiments jobs with streamed progress, and text or JSON
-//     reports; malformed axis/value requests answer 422 naming the
-//     offending token; every job
-//     runs on its own harness over the server's one shared result
-//     store, so repeated and concurrent submissions re-simulate
-//     nothing
+//     reports; requests resolve at submission, so unknown systems,
+//     figures or applications and malformed axis/value lists answer
+//     422 naming the offending token; every job runs on its own harness
+//     over the server's one shared result store, so repeated and
+//     concurrent submissions re-simulate nothing; Execute, the job
+//     executor, also runs rnuma-experiments' figures, sweeps and grids
+//     and rnuma-trace replay, so served and offline reports agree byte
+//     for byte
 //   - internal/model — the analytical worst-case model (Section 3.2)
 //
 // The harness declares each figure's (application, system) grid as a Plan

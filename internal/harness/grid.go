@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"sort"
 
 	"rnuma/internal/config"
@@ -171,19 +170,6 @@ func (h *Harness) SweepGrid(data []byte, axisX Axis, valuesX []SweepValue, axisY
 			}
 			g.Cells[i][j] = cell
 		}
-	}
-	return g, nil
-}
-
-// SweepGridFile is SweepGrid over a trace file on disk.
-func (h *Harness) SweepGridFile(path string, axisX Axis, valuesX []SweepValue, axisY Axis, valuesY []SweepValue) (*Grid, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	g, err := h.SweepGrid(data, axisX, valuesX, axisY, valuesY)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return g, nil
 }

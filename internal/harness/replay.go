@@ -3,26 +3,22 @@ package harness
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"rnuma/internal/config"
 	"rnuma/internal/machine"
 	"rnuma/internal/stats"
 	"rnuma/internal/telemetry"
 	"rnuma/internal/tracefile"
-	"rnuma/internal/workloads"
 )
 
 // This file is the one-shot execution surface: replaying a recorded
-// trace or running a built workload exactly once, outside the memoizing
-// store (callers that replay each input once have nothing to memoize).
+// trace exactly once, outside the memoizing store (callers that replay each input once have nothing to memoize).
 // One variadic-option family — WithTelemetry, WithThresholds,
 // WithMachineOptions — replaced the old ReplayTrace /
 // ReplayTraceFile / ThresholdForkRuns / ThresholdForkRunsProbe
 // entry points and their probe/no-probe duplicate signatures.
 
-// RunOption configures a one-shot Replay/ReplayFile/RunWorkload
-// execution.
+// RunOption configures a one-shot Replay.
 type RunOption func(*runOptions)
 
 type runOptions struct {
@@ -61,8 +57,8 @@ func WithTelemetry(cfg telemetry.Config) RunOption {
 // threshold through the trunk-and-fork engine (fork.go): the shared
 // prefix is paid once, and Result.ByThreshold maps each threshold to a
 // run bit-identical to an independent full replay at that threshold.
-// Only Replay/ReplayFile accept it (a workload is a consume-once
-// stream; the fork engine needs a seekable encoding).
+// The fork engine needs a seekable encoding, so Replay then reads its
+// whole input into memory.
 func WithThresholds(thresholds ...int) RunOption {
 	return func(o *runOptions) { o.thresholds = append(o.thresholds, thresholds...) }
 }
@@ -78,8 +74,7 @@ type Result struct {
 	// Run is the completed run. Under WithThresholds it is the run at
 	// the largest requested threshold (the trunk's own point).
 	Run *stats.Run
-	// Header is the recorded machine shape for trace replays (zero for
-	// workload runs).
+	// Header is the replayed trace's recorded machine shape.
 	Header tracefile.Header
 	// ByThreshold maps each requested threshold to its run; nil unless
 	// WithThresholds was given.
@@ -89,9 +84,10 @@ type Result struct {
 // Replay runs one recorded trace through a machine of its recorded
 // shape: the protocol, cache sizes, threshold, and costs come from sys,
 // while the node/CPU counts, geometry, segment size, and page placement
-// come from the trace header. This is the one-shot path the CLIs use
-// for replay and run-diffing; it bypasses the harness store (no Harness
-// receiver) because the callers replay each input exactly once.
+// come from the trace header. This is the one-shot path behind
+// rnuma-trace diffstats and resume and the timeline experiment; it
+// bypasses the harness store (no Harness receiver) because the callers
+// replay each input exactly once.
 func Replay(r io.Reader, sys config.System, opts ...RunOption) (*Result, error) {
 	o := buildRunOptions(opts)
 	if len(o.thresholds) > 0 {
@@ -141,20 +137,6 @@ func replayThresholds(data []byte, sys config.System, o runOptions) (*Result, er
 	return res, nil
 }
 
-// ReplayFile is Replay over a trace file on disk.
-func ReplayFile(path string, sys config.System, opts ...RunOption) (*Result, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	defer f.Close()
-	res, err := Replay(f, sys, opts...)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return res, nil
-}
-
 // NewTraceMachine builds a machine for a recorded trace: the protocol,
 // cache sizes, threshold, and costs come from sys, while the node/CPU
 // counts, geometry, segment size, and page placement come from the trace
@@ -174,43 +156,4 @@ func NewTraceMachine(h tracefile.Header, sys config.System, opts ...machine.Opti
 	all := append([]machine.Option{machine.WithHomes(h.HomeFunc()), machine.WithPages(h.SharedPages)}, opts...)
 	m, err := machine.New(sys, all...)
 	return m, sys, err
-}
-
-// RunWorkload runs one built workload through a machine shaped by its
-// sizing config: the protocol, cache sizes, threshold, and costs come
-// from sys, the shape from cfg, and the page placement and attribution
-// from the workload itself. Like Replay it bypasses the store — it is
-// the CLIs' one-shot path for compiled scenarios. WithThresholds is not
-// supported here (workload streams are consume-once).
-func RunWorkload(w *workloads.Workload, cfg workloads.Config, sys config.System, opts ...RunOption) (*stats.Run, error) {
-	o := buildRunOptions(opts)
-	if len(o.thresholds) > 0 {
-		return nil, fmt.Errorf("harness: WithThresholds requires a recorded trace (use Replay)")
-	}
-	sys.Geometry = cfg.Geometry
-	sys.Nodes = cfg.Nodes
-	sys.CPUsPerNode = cfg.CPUsPerNode
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
-	all := make([]machine.Option, 0, len(o.mopts)+4)
-	all = append(all, machine.WithHomes(w.Homes), machine.WithPages(w.SharedPages))
-	if w.Attribution != nil {
-		all = append(all, machine.WithAttribution(w.Attribution))
-	}
-	all = append(all, o.machineOptions()...)
-	m, err := machine.New(sys, all...)
-	if err != nil {
-		return nil, err
-	}
-	run, err := m.Run(w.Streams)
-	if err != nil {
-		return nil, err
-	}
-	if w.Check != nil {
-		if err := w.Check(); err != nil {
-			return nil, err
-		}
-	}
-	return run, nil
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"rnuma/internal/config"
-	"rnuma/internal/machine"
 	"rnuma/internal/stats"
 	"rnuma/internal/telemetry"
 	"rnuma/internal/tracefile"
@@ -173,10 +172,9 @@ func TestRecordReplayIdentity(t *testing.T) {
 
 // TestDifferentialIdentity is the trace-toolchain acceptance invariant:
 // for every catalog application, each transport of the same reference
-// streams — the v1 encoding, the default v2-compressed encoding, a
-// cut-into-halves-and-concatenated recomposition, and a live run recorded
-// through tracefile.Tee — must replay to a stats.Run identical to
-// simulating the live generator. The toolchain changes how references
+// streams — the v1 encoding, the default v2-compressed encoding, and a
+// cut-into-halves-and-concatenated recomposition — must replay to a
+// stats.Run identical to simulating the live generator. The toolchain changes how references
 // travel, never what the machine sees.
 func TestDifferentialIdentity(t *testing.T) {
 	apps := workloads.Names()
@@ -212,17 +210,9 @@ func TestDifferentialIdentity(t *testing.T) {
 		catPath := filepath.Join(dir, name+".cat.trace")
 		recomposeHalves(t, v2Path, filepath.Join(dir, name), catPath)
 
-		// Transport 4: a live simulation recorded through Tee; the teed
-		// run itself must also match the live run.
-		teePath := filepath.Join(dir, name+".tee.trace")
-		teeRun := recordLiveRun(t, teePath, app, cfg, sys)
-		if !reflect.DeepEqual(teeRun, want) {
-			t.Errorf("%s: teed live run differs from plain live run", name)
-		}
-
 		keys := make(map[string]string)
 		for transport, path := range map[string]string{
-			"v1": v1Path, "v2": v2Path, "cut+cat": catPath, "tee": teePath,
+			"v1": v1Path, "v2": v2Path, "cut+cat": catPath,
 		} {
 			src, err := TraceFileSource(path)
 			if err != nil {
@@ -298,36 +288,6 @@ func recomposeHalves(t *testing.T, src, tmpPrefix, dst string) {
 	}
 }
 
-// recordLiveRun simulates the workload on sys with its streams teed into
-// a trace file at path, returning the run the teed simulation produced.
-func recordLiveRun(t *testing.T, path string, app workloads.App, cfg workloads.Config, sys config.System) *stats.Run {
-	t.Helper()
-	w := app.Build(cfg)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw, err := tracefile.NewWriter(f, tracefile.WorkloadHeader(w, cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := machine.New(sys, machine.WithHomes(w.Homes), machine.WithPages(w.SharedPages))
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := m.Run(tracefile.Tee(tw, w.Streams))
-	if err != nil {
-		t.Fatalf("teed run: %v", err)
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatalf("close writer: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return run
-}
-
 // TestSeedReproducibility pins the -seed contract: the same seed yields
 // identical runs, a different seed changes shuffle-sensitive workloads.
 func TestSeedReproducibility(t *testing.T) {
@@ -391,14 +351,26 @@ func writeTrafficScenario(t *testing.T) string {
 	return path
 }
 
+// compileScenario is TrafficSource over a scenario file: its phase paths
+// resolve against the file's directory.
+func compileScenario(t *testing.T, path string, cfg workloads.Config) *TrafficScenarioSource {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := TrafficSource(data, filepath.Dir(path), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
 func TestTrafficSourceThroughHarness(t *testing.T) {
 	path := writeTrafficScenario(t)
 	cfg := workloads.DefaultConfig()
 	cfg.Scale = 0.05
-	src, err := TrafficFileSource(path, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := compileScenario(t, path, cfg)
 	if src.Name() != "mix-test" {
 		t.Fatalf("source name = %q", src.Name())
 	}
@@ -407,11 +379,7 @@ func TestTrafficSourceThroughHarness(t *testing.T) {
 	}
 	// The key is a pure function of the spec + shape: an independent
 	// compilation of the same file must memoize identically.
-	src2, err := TrafficFileSource(path, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.Key() != src2.Key() {
+	if src2 := compileScenario(t, path, cfg); src.Key() != src2.Key() {
 		t.Errorf("two compilations of one scenario produced keys %q vs %q", src.Key(), src2.Key())
 	}
 	// A scenario compiled for one shape refuses to load on another.
@@ -450,10 +418,7 @@ func TestTrafficParallelMatchesSerial(t *testing.T) {
 		config.Base(config.RNUMA), config.Ideal(),
 	}
 	collect := func(workers int) []*stats.Run {
-		src, err := TrafficFileSource(path, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		src := compileScenario(t, path, cfg)
 		h := New(0.05)
 		h.Workers = workers
 		h.Telemetry = telemetry.Config{Window: 4096}
@@ -463,6 +428,7 @@ func TestTrafficParallelMatchesSerial(t *testing.T) {
 		h.Prefetch(NewPlan().AddRuns([]string{src.Name()}, systems...))
 		runs := make([]*stats.Run, len(systems))
 		for i, sys := range systems {
+			var err error
 			if runs[i], err = h.Run(src.Name(), sys); err != nil {
 				t.Fatal(err)
 			}
@@ -483,9 +449,6 @@ func TestTrafficParallelMatchesSerial(t *testing.T) {
 func TestTrafficSourceErrors(t *testing.T) {
 	cfg := workloads.DefaultConfig()
 	cfg.Scale = 0.05
-	if _, err := TrafficFileSource(filepath.Join(t.TempDir(), "nope.json"), cfg); err == nil {
-		t.Error("TrafficFileSource accepted a missing file")
-	}
 	if _, err := TrafficSource([]byte(`{"name":`), "", cfg); err == nil {
 		t.Error("TrafficSource accepted truncated JSON")
 	}
@@ -496,10 +459,7 @@ func TestTrafficSourceErrors(t *testing.T) {
 	if _, err := TrafficSource([]byte(missing), t.TempDir(), cfg); err == nil {
 		t.Error("TrafficSource accepted a scenario with a missing phase file")
 	}
-	src, err := TrafficFileSource(writeTrafficScenario(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := compileScenario(t, writeTrafficScenario(t), cfg)
 	if sc := src.Scenario(); sc == nil || sc.Name != src.Name() {
 		t.Errorf("Scenario() = %+v, want the compiled scenario named %q", sc, src.Name())
 	}

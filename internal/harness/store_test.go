@@ -352,9 +352,9 @@ func TestSharedStoreAcrossHarnesses(t *testing.T) {
 	}
 }
 
-// TestReplayFileAndOptions covers the one-shot file path and the
-// machine-option plumbing of the consolidated Replay surface.
-func TestReplayFileAndOptions(t *testing.T) {
+// TestReplayOptions covers the machine-option plumbing of the one-shot
+// Replay surface.
+func TestReplayOptions(t *testing.T) {
 	app, _ := workloads.ByName("fft")
 	cfg := workloads.DefaultConfig()
 	cfg.Scale = 0.05
@@ -362,21 +362,14 @@ func TestReplayFileAndOptions(t *testing.T) {
 	if _, _, err := tracefile.WriteWorkload(&buf, app.Build(cfg), cfg); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "fft.trace")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	sys := config.Base(config.RNUMA)
 
-	res, err := ReplayFile(path, sys)
+	res, err := Replay(bytes.NewReader(buf.Bytes()), sys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Run.ExecCycles == 0 || res.Header.Name != "fft" {
 		t.Errorf("replay: exec=%d header=%+v", res.Run.ExecCycles, res.Header)
-	}
-	if _, err := ReplayFile(filepath.Join(t.TempDir(), "nope.trace"), sys); err == nil {
-		t.Error("replaying a missing file succeeded")
 	}
 
 	// WithMachineOptions rides along on one-shot replays (the verifier
@@ -392,35 +385,6 @@ func TestReplayFileAndOptions(t *testing.T) {
 	if _, err := Replay(bytes.NewReader(buf.Bytes()), sys,
 		WithThresholds(8, 64), WithMachineOptions(machine.WithVerify())); err == nil {
 		t.Error("WithThresholds+WithMachineOptions did not error")
-	}
-
-	// RunWorkload is the consume-once path; thresholds are trace-only.
-	run, err := RunWorkload(app.Build(cfg), cfg, sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.ExecCycles != res.Run.ExecCycles {
-		t.Errorf("RunWorkload diverged from trace replay: %d vs %d", run.ExecCycles, res.Run.ExecCycles)
-	}
-	if _, err := RunWorkload(app.Build(cfg), cfg, sys, WithThresholds(8)); err == nil {
-		t.Error("RunWorkload accepted WithThresholds")
-	}
-
-	// SweepFile mirrors Sweep over the on-disk encoding.
-	h := New(0.05)
-	vals, err := ParseSweepValues(AxisNodes, "4,8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, name, err := h.SweepFile(path, AxisNodes, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 || name != "fft" {
-		t.Errorf("SweepFile: %d points, name %q", len(pts), name)
-	}
-	if _, _, err := h.SweepFile(filepath.Join(t.TempDir(), "nope.trace"), AxisNodes, vals); err == nil {
-		t.Error("sweeping a missing file succeeded")
 	}
 }
 

@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
@@ -363,19 +362,6 @@ func (h *Harness) Sweep(data []byte, axis Axis, values []SweepValue) ([]AxisPoin
 		out = append(out, ap)
 	}
 	return out, hdr.Name, nil
-}
-
-// SweepFile is Sweep over a trace file on disk.
-func (h *Harness) SweepFile(path string, axis Axis, values []SweepValue) ([]AxisPoint, string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, "", fmt.Errorf("harness: %w", err)
-	}
-	pts, name, err := h.Sweep(data, axis, values)
-	if err != nil {
-		return nil, "", fmt.Errorf("%s: %w", path, err)
-	}
-	return pts, name, nil
 }
 
 // renamedSource registers an existing source under a different

@@ -2,8 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -29,6 +27,21 @@ func recordCatalog(t *testing.T, name string, scale float64) []byte {
 	return buf.Bytes()
 }
 
+// retargetSource wraps a retargeted copy of an in-memory trace as a
+// source, the way the sweep engine builds its points.
+func retargetSource(t *testing.T, data []byte, spec tracefile.RetargetSpec) Source {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := tracefile.Retarget(&buf, bytes.NewReader(data), spec); err != nil {
+		t.Fatalf("retarget: %v", err)
+	}
+	src, err := TraceSource(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
 // TestRetargetIdentityReplaysIdentically is the transform layer's
 // differential acceptance proof: retargeting a catalog trace back onto
 // its own machine shape with the identity policy must replay to a
@@ -48,10 +61,7 @@ func TestRetargetIdentityReplaysIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		re, err := RetargetTrace(data, tracefile.RetargetSpec{}) // identity, shape kept
-		if err != nil {
-			t.Fatalf("%s: retarget: %v", name, err)
-		}
+		re := retargetSource(t, data, tracefile.RetargetSpec{}) // identity, shape kept
 		if orig.Key() != re.Key() {
 			t.Errorf("%s: identity retarget changed the memo key: %s vs %s", name, orig.Key(), re.Key())
 		}
@@ -287,22 +297,14 @@ func TestParseAxisAndValues(t *testing.T) {
 	}
 }
 
-// TestRetargetedTraceFileSource exercises the file-path entry point: a
-// trace on disk retargeted at registration replays on the new shape.
-func TestRetargetedTraceFileSource(t *testing.T) {
-	data := recordCatalog(t, "fft", 0.02)
-	path := filepath.Join(t.TempDir(), "m.trace")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	src, err := RetargetedTraceFileSource(path, tracefile.RetargetSpec{
+// TestRetargetedTraceSource: a trace retargeted in memory replays on
+// the new shape and refuses the recorded one.
+func TestRetargetedTraceSource(t *testing.T) {
+	src := retargetSource(t, recordCatalog(t, "fft", 0.02), tracefile.RetargetSpec{
 		Nodes:  4,
 		Policy: tracefile.RoundRobin(),
 		Name:   "fft@4n",
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if src.Name() != "fft@4n" {
 		t.Errorf("name = %q", src.Name())
 	}
@@ -323,9 +325,5 @@ func TestRetargetedTraceFileSource(t *testing.T) {
 	// machine must be rejected at load time.
 	if _, err := h.Run(src.Name(), config.Base(config.RNUMA)); err == nil {
 		t.Error("8-node replay of a 4-node retarget accepted")
-	}
-
-	if _, err := RetargetedTraceFileSource(filepath.Join(t.TempDir(), "absent.trace"), tracefile.RetargetSpec{}); err == nil {
-		t.Error("missing file accepted")
 	}
 }

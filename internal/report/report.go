@@ -271,7 +271,7 @@ func ClientTable(w io.Writer, r *stats.Run) {
 	}
 }
 
-// RunSummary renders one run's counters (the rnuma-sim tool output).
+// RunSummary renders one run's counters (the body of a replay report).
 func RunSummary(w io.Writer, name string, r *stats.Run) {
 	fmt.Fprintf(w, "run: %s\n", name)
 	fmt.Fprintf(w, "  execution time:        %d cycles\n", r.ExecCycles)

@@ -41,22 +41,30 @@ type Artifact struct {
 	Nodes int `json:"nodes,omitempty"`
 	CPUs  int `json:"cpus,omitempty"`
 
-	data []byte
-	hdr  tracefile.Header // valid when Kind == KindTrace
+	data    []byte
+	hdr     tracefile.Header // valid when Kind == KindTrace
+	label   string           // names the input in replay report headers
+	baseDir string           // resolves a traffic scenario's relative phase paths
 }
 
-// AddArtifact validates and registers one artifact; uploading identical
-// bytes again returns the existing entry with created=false. Kind ""
+// NewArtifact validates data as one artifact of the given kind. Kind ""
 // sniffs: tracefile encodings are tried first (they have a magic
 // header), then traffic (distinguished by its top-level "clients" key),
-// then spec. The created flag is decided under the registry lock, so
-// concurrent uploads of the same bytes report exactly one creation.
-func (s *Server) AddArtifact(kind string, data []byte) (a *Artifact, created bool, err error) {
-	a = &Artifact{
-		ID:   fmt.Sprintf("%x", sha256.Sum256(data)),
-		Kind: kind,
-		Size: len(data),
-		data: data,
+// then spec. label names the input in replay report headers ("" means
+// the ID's first 12 hex digits, the daemon's form; the CLIs pass the
+// file path), and baseDir anchors a traffic scenario's relative phase
+// paths ("" means the working directory).
+func NewArtifact(kind string, data []byte, label, baseDir string) (*Artifact, error) {
+	a := &Artifact{
+		ID:      fmt.Sprintf("%x", sha256.Sum256(data)),
+		Kind:    kind,
+		Size:    len(data),
+		data:    data,
+		label:   label,
+		baseDir: baseDir,
+	}
+	if a.label == "" {
+		a.label = a.ID[:12]
 	}
 	if a.Kind == "" {
 		a.Kind = sniffKind(data)
@@ -65,7 +73,7 @@ func (s *Server) AddArtifact(kind string, data []byte) (a *Artifact, created boo
 	case KindTrace:
 		d, err := tracefile.NewReader(bytes.NewReader(data))
 		if err != nil {
-			return nil, false, fmt.Errorf("serve: bad trace: %w", err)
+			return nil, fmt.Errorf("serve: bad trace: %w", err)
 		}
 		a.hdr = d.Header()
 		a.Name = a.hdr.Name
@@ -73,17 +81,29 @@ func (s *Server) AddArtifact(kind string, data []byte) (a *Artifact, created boo
 	case KindSpec:
 		sp, err := spec.Parse(data)
 		if err != nil {
-			return nil, false, fmt.Errorf("serve: bad spec: %w", err)
+			return nil, fmt.Errorf("serve: bad spec: %w", err)
 		}
 		a.Name = sp.Name
 	case KindTraffic:
 		tr, err := traffic.Parse(data)
 		if err != nil {
-			return nil, false, fmt.Errorf("serve: bad traffic scenario: %w", err)
+			return nil, fmt.Errorf("serve: bad traffic scenario: %w", err)
 		}
 		a.Name = tr.Name
 	default:
-		return nil, false, fmt.Errorf("serve: unknown artifact kind %q (want trace, spec, or traffic)", kind)
+		return nil, fmt.Errorf("serve: unknown artifact kind %q (want trace, spec, or traffic)", kind)
+	}
+	return a, nil
+}
+
+// AddArtifact validates and registers one artifact; uploading identical
+// bytes again returns the existing entry with created=false. The created
+// flag is decided under the registry lock, so concurrent uploads of the
+// same bytes report exactly one creation.
+func (s *Server) AddArtifact(kind string, data []byte) (a *Artifact, created bool, err error) {
+	a, err = NewArtifact(kind, data, "", "")
+	if err != nil {
+		return nil, false, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

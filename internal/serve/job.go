@@ -8,6 +8,10 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"rnuma/internal/config"
+	"rnuma/internal/harness"
+	"rnuma/internal/workloads"
 )
 
 // JobRequest is one job submission. Type selects the experiment; the
@@ -79,6 +83,7 @@ type JobInfo struct {
 type jobState struct {
 	id       string
 	req      JobRequest
+	job      Job // req resolved at submission
 	created  time.Time
 	progress *progressBuffer
 
@@ -158,10 +163,11 @@ func (b *progressBuffer) from(off int) ([]byte, int) {
 
 func (b *progressBuffer) finish() { close(b.done) }
 
-// Submit validates a request, assigns it an ID, and schedules it; the
+// Submit resolves a request, assigns it an ID, and schedules it; the
 // job runs asynchronously (bounded by Options.MaxJobs).
 func (s *Server) Submit(req JobRequest) (*jobState, error) {
-	if err := s.validate(req); err != nil {
+	job, err := s.resolve(req)
+	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -169,6 +175,7 @@ func (s *Server) Submit(req JobRequest) (*jobState, error) {
 	js := &jobState{
 		id:       fmt.Sprintf("j%d", s.jobSeq),
 		req:      req,
+		job:      job,
 		created:  time.Now(),
 		progress: newProgressBuffer(),
 		status:   StatusQueued,
@@ -180,65 +187,139 @@ func (s *Server) Submit(req JobRequest) (*jobState, error) {
 	return js, nil
 }
 
-// valueError marks a request whose axis/values fields are present but
-// unparseable: the submission is well-formed JSON with the right fields,
-// just semantically invalid values, so the API answers 422 (naming the
-// offending token) rather than a generic 400.
+// valueError marks a request whose fields are present but semantically
+// invalid — an unparseable axis or value list, an unknown system, figure
+// or application, an input of the wrong kind: the submission is
+// well-formed JSON with the right fields, so the API answers 422 (naming
+// the offending token) rather than a generic 400.
 type valueError struct{ err error }
 
 func (e *valueError) Error() string { return e.err.Error() }
 func (e *valueError) Unwrap() error { return e.err }
 
-// validate rejects malformed requests before they occupy a job slot;
-// artifact references must already resolve at submission time, and
-// sweep/grid axis values must already parse (422 when they don't).
-func (s *Server) validate(req JobRequest) error {
+// resolve turns a request into an executable Job before it occupies a
+// job slot: artifact references must resolve (400 when they don't), and
+// systems, axis values, figures and applications must parse (422).
+func (s *Server) resolve(req JobRequest) (Job, error) {
+	job := Job{Type: req.Type, Normalize: req.Normalize, KneeBound: req.KneeBound}
+	var err error
 	switch req.Type {
 	case "replay":
-		_, err := s.artifact(req.Artifact)
-		return err
+		if job.Artifact, err = s.artifact(req.Artifact); err != nil {
+			return job, err
+		}
+		job.System, err = systemFor(req.System, req.Threshold)
+		return job, err
 	case "sweep":
-		if _, err := s.artifact(req.Artifact); err != nil {
-			return err
+		if job.Artifact, err = s.traceArtifact(req.Artifact, req.Type); err != nil {
+			return job, err
 		}
 		if req.Axis == "" || req.Values == "" {
-			return fmt.Errorf("serve: sweep needs axis and values")
+			return job, fmt.Errorf("serve: sweep needs axis and values")
 		}
-		_, _, err := parseAxisValues(req.Axis, req.Values)
-		return err
+		job.Axis, job.Values, err = parseAxisValues(req.Axis, req.Values)
+		return job, err
 	case "grid":
-		if _, err := s.artifact(req.Artifact); err != nil {
-			return err
+		if job.Artifact, err = s.traceArtifact(req.Artifact, req.Type); err != nil {
+			return job, err
 		}
 		if req.Axis == "" || req.Values == "" || req.AxisB == "" || req.ValuesB == "" {
-			return fmt.Errorf("serve: grid needs axis, values, axisB, and valuesB")
+			return job, fmt.Errorf("serve: grid needs axis, values, axisB, and valuesB")
 		}
-		axisX, _, err := parseAxisValues(req.Axis, req.Values)
-		if err != nil {
-			return err
+		if job.Axis, job.Values, err = parseAxisValues(req.Axis, req.Values); err != nil {
+			return job, err
 		}
-		axisY, _, err := parseAxisValues(req.AxisB, req.ValuesB)
-		if err != nil {
-			return err
+		if job.AxisB, job.ValuesB, err = parseAxisValues(req.AxisB, req.ValuesB); err != nil {
+			return job, err
 		}
-		if axisX == axisY {
-			return &valueError{fmt.Errorf("serve: grid axes must differ (both %s)", axisX)}
+		if job.Axis == job.AxisB {
+			return job, &valueError{fmt.Errorf("serve: grid axes must differ (both %s)", job.Axis)}
 		}
 		if req.KneeBound < 0 {
-			return &valueError{fmt.Errorf("serve: bad kneeBound %v (must be >= 0)", req.KneeBound)}
+			return job, &valueError{fmt.Errorf("serve: bad kneeBound %v (must be >= 0)", req.KneeBound)}
 		}
-		return nil
+		return job, nil
 	case "diffstats":
-		if _, err := s.artifact(req.Artifact); err != nil {
-			return err
+		if job.Artifact, err = s.traceArtifact(req.Artifact, req.Type); err != nil {
+			return job, err
 		}
-		_, err := s.artifact(req.ArtifactB)
-		return err
+		if job.ArtifactB, err = s.traceArtifact(req.ArtifactB, req.Type); err != nil {
+			return job, err
+		}
+		if job.System, err = systemFor(req.System, req.Threshold); err != nil {
+			return job, err
+		}
+		job.SystemB = job.System
+		if req.SystemB != "" {
+			job.SystemB, err = systemFor(req.SystemB, req.Threshold)
+		}
+		return job, err
 	case "experiments":
-		return nil
-	default:
-		return fmt.Errorf("serve: unknown job type %q (want replay, sweep, grid, diffstats, or experiments)", req.Type)
+		job.Figures, job.Apps = req.Figures, req.Apps
+		if len(job.Figures) == 0 {
+			job.Figures = []string{"6"}
+		}
+		if len(job.Apps) == 0 {
+			job.Apps = harness.AllApps()
+		}
+		for _, f := range job.Figures {
+			if _, ok := figures[f]; !ok {
+				return job, &valueError{fmt.Errorf("serve: unknown figure %q (want 5, 6, 7, 8, 9, or table4)", f)}
+			}
+		}
+		for _, app := range job.Apps {
+			if _, ok := workloads.ByName(app); !ok {
+				return job, &valueError{fmt.Errorf("serve: unknown application %q", app)}
+			}
+		}
+		return job, nil
 	}
+	return job, fmt.Errorf("serve: unknown job type %q (want replay, sweep, grid, diffstats, or experiments)", req.Type)
+}
+
+// traceArtifact resolves an artifact reference that must name a trace.
+func (s *Server) traceArtifact(ref, jobType string) (*Artifact, error) {
+	a, err := s.artifact(ref)
+	if err != nil {
+		return nil, err
+	}
+	if a.Kind != KindTrace {
+		return nil, &valueError{fmt.Errorf("serve: %s needs a trace artifact, %s is a %s", jobType, a.ID[:12], a.Kind)}
+	}
+	return a, nil
+}
+
+// systemFor resolves a request's system name (default rnuma) and
+// threshold override.
+func systemFor(name string, threshold int) (config.System, error) {
+	if name == "" {
+		name = "rnuma"
+	}
+	sys, err := config.SystemByName(name)
+	if err != nil {
+		return sys, &valueError{err}
+	}
+	if threshold > 0 {
+		sys.Threshold = threshold
+	}
+	return sys, nil
+}
+
+// parseAxisValues resolves an axis name and its comma-separated value
+// list, marking failures as value errors that name the offending token.
+func parseAxisValues(axisName, values string) (harness.Axis, []harness.SweepValue, error) {
+	axis, err := harness.ParseAxis(axisName)
+	if err != nil {
+		return 0, nil, &valueError{err}
+	}
+	vals, err := harness.ParseSweepValues(axis, values)
+	if err != nil {
+		return 0, nil, &valueError{err}
+	}
+	if len(vals) == 0 {
+		return 0, nil, &valueError{fmt.Errorf("serve: %s values %q name no points", axis, values)}
+	}
+	return axis, vals, nil
 }
 
 // run executes one job through a slot of the job semaphore.

@@ -13,12 +13,76 @@ import (
 	"rnuma/internal/workloads"
 )
 
-// This file executes jobs. Every job gets a fresh Harness wired to the
-// server's shared store: the harness carries the job's own Progress/Log
-// writers and Simulations counter, while the store makes results — and
-// in-flight singleflight claims — common property of all jobs.
+// This file executes jobs. Execute is the one code path that runs and
+// renders replay, sweep, grid, diffstats and figure jobs: the daemon
+// calls it for every submission, and the rnuma-experiments and
+// rnuma-trace CLIs call it for their runs of the same kinds, so a served
+// report and the offline output agree byte for byte by construction.
+//
+// Every served job gets a fresh Harness wired to the server's shared
+// store: the harness carries the job's own Progress/Log writers and
+// Simulations counter, while the store makes results — and in-flight
+// singleflight claims — common property of all jobs.
 
-// execute runs one job to completion, returning the rendered text
+// Job is a resolved request: its artifacts loaded, its systems built and
+// its axis values parsed. The daemon resolves each JobRequest once at
+// submission; the CLIs build Jobs from their flags, which can express
+// systems (-bc, -pc, -soft) that a JobRequest cannot.
+type Job struct {
+	// Type is "replay", "sweep", "grid", "diffstats", or "experiments".
+	Type string
+	// Artifact is the input of replay, sweep and grid jobs and the first
+	// side of a diffstats job; ArtifactB is diffstats' second side. Sweep,
+	// grid and diffstats inputs must be traces.
+	Artifact, ArtifactB *Artifact
+	// System is the simulated design of replay and diffstats jobs, SystemB
+	// diffstats' second one. A trace replays on its recorded shape; spec
+	// and traffic inputs are built for System's shape.
+	System, SystemB config.System
+	// Normalize also runs the same-shape ideal machine and reports
+	// execution time relative to it (replay only).
+	Normalize bool
+	// Axis and Values define a sweep, or a grid's X axis (its transform
+	// applies first); AxisB and ValuesB are a grid's Y axis. KneeBound
+	// overrides the grid knee detector's bound when > 0.
+	Axis, AxisB     harness.Axis
+	Values, ValuesB []harness.SweepValue
+	KneeBound       float64
+	// Figures names an experiments job's figures in render order ("5",
+	// "6", "7", "8", "9", "table4"); Apps lists its applications.
+	Figures, Apps []string
+}
+
+// Execute runs one resolved job on h, renders its text report to w, and
+// returns the report's JSON document. A replay on a probed harness
+// (h.Telemetry enabled) also renders the run's timeline.
+func Execute(h *harness.Harness, job Job, w io.Writer) (doc any, err error) {
+	switch job.Type {
+	case "replay":
+		return runReplay(h, w, job)
+	case "sweep":
+		pts, name, err := h.Sweep(job.Artifact.data, job.Axis, job.Values)
+		if err != nil {
+			return nil, err
+		}
+		report.Sensitivity(w, name, job.Axis, pts)
+		return report.NewSensitivityDoc(name, job.Axis, pts), nil
+	case "grid":
+		g, err := h.SweepGrid(job.Artifact.data, job.Axis, job.Values, job.AxisB, job.ValuesB)
+		if err != nil {
+			return nil, err
+		}
+		report.Grid(w, g, job.KneeBound)
+		return report.NewGridDoc(g, job.KneeBound), nil
+	case "diffstats":
+		return runDiffstats(h, w, job)
+	case "experiments":
+		return runExperiments(h, w, job)
+	}
+	return nil, fmt.Errorf("serve: unknown job type %q", job.Type)
+}
+
+// execute runs one served job to completion, returning the rendered text
 // report, the JSON document, and how many simulations the job executed
 // itself (0 for a fully warm resubmission).
 func (s *Server) execute(js *jobState) (text string, doc any, sims int64, err error) {
@@ -30,37 +94,8 @@ func (s *Server) execute(js *jobState) (text string, doc any, sims int64, err er
 	h.Log = js.progress
 
 	var buf bytes.Buffer
-	switch js.req.Type {
-	case "replay":
-		doc, err = s.runReplay(h, &buf, js.req)
-	case "sweep":
-		doc, err = s.runSweep(h, &buf, js.req)
-	case "grid":
-		doc, err = s.runGrid(h, &buf, js.req)
-	case "diffstats":
-		doc, err = s.runDiffstats(h, &buf, js.req)
-	case "experiments":
-		doc, err = s.runExperiments(h, &buf, js.req)
-	default:
-		err = fmt.Errorf("serve: unknown job type %q", js.req.Type)
-	}
+	doc, err = Execute(h, js.job, &buf)
 	return buf.String(), doc, h.Simulations(), err
-}
-
-// systemFor resolves a request's system name (default rnuma) and
-// threshold override.
-func systemFor(name string, threshold int) (config.System, error) {
-	if name == "" {
-		name = "rnuma"
-	}
-	sys, err := config.SystemByName(name)
-	if err != nil {
-		return sys, err
-	}
-	if threshold > 0 {
-		sys.Threshold = threshold
-	}
-	return sys, nil
 }
 
 // shapeToTrace sizes a system to a recorded trace's machine shape, the
@@ -90,8 +125,7 @@ func registerTrace(h *harness.Harness, a *Artifact) (app string, err error) {
 	return named.Name(), nil
 }
 
-// normalizedLine appends the ideal-baseline normalization (the exact
-// line the offline replay CLI prints, so reports gate against it).
+// normalizedLine appends the ideal-baseline normalization line.
 func normalizedLine(h *harness.Harness, w io.Writer, app string, sys config.System, run *stats.Run) (*stats.Run, error) {
 	if sys.BlockCacheBytes == config.InfiniteBlockCache {
 		return nil, nil
@@ -108,25 +142,23 @@ func normalizedLine(h *harness.Harness, w io.Writer, app string, sys config.Syst
 	return base, nil
 }
 
-func (s *Server) runReplay(h *harness.Harness, w io.Writer, req JobRequest) (any, error) {
-	a, err := s.artifact(req.Artifact)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := systemFor(req.System, req.Threshold)
-	if err != nil {
-		return nil, err
-	}
-	var app string
+// runReplay renders one run: the input header, the counter summary, the
+// per-client table (traffic inputs), the timeline (probed harnesses),
+// and the normalized line.
+func runReplay(h *harness.Harness, w io.Writer, job Job) (any, error) {
+	a, sys := job.Artifact, job.System
+	var app, title string
 	switch a.Kind {
 	case KindTrace:
+		var err error
 		if sys, err = shapeToTrace(sys, a.hdr); err != nil {
 			return nil, err
 		}
 		if app, err = registerTrace(h, a); err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(w, "trace: %s (workload %s, %d nodes x %d CPUs)\n", a.ID[:12], a.hdr.Name, sys.Nodes, sys.CPUsPerNode)
+		title = a.label
+		fmt.Fprintf(w, "trace: %s (workload %s, %d nodes x %d CPUs)\n", a.label, a.hdr.Name, sys.Nodes, sys.CPUsPerNode)
 	case KindSpec:
 		src, err := harness.SpecSource(a.data)
 		if err != nil {
@@ -135,28 +167,28 @@ func (s *Server) runReplay(h *harness.Harness, w io.Writer, req JobRequest) (any
 		if err := h.Register(src); err != nil {
 			return nil, err
 		}
-		app = src.Name()
+		app, title = src.Name(), src.Name()
 		fmt.Fprintf(w, "spec: %s (%d nodes x %d CPUs)\n", app, sys.Nodes, sys.CPUsPerNode)
 	case KindTraffic:
 		cfg := workloads.Config{
 			Nodes:       sys.Nodes,
 			CPUsPerNode: sys.CPUsPerNode,
 			Geometry:    sys.Geometry,
-			Scale:       s.opts.Scale,
-			Seed:        s.opts.Seed,
+			Scale:       h.Scale,
+			Seed:        h.Seed,
 		}
-		src, err := harness.TrafficSource(a.data, "", cfg)
+		src, err := harness.TrafficSource(a.data, a.baseDir, cfg)
 		if err != nil {
 			return nil, err
 		}
 		if err := h.Register(src); err != nil {
 			return nil, err
 		}
-		app = src.Name()
+		app, title = src.Name(), src.Name()
 		fmt.Fprintf(w, "traffic: %s (%d clients, %d nodes x %d CPUs)\n",
 			app, len(src.Scenario().Clients), sys.Nodes, sys.CPUsPerNode)
 	default:
-		return nil, fmt.Errorf("serve: artifact %s has unknown kind %q", a.ID[:12], a.Kind)
+		return nil, fmt.Errorf("serve: artifact %s has unknown kind %q", a.label, a.Kind)
 	}
 	run, err := h.Run(app, sys)
 	if err != nil {
@@ -167,113 +199,33 @@ func (s *Server) runReplay(h *harness.Harness, w io.Writer, req JobRequest) (any
 		fmt.Fprintln(w)
 		report.ClientTable(w, run)
 	}
+	if run.Timeline != nil {
+		fmt.Fprintln(w)
+		report.Timeline(w, title, run.Timeline)
+	}
 	var base *stats.Run
-	if req.Normalize {
+	if job.Normalize {
 		if base, err = normalizedLine(h, w, app, sys, run); err != nil {
 			return nil, err
 		}
 	}
-	doc := report.NewRunDoc(app, sys.Name, run, base)
-	return doc, nil
+	return report.NewRunDoc(app, sys.Name, run, base), nil
 }
 
-// parseAxisValues resolves an axis name and its comma-separated value
-// list, marking failures as value errors (HTTP 422 at submission) that
-// name the offending token.
-func parseAxisValues(axisName, values string) (harness.Axis, []harness.SweepValue, error) {
-	axis, err := harness.ParseAxis(axisName)
-	if err != nil {
-		return 0, nil, &valueError{err}
-	}
-	vals, err := harness.ParseSweepValues(axis, values)
-	if err != nil {
-		return 0, nil, &valueError{err}
-	}
-	if len(vals) == 0 {
-		return 0, nil, &valueError{fmt.Errorf("serve: %s values %q name no points", axis, values)}
-	}
-	return axis, vals, nil
-}
-
-func (s *Server) runSweep(h *harness.Harness, w io.Writer, req JobRequest) (any, error) {
-	a, err := s.artifact(req.Artifact)
+func runDiffstats(h *harness.Harness, w io.Writer, job Job) (any, error) {
+	sysA, err := shapeToTrace(job.System, job.Artifact.hdr)
 	if err != nil {
 		return nil, err
 	}
-	if a.Kind != KindTrace {
-		return nil, fmt.Errorf("serve: sweep needs a trace artifact, %s is a %s", a.ID[:12], a.Kind)
-	}
-	axis, vals, err := parseAxisValues(req.Axis, req.Values)
+	sysB, err := shapeToTrace(job.SystemB, job.ArtifactB.hdr)
 	if err != nil {
 		return nil, err
 	}
-	pts, name, err := h.Sweep(a.data, axis, vals)
+	appA, err := registerTrace(h, job.Artifact)
 	if err != nil {
 		return nil, err
 	}
-	report.Sensitivity(w, name, axis, pts)
-	return report.NewSensitivityDoc(name, axis, pts), nil
-}
-
-func (s *Server) runGrid(h *harness.Harness, w io.Writer, req JobRequest) (any, error) {
-	a, err := s.artifact(req.Artifact)
-	if err != nil {
-		return nil, err
-	}
-	if a.Kind != KindTrace {
-		return nil, fmt.Errorf("serve: grid needs a trace artifact, %s is a %s", a.ID[:12], a.Kind)
-	}
-	axisX, xs, err := parseAxisValues(req.Axis, req.Values)
-	if err != nil {
-		return nil, err
-	}
-	axisY, ys, err := parseAxisValues(req.AxisB, req.ValuesB)
-	if err != nil {
-		return nil, err
-	}
-	g, err := h.SweepGrid(a.data, axisX, xs, axisY, ys)
-	if err != nil {
-		return nil, err
-	}
-	report.Grid(w, g, req.KneeBound)
-	return report.NewGridDoc(g, req.KneeBound), nil
-}
-
-func (s *Server) runDiffstats(h *harness.Harness, w io.Writer, req JobRequest) (any, error) {
-	a, err := s.artifact(req.Artifact)
-	if err != nil {
-		return nil, err
-	}
-	b, err := s.artifact(req.ArtifactB)
-	if err != nil {
-		return nil, err
-	}
-	for _, art := range []*Artifact{a, b} {
-		if art.Kind != KindTrace {
-			return nil, fmt.Errorf("serve: diffstats needs trace artifacts, %s is a %s", art.ID[:12], art.Kind)
-		}
-	}
-	sysA, err := systemFor(req.System, req.Threshold)
-	if err != nil {
-		return nil, err
-	}
-	sysB := sysA
-	if req.SystemB != "" {
-		if sysB, err = systemFor(req.SystemB, req.Threshold); err != nil {
-			return nil, err
-		}
-	}
-	if sysA, err = shapeToTrace(sysA, a.hdr); err != nil {
-		return nil, err
-	}
-	if sysB, err = shapeToTrace(sysB, b.hdr); err != nil {
-		return nil, err
-	}
-	appA, err := registerTrace(h, a)
-	if err != nil {
-		return nil, err
-	}
-	appB, err := registerTrace(h, b)
+	appB, err := registerTrace(h, job.ArtifactB)
 	if err != nil {
 		return nil, err
 	}
@@ -290,66 +242,45 @@ func (s *Server) runDiffstats(h *harness.Harness, w io.Writer, req JobRequest) (
 	return report.NewDeltaDoc(appA, appB, d), nil
 }
 
-func (s *Server) runExperiments(h *harness.Harness, w io.Writer, req JobRequest) (any, error) {
-	apps := req.Apps
-	if len(apps) == 0 {
-		apps = harness.AllApps()
+// figure adapts one harness figure and its text renderer to an
+// experiments job's figure table.
+func figure[T any](name string, build func(*harness.Harness, []string) (T, error), render func(io.Writer, T)) func(*harness.Harness, io.Writer, []string) (report.FigureDoc, error) {
+	return func(h *harness.Harness, w io.Writer, apps []string) (report.FigureDoc, error) {
+		rows, err := build(h, apps)
+		if err != nil {
+			return report.FigureDoc{}, err
+		}
+		render(w, rows)
+		return report.FigureDoc{Figure: name, Rows: rows}, nil
 	}
-	figures := req.Figures
-	if len(figures) == 0 {
-		figures = []string{"6"}
-	}
-	docs := make([]report.FigureDoc, 0, len(figures))
-	for i, f := range figures {
+}
+
+// figures maps an experiments job's figure names to their builders.
+var figures = map[string]func(*harness.Harness, io.Writer, []string) (report.FigureDoc, error){
+	"5":      figure("figure5", (*harness.Harness).Figure5, report.Figure5),
+	"6":      figure("figure6", (*harness.Harness).Figure6, report.Figure6),
+	"7":      figure("figure7", (*harness.Harness).Figure7, report.Figure7),
+	"8":      figure("figure8", (*harness.Harness).Figure8, report.Figure8),
+	"9":      figure("figure9", (*harness.Harness).Figure9, report.Figure9),
+	"table4": figure("table4", (*harness.Harness).Table4, report.Table4),
+}
+
+// runExperiments renders each figure in order, a blank line between.
+func runExperiments(h *harness.Harness, w io.Writer, job Job) (any, error) {
+	docs := make([]report.FigureDoc, 0, len(job.Figures))
+	for i, f := range job.Figures {
+		build, ok := figures[f]
+		if !ok {
+			return nil, fmt.Errorf("serve: unknown figure %q (want 5, 6, 7, 8, 9, or table4)", f)
+		}
 		if i > 0 {
 			fmt.Fprintln(w)
 		}
-		switch f {
-		case "5":
-			curves, err := h.Figure5(apps)
-			if err != nil {
-				return nil, err
-			}
-			report.Figure5(w, curves)
-			docs = append(docs, report.FigureDoc{Figure: "figure5", Rows: curves})
-		case "6":
-			rows, err := h.Figure6(apps)
-			if err != nil {
-				return nil, err
-			}
-			report.Figure6(w, rows)
-			docs = append(docs, report.FigureDoc{Figure: "figure6", Rows: rows})
-		case "7":
-			rows, err := h.Figure7(apps)
-			if err != nil {
-				return nil, err
-			}
-			report.Figure7(w, rows)
-			docs = append(docs, report.FigureDoc{Figure: "figure7", Rows: rows})
-		case "8":
-			rows, err := h.Figure8(apps)
-			if err != nil {
-				return nil, err
-			}
-			report.Figure8(w, rows)
-			docs = append(docs, report.FigureDoc{Figure: "figure8", Rows: rows})
-		case "9":
-			rows, err := h.Figure9(apps)
-			if err != nil {
-				return nil, err
-			}
-			report.Figure9(w, rows)
-			docs = append(docs, report.FigureDoc{Figure: "figure9", Rows: rows})
-		case "table4":
-			rows, err := h.Table4(apps)
-			if err != nil {
-				return nil, err
-			}
-			report.Table4(w, rows)
-			docs = append(docs, report.FigureDoc{Figure: "table4", Rows: rows})
-		default:
-			return nil, fmt.Errorf("serve: unknown figure %q (want 5, 6, 7, 8, 9, or table4)", f)
+		doc, err := build(h, w, job.Apps)
+		if err != nil {
+			return nil, err
 		}
+		docs = append(docs, doc)
 	}
 	return docs, nil
 }

@@ -75,12 +75,14 @@ func TestGridJob(t *testing.T) {
 	}
 }
 
-// TestSubmitValueErrors pins the 422 surface: requests whose axis/value
-// fields are present but unparseable answer 422 naming the offending
-// token, while structurally incomplete requests stay 400.
+// TestSubmitValueErrors pins the 422 surface: requests whose fields are
+// present but unparseable or unknown — axis values, systems, figures,
+// applications, inputs of the wrong kind — answer 422 naming the
+// offending token, while structurally incomplete requests stay 400.
 func TestSubmitValueErrors(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	a := upload(t, ts, KindTrace, recordTraceScaled(t, "fft", 0.02))
+	spec := upload(t, ts, "", mustRead(t, "../../examples/specs/halo.json"))
 
 	post := func(body string) (int, string) {
 		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
@@ -109,6 +111,13 @@ func TestSubmitValueErrors(t *testing.T) {
 		{"grid bad bound", fmt.Sprintf(`{"type":"grid","artifact":"%s","axis":"block","values":"16","axisB":"threshold","valuesB":"32","kneeBound":-1}`, a.ID), 422, "kneeBound"},
 		{"grid missing axisB", fmt.Sprintf(`{"type":"grid","artifact":"%s","axis":"block","values":"16"}`, a.ID), 400, "grid needs"},
 		{"grid unknown artifact", `{"type":"grid","artifact":"nope","axis":"block","values":"16","axisB":"threshold","valuesB":"32"}`, 400, `"nope"`},
+		{"replay unknown system", fmt.Sprintf(`{"type":"replay","artifact":"%s","system":"doom"}`, a.ID), 422, `"doom"`},
+		{"diffstats unknown system", fmt.Sprintf(`{"type":"diffstats","artifact":"%s","artifactB":"%s","system":"doom"}`, a.ID, a.ID), 422, `"doom"`},
+		{"diffstats unknown systemB", fmt.Sprintf(`{"type":"diffstats","artifact":"%s","artifactB":"%s","systemB":"warp"}`, a.ID, a.ID), 422, `"warp"`},
+		{"diffstats spec side", fmt.Sprintf(`{"type":"diffstats","artifact":"%s","artifactB":"%s"}`, a.ID, spec.ID), 422, "needs a trace"},
+		{"sweep over a spec", fmt.Sprintf(`{"type":"sweep","artifact":"%s","axis":"nodes","values":"4"}`, spec.ID), 422, "needs a trace"},
+		{"experiments unknown figure", `{"type":"experiments","figures":["6","12"]}`, 422, `"12"`},
+		{"experiments unknown app", `{"type":"experiments","apps":["fft","doom"]}`, 422, `"doom"`},
 	} {
 		code, msg := post(tc.body)
 		if code != tc.code {

@@ -377,7 +377,7 @@ func TestJSONReports(t *testing.T) {
 }
 
 // TestAPIErrors covers the failure surface: bad submissions, unknown
-// jobs, early report fetches, bad formats.
+// jobs, bad formats, and failed jobs' reports.
 func TestAPIErrors(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 
@@ -406,6 +406,16 @@ func TestAPIErrors(t *testing.T) {
 	j := waitJob(t, ts, submit(t, ts, JobRequest{Type: "replay", Artifact: a.ID}).ID)
 	if code, _ := fetchReport(t, ts, j.ID, "yaml"); code != http.StatusBadRequest {
 		t.Errorf("bad format: %d, want 400", code)
+	}
+
+	// A job that parses but fails at run time (32 CPUs do not fold onto
+	// 5 nodes): the job records the error and its report answers 422.
+	j = waitJob(t, ts, submit(t, ts, JobRequest{Type: "sweep", Artifact: a.ID, Axis: "nodes", Values: "5"}).ID)
+	if j.Status != StatusFailed || j.Error == "" {
+		t.Errorf("5-node sweep of a 32-CPU capture: %+v, want failed", j)
+	}
+	if code, _ := fetchReport(t, ts, j.ID, ""); code != http.StatusUnprocessableEntity {
+		t.Errorf("failed job report: %d, want 422", code)
 	}
 
 	resp, err := http.Get(ts.URL + "/api/v1/healthz")

@@ -345,39 +345,3 @@ func TestReaderRejectsOversizedSegment(t *testing.T) {
 		t.Fatalf("NewReader on %d pages of 2^22 blocks: err %v, want the segment bound", h.SharedPages, err)
 	}
 }
-
-func TestTeeMatchesDirectWrite(t *testing.T) {
-	h := testHeader()
-	refs := randRefs(h, 300, 11)
-
-	direct := encode(t, h, refs)
-
-	var buf bytes.Buffer
-	tw, err := NewWriter(&buf, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streams := make([]trace.Stream, h.CPUs)
-	for c := range streams {
-		streams[c] = trace.FromSlice(refs[c])
-	}
-	teed := Tee(tw, streams)
-	// Pull round-robin, mirroring encode's order.
-	for {
-		any := false
-		for _, s := range teed {
-			if _, ok := s.Next(); ok {
-				any = true
-			}
-		}
-		if !any {
-			break
-		}
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(direct, buf.Bytes()) {
-		t.Error("teed recording differs from direct write")
-	}
-}

@@ -307,26 +307,6 @@ func (tw *Writer) Close() error {
 	return tw.err
 }
 
-// Tee wraps each stream so that every reference pulled through it is also
-// appended to the writer: recording a live simulation costs one extra
-// function call per reference. The caller must Close the writer after the
-// run; writer errors are sticky and surface there (a trace.Stream cannot
-// return them).
-func Tee(tw *Writer, streams []trace.Stream) []trace.Stream {
-	out := make([]trace.Stream, len(streams))
-	for i, s := range streams {
-		cpu, inner := i, s
-		out[i] = trace.FuncStream(func() (trace.Ref, bool) {
-			r, ok := inner.Next()
-			if ok {
-				tw.Append(cpu, r) //nolint:errcheck // sticky; surfaced at Close
-			}
-			return r, ok
-		})
-	}
-	return out
-}
-
 // WorkloadHeader derives the trace header for a built workload: the
 // machine shape from the sizing config plus the workload's materialized
 // page placement.
