@@ -71,7 +71,11 @@
 //     wall-clock; SweepGrid crosses any two axes into a cell grid whose
 //     rows and columns are bit-identical to the one-axis sweeps, and
 //     FindKnee locates where on a grid line the R-NUMA-over-best ratio
-//     first exceeds a bound
+//     first exceeds a bound; a bounded, in-memory trace memo maps each
+//     input's SHA-256 plus the transforms applied to it to the content
+//     key, so resubmitted sweeps, grids and replays learn every store key
+//     without decoding, and a point's transformed trace is derived only
+//     when a simulation or a fork trunk reads it
 //   - internal/serve — the long-running experiment service behind
 //     cmd/rnuma-serve: content-addressed artifact uploads (traces,
 //     specs, traffic scenarios), replay/sweep/grid/diffstats/
@@ -80,10 +84,11 @@
 //     figures or applications and malformed axis/value lists answer
 //     422 naming the offending token; every job runs on its own harness
 //     over the server's one shared result store, so repeated and
-//     concurrent submissions re-simulate nothing; Execute, the job
-//     executor, also runs rnuma-experiments' figures, sweeps and grids
-//     and rnuma-trace replay, so served and offline reports agree byte
-//     for byte
+//     concurrent submissions re-simulate nothing, and through the
+//     harness's trace memo a warm resubmission decodes nothing;
+//     Execute, the job executor, also runs rnuma-experiments' figures,
+//     sweeps and grids and rnuma-trace replay, so served and offline
+//     reports agree byte for byte
 //   - internal/model — the analytical worst-case model (Section 3.2)
 //
 // The harness declares each figure's (application, system) grid as a Plan

@@ -169,8 +169,8 @@ func uniqInts(ts []int) int {
 // already done and only the threshold-independent systems (ideal,
 // CC-NUMA, S-COMA — one replay each, shared across all points) still
 // simulate. Already-cached points are left alone; when every point is
-// cached no trunk runs at all.
-func (h *Harness) forkThresholdPoints(data []byte, pts []sweepPoint) error {
+// cached no trunk runs at all, and the trace's encoding is never derived.
+func (h *Harness) forkThresholdPoints(enc *encoding, pts []sweepPoint) error {
 	missing := false
 	for _, p := range pts {
 		if !h.cached(NewJob(p.app, p.rn)) {
@@ -180,6 +180,10 @@ func (h *Harness) forkThresholdPoints(data []byte, pts []sweepPoint) error {
 	}
 	if !missing {
 		return nil
+	}
+	data, err := enc.bytes()
+	if err != nil {
+		return err
 	}
 	thresholds := make([]int, 0, len(pts))
 	for _, p := range pts {

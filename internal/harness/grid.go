@@ -1,12 +1,10 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
 	"rnuma/internal/config"
-	"rnuma/internal/tracefile"
 )
 
 // This file generalizes the one-axis sweep engine (sweep.go) to
@@ -114,17 +112,17 @@ func (h *Harness) SweepGrid(data []byte, axisX Axis, valuesX []SweepValue, axisY
 	if len(valuesX) == 0 || len(valuesY) == 0 {
 		return nil, fmt.Errorf("harness: %s x %s grid over no values", axisX, axisY)
 	}
-	d, err := tracefile.NewReader(bytes.NewReader(data))
+	in, err := capture(data)
 	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
+		return nil, err
 	}
-	hdr := d.Header()
+	hdr := in.info.hdr
 
 	xs := normalizeSweepValues(valuesX)
 	ys := normalizeSweepValues(valuesY)
 
 	// The engine walks the transform axis on the outside (each outer
-	// value encodes one variant trace) and the inner axis along it. A
+	// value derives one variant trace) and the inner axis along it. A
 	// threshold X axis has no transform of its own, so the axes swap
 	// internally and the cells transpose back on assembly.
 	swap := axisX == AxisThreshold
@@ -132,7 +130,7 @@ func (h *Harness) SweepGrid(data []byte, axisX Axis, valuesX []SweepValue, axisY
 	if swap {
 		outerAxis, outerVals, innerAxis, innerVals = axisY, ys, axisX, xs
 	}
-	pts, outerLabels, innerLabels, err := h.gridPoints(data, hdr, outerAxis, outerVals, innerAxis, innerVals)
+	pts, outerLabels, innerLabels, err := h.gridPoints(in, outerAxis, outerVals, innerAxis, innerVals)
 	if err != nil {
 		return nil, err
 	}
@@ -177,74 +175,56 @@ func (h *Harness) SweepGrid(data []byte, axisX Axis, valuesX []SweepValue, axisY
 // gridPoints resolves every cell of a grid with the transform axis
 // outer: pts[oi][ii] is the cell at (outer value oi, inner value ii).
 // outerAxis is never the threshold (SweepGrid swaps first); innerAxis
-// may be a second transform or the config-only threshold axis.
-func (h *Harness) gridPoints(data []byte, hdr tracefile.Header, outerAxis Axis, outerVals []SweepValue, innerAxis Axis, innerVals []SweepValue) (pts [][]sweepPoint, outerLabels, innerLabels []string, err error) {
+// may be a second transform or the config-only threshold axis. Keys come
+// from the trace memo exactly as in Sweep: an outer variant is derived
+// only to learn a key the memo lacks or to feed a simulation, a cell
+// variant, or the line's fork trunk.
+func (h *Harness) gridPoints(in *variant, outerAxis Axis, outerVals []SweepValue, innerAxis Axis, innerVals []SweepValue) (pts [][]sweepPoint, outerLabels, innerLabels []string, err error) {
 	pts = make([][]sweepPoint, len(outerVals))
 	outerLabels = make([]string, len(outerVals))
 	innerLabels = make([]string, len(innerVals))
 	for oi, ov := range outerVals {
-		encO, labelO, err := variantFor(data, hdr, outerAxis, ov)
+		labelO, err := pointLabel(in.info.hdr, outerAxis, ov)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		outerLabels[oi] = labelO
-		od, err := tracefile.NewReader(bytes.NewReader(encO))
+		outer, err := in.step(outerAxis, ov)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("harness: %s variant %s: %w", outerAxis, ov, err)
+			return nil, nil, nil, err
 		}
-		hdrO := od.Header()
+		// The threshold axis replays the outer variant unchanged: the
+		// line's cells share its one source, registered under its own
+		// transformed name (always "@"-suffixed, so it cannot shadow a
+		// catalog app).
+		if innerAxis == AxisThreshold {
+			if err := h.Register(outer.source()); err != nil {
+				return nil, nil, nil, err
+			}
+		}
 
 		pts[oi] = make([]sweepPoint, len(innerVals))
-		sharedApp := "" // the one registered source a threshold line shares
 		for ii, iv := range innerVals {
-			encI, labelI, err := variantFor(encO, hdrO, innerAxis, iv)
+			labelI, err := pointLabel(outer.info.hdr, innerAxis, iv)
 			if err != nil {
 				return nil, nil, nil, err
 			}
 			innerLabels[ii] = labelI
-			label := labelO + ", " + labelI
-			pt := sweepPoint{value: iv, label: label}
-			vh := hdrO
-			if encI != nil {
-				src, err := TraceSource(encI)
-				if err != nil {
+			cell := outer
+			if innerAxis != AxisThreshold {
+				if cell, err = outer.step(innerAxis, iv); err != nil {
 					return nil, nil, nil, err
 				}
-				if err := h.Register(src); err != nil {
+				if err := h.Register(cell.source()); err != nil {
 					return nil, nil, nil, err
 				}
-				pt.app = src.Name()
-				vh = src.(*traceSource).Header()
-			} else {
-				// The threshold axis replays the outer variant unchanged;
-				// register it once per line under its own transformed name
-				// (always "@"-suffixed, so it cannot shadow a catalog app).
-				if sharedApp == "" {
-					src, err := TraceSource(encO)
-					if err != nil {
-						return nil, nil, nil, err
-					}
-					if err := h.Register(src); err != nil {
-						return nil, nil, nil, err
-					}
-					sharedApp = src.Name()
-				}
-				pt.app = sharedApp
 			}
-			pt.nodes, pt.cpusPer = vh.Nodes, vh.CPUs/vh.Nodes
-			pt.ideal = sweepSystem(config.Ideal(), vh, label)
-			pt.cc = sweepSystem(config.Base(config.CCNUMA), vh, label)
-			pt.scoma = sweepSystem(config.Base(config.SCOMA), vh, label)
-			pt.rn = sweepSystem(config.Base(config.RNUMA), vh, label)
-			if innerAxis == AxisThreshold {
-				pt.rn.Threshold = int(iv.Num)
-			}
-			pts[oi][ii] = pt
+			pts[oi][ii] = newSweepPoint(cell.info.hdr.Name, cell.info.hdr, innerAxis, iv, labelO+", "+labelI)
 		}
 		// A threshold line shares its whole replay prefix: one trunk at
 		// the largest threshold, each cell forked from its watermark.
 		if innerAxis == AxisThreshold && len(innerVals) > 1 {
-			if err := h.forkThresholdPoints(encO, pts[oi]); err != nil {
+			if err := h.forkThresholdPoints(outer.enc, pts[oi]); err != nil {
 				return nil, nil, nil, err
 			}
 		}

@@ -44,7 +44,7 @@ func TestSweepGridMatchesOneAxisSweeps(t *testing.T) {
 
 	// Columns: threshold swept at a fixed block size.
 	for j, b := range blocks {
-		enc, _, err := variantFor(data, hdr, AxisBlockSize, b)
+		enc, err := transform(data, hdr, AxisBlockSize, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestSweepGridForkMatchesDirectReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	enc, _, err := variantFor(data, hdr, AxisBlockSize, IntValue(32))
+	enc, err := transform(data, hdr, AxisBlockSize, IntValue(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestSweepGridCommutingRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, b := range blocks {
-		enc, _, err := variantFor(data, hdr, AxisBlockSize, b)
+		enc, err := transform(data, hdr, AxisBlockSize, b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"os"
+	"sync"
+	"sync/atomic"
 
 	"rnuma/internal/spec"
 	"rnuma/internal/tracefile"
@@ -113,15 +116,14 @@ func (s *specSource) Load(cfg workloads.Config) (*workloads.Workload, error) {
 // ---------------------------------------------------------------------
 
 // traceSource replays a recorded trace, either from a file (opened per
-// Load and streamed, never materialized) or from an in-memory encoding
-// (retargeted traces, which exist only as transform output).
+// Load and streamed, never materialized) or from an in-memory encoding:
+// the caller's bytes, or a sweep variant derived on the first Load.
 // Workload.Check releases the input and surfaces any decode error after
 // the run.
 type traceSource struct {
-	path string // file-backed source ("" when data-backed)
-	data []byte // in-memory source (nil when file-backed)
-	hdr  tracefile.Header
-	key  string
+	path string    // file-backed source ("" when in memory)
+	enc  *encoding // in-memory source (nil when file-backed)
+	info traceInfo
 }
 
 // TraceFileSource opens a recorded trace as a workload source. The memo
@@ -137,31 +139,25 @@ func TraceFileSource(path string) (Source, error) {
 		return nil, fmt.Errorf("harness: %w", err)
 	}
 	defer f.Close()
-	sum, hdr, err := tracefile.CanonicalHash(f)
+	info, err := contentKey(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return &traceSource{
-		path: path,
-		hdr:  hdr,
-		key:  fmt.Sprintf("trace:%s:%x", hdr.Name, sum[:8]),
-	}, nil
+	return &traceSource{path: path, info: info}, nil
 }
 
 // TraceSource wraps an in-memory trace encoding as a workload source —
 // the transform pipeline's natural endpoint, where a retargeted or
 // dilated trace goes straight into the harness without a temp file. The
-// memo key follows the canonical content hash, like TraceFileSource.
+// memo key follows the canonical content hash, like TraceFileSource;
+// bytes already hashed in this process reuse their key from the trace
+// memo instead of decoding again.
 func TraceSource(data []byte) (Source, error) {
-	sum, hdr, err := tracefile.CanonicalHash(bytes.NewReader(data))
+	v, err := capture(data)
 	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
+		return nil, err
 	}
-	return &traceSource{
-		data: data,
-		hdr:  hdr,
-		key:  fmt.Sprintf("trace:%s:%x", hdr.Name, sum[:8]),
-	}, nil
+	return v.source(), nil
 }
 
 // ---------------------------------------------------------------------
@@ -221,31 +217,32 @@ func (t *TrafficScenarioSource) Load(cfg workloads.Config) (*workloads.Workload,
 	return t.sc.Workload(), nil
 }
 
-func (t *traceSource) Name() string { return t.hdr.Name }
-func (t *traceSource) Key() string  { return t.key }
-
-// Header returns the recorded machine shape (sweeps and grids size each
-// point's machine from it instead of re-parsing the encoding).
-func (t *traceSource) Header() tracefile.Header { return t.hdr }
+func (t *traceSource) Name() string { return t.info.hdr.Name }
+func (t *traceSource) Key() string  { return t.info.key }
 
 // what names the source in errors.
 func (t *traceSource) what() string {
 	if t.path != "" {
 		return t.path
 	}
-	return "(in-memory) " + t.hdr.Name
+	return "(in-memory) " + t.info.hdr.Name
 }
 
 func (t *traceSource) Load(cfg workloads.Config) (*workloads.Workload, error) {
-	if cfg.Geometry != t.hdr.Geometry {
-		return nil, fmt.Errorf("harness: trace %s recorded with %v, machine uses %v", t.what(), t.hdr.Geometry, cfg.Geometry)
+	hdr := t.info.hdr
+	if cfg.Geometry != hdr.Geometry {
+		return nil, fmt.Errorf("harness: trace %s recorded with %v, machine uses %v", t.what(), hdr.Geometry, cfg.Geometry)
 	}
-	if cpus := cfg.Nodes * cfg.CPUsPerNode; cpus != t.hdr.CPUs || cfg.Nodes != t.hdr.Nodes {
+	if cpus := cfg.Nodes * cfg.CPUsPerNode; cpus != hdr.CPUs || cfg.Nodes != hdr.Nodes {
 		return nil, fmt.Errorf("harness: trace %s recorded on %d nodes/%d cpus, machine has %d/%d",
-			t.what(), t.hdr.Nodes, t.hdr.CPUs, cfg.Nodes, cpus)
+			t.what(), hdr.Nodes, hdr.CPUs, cfg.Nodes, cpus)
 	}
-	if t.data != nil {
-		d, err := tracefile.NewReader(bytes.NewReader(t.data))
+	if t.enc != nil {
+		data, err := t.enc.bytes()
+		if err != nil {
+			return nil, err
+		}
+		d, err := tracefile.NewReader(bytes.NewReader(data))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", t.what(), err)
 		}
@@ -270,3 +267,186 @@ func (t *traceSource) Load(cfg workloads.Config) (*workloads.Workload, error) {
 	}
 	return w, nil
 }
+
+// ---------------------------------------------------------------------
+// The trace memo. A trace's store key is its content key, which only a
+// full decode (tracefile.CanonicalHash) can produce, and a sweep point's
+// trace exists only after a transform has decoded and re-encoded the
+// capture. Both depend on nothing but the input bytes and the transforms
+// applied to them, so the process remembers each derivation's key: a
+// resubmitted sweep, grid or replay learns every key without decoding,
+// and a variant is derived only when a simulation or a fork trunk reads
+// it. The memo is never persisted: a change to a transform changes the
+// variants it derives, and so their keys, which a persisted map would
+// not notice.
+
+// derivation names a trace by how it was made: the SHA-256 of the bytes
+// a caller handed in, then each sweep transform applied to them in
+// order (a grid's X transform, then its Y transform).
+type derivation struct {
+	input [sha256.Size]byte
+	n     int // transforms applied
+	steps [2]axisValue
+}
+
+// axisValue is one transform of a derivation: the axis and its reduced
+// value.
+type axisValue struct {
+	axis Axis
+	v    SweepValue
+}
+
+// then extends the derivation by one transform.
+func (d derivation) then(axis Axis, v SweepValue) derivation {
+	if d.n == len(d.steps) {
+		panic("harness: derivation deeper than a grid")
+	}
+	d.steps[d.n] = axisValue{axis, v}
+	d.n++
+	return d
+}
+
+// traceInfo is what the memo keeps of a trace: its content key and its
+// header without the home map. It holds no encoding.
+type traceInfo struct {
+	key string           // "trace:<name>:<hash8>", a JobKey's App part
+	hdr tracefile.Header // name, shape, geometry, pages; Homes is nil
+}
+
+// traceMemoBound caps the memo's entries (a few hundred bytes each).
+// Dropping an entry costs a re-derivation, never a wrong key.
+const traceMemoBound = 2048
+
+// traceMemo maps derivations to content keys for the whole process:
+// entries follow content alone, so every harness, store, scale and seed
+// may share them. Only successes are stored, so a bad input fails again
+// on every call.
+var traceMemo = struct {
+	sync.Mutex
+	m map[derivation]traceInfo
+}{m: make(map[derivation]traceInfo)}
+
+func memoGet(d derivation) (traceInfo, bool) {
+	traceMemo.Lock()
+	defer traceMemo.Unlock()
+	info, ok := traceMemo.m[d]
+	return info, ok
+}
+
+func memoPut(d derivation, info traceInfo) {
+	traceMemo.Lock()
+	defer traceMemo.Unlock()
+	if _, ok := traceMemo.m[d]; !ok && len(traceMemo.m) >= traceMemoBound {
+		for old := range traceMemo.m { // drop an arbitrary entry
+			delete(traceMemo.m, old)
+			break
+		}
+	}
+	traceMemo.m[d] = info
+}
+
+// traceWork counts, process-wide, the decoding work the memo avoids:
+// sweep transforms derived and canonical hashes computed.
+var traceWork struct{ transforms, hashes atomic.Int64 }
+
+// contentKey fully decodes a trace and returns its content key.
+func contentKey(r io.Reader) (traceInfo, error) {
+	traceWork.hashes.Add(1)
+	sum, hdr, err := tracefile.CanonicalHash(r)
+	if err != nil {
+		return traceInfo{}, err
+	}
+	hdr.Homes = nil
+	return traceInfo{key: fmt.Sprintf("trace:%s:%x", hdr.Name, sum[:8]), hdr: hdr}, nil
+}
+
+// encoding is an in-memory trace's bytes: given outright for a caller's
+// input, or derived on first use for a sweep variant. A job's
+// simulations and fork trunk share one derivation.
+type encoding struct {
+	once   sync.Once
+	derive func() ([]byte, error)
+	data   []byte
+	err    error
+}
+
+func (e *encoding) bytes() ([]byte, error) {
+	e.once.Do(func() {
+		if e.derive != nil {
+			e.data, e.err = e.derive()
+			e.derive = nil
+		}
+	})
+	return e.data, e.err
+}
+
+// variant is one trace a sweep or grid reads: the caller's capture, or a
+// transform of it.
+type variant struct {
+	d    derivation
+	info traceInfo
+	enc  *encoding
+}
+
+// capture resolves a caller's input trace, hashing it only if these
+// bytes were not hashed before in this process.
+func capture(data []byte) (*variant, error) {
+	v := &variant{d: derivation{input: sha256.Sum256(data)}, enc: &encoding{data: data}}
+	if info, ok := memoGet(v.d); ok {
+		v.info = info
+		return v, nil
+	}
+	info, err := contentKey(bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
+	}
+	memoPut(v.d, info)
+	v.info = info
+	return v, nil
+}
+
+// step resolves the variant that applies one validated transform to v.
+// On a memo hit nothing is decoded: the variant's bytes are derived only
+// when a simulation or a fork trunk reads them, and then hashed against
+// the memoized key, so a stale entry fails the job instead of keying a
+// result to the wrong trace. On a miss the variant is derived and hashed
+// now, and its key memoized.
+func (v *variant) step(axis Axis, val SweepValue) (*variant, error) {
+	out := &variant{d: v.d.then(axis, val)}
+	derive := func() ([]byte, traceInfo, error) {
+		in, err := v.enc.bytes()
+		if err != nil {
+			return nil, traceInfo{}, err
+		}
+		data, err := transform(in, v.info.hdr, axis, val)
+		if err != nil {
+			return nil, traceInfo{}, err
+		}
+		info, err := contentKey(bytes.NewReader(data))
+		if err != nil {
+			return nil, traceInfo{}, fmt.Errorf("harness: %w", err)
+		}
+		return data, info, nil
+	}
+	if info, ok := memoGet(out.d); ok {
+		out.info = info
+		out.enc = &encoding{derive: func() ([]byte, error) {
+			data, got, err := derive()
+			if err == nil && got.key != info.key {
+				return nil, fmt.Errorf("harness: %s variant %s derived as %s, memoized as %s", axis, val, got.key, info.key)
+			}
+			return data, err
+		}}
+		return out, nil
+	}
+	data, info, err := derive()
+	if err != nil {
+		return nil, err
+	}
+	memoPut(out.d, info)
+	out.info, out.enc = info, &encoding{data: data}
+	return out, nil
+}
+
+// source wraps the variant as a workload source under its embedded name.
+func (v *variant) source() Source { return &traceSource{enc: v.enc, info: v.info} }

@@ -210,57 +210,92 @@ type sweepPoint struct {
 	ideal, cc, scoma, rn config.System
 }
 
-// variantFor transforms the capture for one axis value and returns the
-// registered source name, the variant's header, and the point label.
-// The threshold axis returns the capture unchanged.
-func variantFor(data []byte, hdr tracefile.Header, axis Axis, v SweepValue) (enc []byte, label string, err error) {
+// newSweepPoint sizes a point's four systems to its trace's header; a
+// threshold-axis value also sets R-NUMA's relocation threshold.
+func newSweepPoint(app string, hdr tracefile.Header, axis Axis, v SweepValue, label string) sweepPoint {
+	pt := sweepPoint{value: v, label: label, app: app, nodes: hdr.Nodes, cpusPer: hdr.CPUs / hdr.Nodes}
+	pt.ideal = sweepSystem(config.Ideal(), hdr, label)
+	pt.cc = sweepSystem(config.Base(config.CCNUMA), hdr, label)
+	pt.scoma = sweepSystem(config.Base(config.SCOMA), hdr, label)
+	pt.rn = sweepSystem(config.Base(config.RNUMA), hdr, label)
+	if axis == AxisThreshold {
+		pt.rn.Threshold = int(v.Num)
+	}
+	return pt
+}
+
+// pointLabel validates one axis value against the header of the trace it
+// applies to and names the point the way reports print it. It reads only
+// the header: transform derives the variant itself.
+func pointLabel(hdr tracefile.Header, axis Axis, v SweepValue) (string, error) {
 	switch axis {
 	case AxisNodes:
 		n := int(v.Num)
 		if v.Den != 1 || n < 1 {
-			return nil, "", fmt.Errorf("harness: node count %s must be a positive integer", v)
+			return "", fmt.Errorf("harness: node count %s must be a positive integer", v)
 		}
 		if hdr.CPUs%n != 0 {
-			return nil, "", fmt.Errorf("harness: trace %s has %d CPUs, not divisible across %d nodes", hdr.Name, hdr.CPUs, n)
+			return "", fmt.Errorf("harness: trace %s has %d CPUs, not divisible across %d nodes", hdr.Name, hdr.CPUs, n)
 		}
-		var buf bytes.Buffer
-		_, err := tracefile.Retarget(&buf, bytes.NewReader(data), tracefile.RetargetSpec{
+		return fmt.Sprintf("%dn x %dcpu", n, hdr.CPUs/n), nil
+	case AxisDilate:
+		return "x" + v.String(), nil
+	case AxisBlockSize, AxisPageSize:
+		n := int(v.Num)
+		if v.Den != 1 || n < 1 {
+			return "", fmt.Errorf("harness: %s size %s must be a positive integer", axis, v)
+		}
+		if axis == AxisPageSize {
+			return "p=" + humanBytes(n), nil
+		}
+		return "b=" + humanBytes(n), nil
+	case AxisThreshold:
+		T := int(v.Num)
+		if v.Den != 1 || T < 1 {
+			return "", fmt.Errorf("harness: threshold %s must be a positive integer", v)
+		}
+		return fmt.Sprintf("T=%d", T), nil
+	}
+	return "", fmt.Errorf("harness: unknown sweep axis %v", axis)
+}
+
+// transform derives the variant of a trace (data, with header hdr) at an
+// axis value pointLabel accepted. The variant is named "<name>@<point>".
+// The threshold axis is a configuration change and has no transform.
+func transform(data []byte, hdr tracefile.Header, axis Axis, v SweepValue) ([]byte, error) {
+	traceWork.transforms.Add(1)
+	var buf bytes.Buffer
+	src := bytes.NewReader(data)
+	var err error
+	switch axis {
+	case AxisNodes:
+		n := int(v.Num)
+		_, err = tracefile.Retarget(&buf, src, tracefile.RetargetSpec{
 			Nodes:  n,
 			Policy: tracefile.RoundRobin(),
 			Name:   fmt.Sprintf("%s@%dn", hdr.Name, n),
 		})
-		return buf.Bytes(), fmt.Sprintf("%dn x %dcpu", n, hdr.CPUs/n), err
 	case AxisDilate:
-		var buf bytes.Buffer
-		_, err := tracefile.Dilate(&buf, bytes.NewReader(data), tracefile.DilateSpec{
+		_, err = tracefile.Dilate(&buf, src, tracefile.DilateSpec{
 			Num: v.Num, Den: v.Den,
 			Name: fmt.Sprintf("%s@x%s", hdr.Name, v),
 		})
-		return buf.Bytes(), "x" + v.String(), err
 	case AxisBlockSize, AxisPageSize:
 		n := int(v.Num)
-		if v.Den != 1 || n < 1 {
-			return nil, "", fmt.Errorf("harness: %s size %s must be a positive integer", axis, v)
-		}
 		spec := tracefile.GeometrySpec{Name: fmt.Sprintf("%s@%s%d", hdr.Name, axis, n)}
-		label := "b=" + humanBytes(n)
 		if axis == AxisPageSize {
 			spec.PageBytes = n
-			label = "p=" + humanBytes(n)
 		} else {
 			spec.BlockBytes = n
 		}
-		var buf bytes.Buffer
-		_, err := tracefile.RetargetGeometry(&buf, bytes.NewReader(data), spec)
-		return buf.Bytes(), label, err
-	case AxisThreshold:
-		T := int(v.Num)
-		if v.Den != 1 || T < 1 {
-			return nil, "", fmt.Errorf("harness: threshold %s must be a positive integer", v)
-		}
-		return nil, fmt.Sprintf("T=%d", T), nil
+		_, err = tracefile.RetargetGeometry(&buf, src, spec)
+	default:
+		return nil, fmt.Errorf("harness: the %s axis has no transform", axis)
 	}
-	return nil, "", fmt.Errorf("harness: unknown sweep axis %v", axis)
+	if err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // Sweep transforms the in-memory trace encoding along one axis and
@@ -269,61 +304,52 @@ func variantFor(data []byte, hdr tracefile.Header, axis Axis, v SweepValue) (enc
 // "<name>@<point>", so repeated and overlapping sweeps share simulations
 // through the memo cache. Points come back sorted by value; duplicate
 // values collapse to one point.
+//
+// Every point's store key comes from the trace memo when this process
+// has derived it before, so a warm resubmission decodes nothing; a
+// variant is transformed only when its key is unknown or a simulation
+// reads it.
 func (h *Harness) Sweep(data []byte, axis Axis, values []SweepValue) ([]AxisPoint, string, error) {
 	if len(values) == 0 {
 		return nil, "", fmt.Errorf("harness: %s sweep over no values", axis)
 	}
-	// Only the header is needed here (name + shape for validation); each
-	// variant source validates and hashes its own full decode.
-	d, err := tracefile.NewReader(bytes.NewReader(data))
+	in, err := capture(data)
 	if err != nil {
-		return nil, "", fmt.Errorf("harness: %w", err)
+		return nil, "", err
 	}
-	hdr := d.Header()
-
+	hdr := in.info.hdr
 	vals := normalizeSweepValues(values)
+
+	// The threshold axis replays the capture unchanged; register it once
+	// under an axis-tagged name so it cannot collide with a same-named
+	// catalog generator or an untransformed -traces row.
+	shared := ""
+	if axis == AxisThreshold {
+		shared = fmt.Sprintf("%s@%s", hdr.Name, axis)
+		if err := h.Register(RenamedSource(in.source(), shared)); err != nil {
+			return nil, "", err
+		}
+	}
 
 	plan := NewPlan()
 	pts := make([]sweepPoint, 0, len(vals))
 	for _, v := range vals {
-		enc, label, err := variantFor(data, hdr, axis, v)
+		label, err := pointLabel(hdr, axis, v)
 		if err != nil {
 			return nil, "", err
 		}
-		pt := sweepPoint{value: v, label: label}
-		vh := hdr
-		if enc != nil {
-			src, err := TraceSource(enc)
+		app, vh := shared, hdr
+		if axis != AxisThreshold {
+			pv, err := in.step(axis, v)
 			if err != nil {
 				return nil, "", err
 			}
-			if err := h.Register(src); err != nil {
+			if err := h.Register(pv.source()); err != nil {
 				return nil, "", err
 			}
-			pt.app = src.Name()
-			vh = src.(*traceSource).Header()
-		} else {
-			// Config-only axes replay the capture unchanged; register it
-			// once under an axis-tagged name so it cannot collide with a
-			// same-named catalog generator or an untransformed -traces row.
-			src, err := TraceSource(data)
-			if err != nil {
-				return nil, "", err
-			}
-			named := &renamedSource{Source: src, name: fmt.Sprintf("%s@%s", hdr.Name, axis)}
-			if err := h.Register(named); err != nil {
-				return nil, "", err
-			}
-			pt.app = named.Name()
+			app, vh = pv.info.hdr.Name, pv.info.hdr
 		}
-		pt.nodes, pt.cpusPer = vh.Nodes, vh.CPUs/vh.Nodes
-		pt.ideal = sweepSystem(config.Ideal(), vh, label)
-		pt.cc = sweepSystem(config.Base(config.CCNUMA), vh, label)
-		pt.scoma = sweepSystem(config.Base(config.SCOMA), vh, label)
-		pt.rn = sweepSystem(config.Base(config.RNUMA), vh, label)
-		if axis == AxisThreshold {
-			pt.rn.Threshold = int(v.Num)
-		}
+		pt := newSweepPoint(app, vh, axis, v, label)
 		plan.AddRuns([]string{pt.app}, pt.ideal, pt.cc, pt.scoma, pt.rn)
 		pts = append(pts, pt)
 	}
@@ -332,7 +358,7 @@ func (h *Harness) Sweep(data []byte, axis Axis, values []SweepValue) ([]AxisPoin
 	// they share a prefix: run it once on a trunk machine and fork each
 	// point from a snapshot instead of replaying it per point (fork.go).
 	if axis == AxisThreshold && len(pts) > 1 {
-		if err := h.forkThresholdPoints(data, pts); err != nil {
+		if err := h.forkThresholdPoints(in.enc, pts); err != nil {
 			return nil, "", err
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"rnuma/internal/addr"
 	"rnuma/internal/tracefile"
 	"rnuma/internal/workloads"
 )
@@ -222,6 +223,23 @@ func mustRead(t *testing.T, path string) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// TestSpecPastSegmentBoundFails uploads a spec whose region is one page
+// past the shared-segment bound: its replay job must end failed with
+// the bound named, rather than sizing a machine from the segment.
+func TestSpecPastSegmentBoundFails(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	pages := addr.MaxSegmentBlocks/addr.Default.BlocksPerPage() + 1
+	a := upload(t, ts, "", []byte(fmt.Sprintf(`{"name": "big",
+  "regions": [{"name": "r", "pages": %d, "placement": "global"}],
+  "phases": [{"steps": [{"op": "compute", "refs": 4, "gap": 10}]}]}`, pages)))
+	info := submit(t, ts, JobRequest{Type: "replay", Artifact: a.ID, System: "ccnuma"})
+	got := waitJob(t, ts, info.ID)
+	bound := fmt.Sprintf("%d-block segment bound", addr.MaxSegmentBlocks)
+	if got.Status != StatusFailed || !strings.Contains(got.Error, bound) {
+		t.Errorf("replay of a spec past the segment bound: status %s, error %q; want failed naming the %s", got.Status, got.Error, bound)
+	}
 }
 
 // TestSpecAndTrafficReplay covers the two non-trace replay paths: a

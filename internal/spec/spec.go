@@ -422,6 +422,32 @@ func parseFrom(from string, r Region) (fromSel, error) {
 	}
 }
 
+// checkSegment bounds the shared segment the regions ask for (pages per
+// node times nodes, plus global pages) before anything is allocated: the
+// builder's home map and the machine's directory and per-page state are
+// sized from it, so an uploaded spec must not be able to request a
+// billion pages. Each term is checked before it is added, so the sum
+// cannot overflow.
+func (s *Spec) checkSegment(cfg workloads.Config) error {
+	total := 0
+	for _, r := range s.Regions {
+		pages := r.Pages
+		err := cfg.Geometry.CheckSegment(pages)
+		if err == nil && r.Placement == "node" {
+			pages *= cfg.Nodes
+			err = cfg.Geometry.CheckSegment(pages)
+		}
+		if err == nil {
+			total += pages
+			err = cfg.Geometry.CheckSegment(total)
+		}
+		if err != nil {
+			return fmt.Errorf("spec %q: region %q overflows the shared segment: %w", s.Name, r.Name, err)
+		}
+	}
+	return nil
+}
+
 // builtRegion is a region materialized against a machine config.
 type builtRegion struct {
 	r       Region
@@ -435,6 +461,9 @@ func (s *Spec) Build(cfg workloads.Config) (*workloads.Workload, error) {
 		return nil, err
 	}
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := s.checkSegment(cfg); err != nil {
 		return nil, err
 	}
 	b := workloads.NewBuilder(cfg, specSeed^s.Seed)

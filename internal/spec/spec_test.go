@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"rnuma/internal/addr"
 	"rnuma/internal/trace"
 	"rnuma/internal/workloads"
 )
@@ -477,5 +478,48 @@ func TestHotExceedsSelection(t *testing.T) {
 	}
 	if _, err := s.Build(cfg); err != nil {
 		t.Errorf("hot 16 over 16 selected pages must build: %v", err)
+	}
+}
+
+// segmentSpec is a spec whose one region asks for the given pages.
+func segmentSpec(placement string, pages int) []byte {
+	return []byte(fmt.Sprintf(`{"name": "big",
+  "regions": [{"name": "r", "pages": %d, "placement": %q}],
+  "phases": [{"steps": [{"op": "compute", "refs": 4, "gap": 10}]}]}`, pages, placement))
+}
+
+// TestSegmentBound checks that Build bounds the shared segment the
+// regions ask for before allocating it: the machine sizes dense per-page
+// and per-block state from the segment, so a spec one page past
+// addr.MaxSegmentBlocks must fail, naming the bound, instead of reaching
+// the builder.
+func TestSegmentBound(t *testing.T) {
+	cfg := testCfg()
+	bound := addr.MaxSegmentBlocks / cfg.Geometry.BlocksPerPage()
+	for _, tc := range []struct {
+		name, placement string
+		pages           int
+		ok              bool
+	}{
+		{"global at the bound", "global", bound, true},
+		{"global one page past", "global", bound + 1, false},
+		{"per-node pages times nodes one page past", "node", bound/cfg.Nodes + 1, false},
+		// pages x nodes wraps around to 0 in int arithmetic.
+		{"overflowing per-node pages", "node", 1 << 62, false},
+	} {
+		s, err := Parse(segmentSpec(tc.placement, tc.pages))
+		if err != nil {
+			t.Fatalf("%s: Parse: %v", tc.name, err)
+		}
+		_, err = s.Build(cfg)
+		if tc.ok {
+			if err != nil {
+				t.Errorf("%s: Build: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d-block segment bound", addr.MaxSegmentBlocks)) {
+			t.Errorf("%s: Build error %v, want one naming the %d-block bound", tc.name, err, addr.MaxSegmentBlocks)
+		}
 	}
 }
