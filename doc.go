@@ -30,8 +30,10 @@
 //     with per-record client attribution (per-tenant stats/telemetry)
 //   - internal/tracefile — the binary trace capture/replay format
 //     (streaming writer, lazy demuxing reader with record-level seeking
-//     that skips whole compressed chunks undecoded, per-chunk DEFLATE
-//     compression in format v2, stream-level Cut/Cat
+//     that skips whole compressed chunks undecoded, a bounded Decode
+//     into per-CPU reference slices for in-memory replay, per-chunk
+//     DEFLATE compression in format v2, the canonical content hash over
+//     an encoding or over decoded streams, stream-level Cut/Cat
 //     splicing, and the transform layer: Retarget onto a different
 //     machine shape under pluggable page-remapping policies and CPU
 //     fold policies (modulo or weighted interleave), RetargetGeometry
@@ -75,7 +77,11 @@
 //     input's SHA-256 plus the transforms applied to it to the content
 //     key, so resubmitted sweeps, grids and replays learn every store key
 //     without decoding, and a point's transformed trace is derived only
-//     when a simulation or a fork trunk reads it
+//     when a simulation or a fork trunk reads it; a job decodes each
+//     in-memory trace it reads at most once (up to a per-harness cap of
+//     decoded references; past it the trace streams), and its key on a
+//     memo miss, its simulations, fork trunk and forks all replay that
+//     decode through fresh cursors
 //   - internal/serve — the long-running experiment service behind
 //     cmd/rnuma-serve: content-addressed artifact uploads (traces,
 //     specs, traffic scenarios), replay/sweep/grid/diffstats/

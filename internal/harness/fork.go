@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
@@ -10,6 +9,7 @@ import (
 	"rnuma/internal/stats"
 	"rnuma/internal/telemetry"
 	"rnuma/internal/tracefile"
+	"rnuma/internal/workloads"
 )
 
 // This file implements snapshot/fork replay for threshold sweeps. A
@@ -28,6 +28,14 @@ import (
 // at the T-1 watermark no counter has reached T yet, so neither the
 // trunk (threshold Tmax > T-1) nor a threshold-T machine has relocated
 // a page: their states are bit-identical up to the pause.
+//
+// The trunk and every fork replay one decode of the trace (a
+// replayTrace, source.go): the trunk reads fresh cursors from record 0,
+// and each fork seeks fresh cursors to its snapshot's consumed
+// positions, one slice index per CPU, so no fork decodes the prefix
+// again. A trace past its harness's decode cap streams instead, and each
+// fork's reader skips whole seeded chunks undecoded and decodes the rest
+// of the prefix.
 
 // thresholdForkRuns replays one recorded trace under R-NUMA at every
 // requested relocation threshold, paying for the shared prefix once.
@@ -49,22 +57,22 @@ import (
 // probe's cursor: cumulative counters at the last boundary and the
 // partial traffic matrix, from which the restored fork closes its next
 // window exactly as an uninterrupted replay would.
-func thresholdForkRuns(data []byte, sys config.System, thresholds []int, tcfg telemetry.Config) (map[int]*stats.Run, tracefile.Header, error) {
+func thresholdForkRuns(t *replayTrace, sys config.System, thresholds []int, tcfg telemetry.Config) (map[int]*stats.Run, tracefile.Header, error) {
+	hdr := t.hdr
 	if len(thresholds) == 0 {
-		return nil, tracefile.Header{}, fmt.Errorf("harness: threshold fork over no values")
+		return nil, hdr, fmt.Errorf("harness: threshold fork over no values")
 	}
 	ts := append([]int(nil), thresholds...)
 	sort.Ints(ts)
 	ts = ts[:uniqInts(ts)]
 	if ts[0] < 1 {
-		return nil, tracefile.Header{}, fmt.Errorf("harness: threshold %d must be positive", ts[0])
+		return nil, hdr, fmt.Errorf("harness: threshold %d must be positive", ts[0])
 	}
 
-	d, err := tracefile.NewReader(bytes.NewReader(data))
+	w, err := t.open()
 	if err != nil {
-		return nil, tracefile.Header{}, fmt.Errorf("harness: %w", err)
+		return nil, hdr, fmt.Errorf("harness: %w", err)
 	}
-	hdr := d.Header()
 	tmax := ts[len(ts)-1]
 	sysMax := sys
 	sysMax.Threshold = tmax
@@ -72,7 +80,7 @@ func thresholdForkRuns(data []byte, sys config.System, thresholds []int, tcfg te
 	if err != nil {
 		return nil, hdr, err
 	}
-	if err := trunk.Start(d.Streams()); err != nil {
+	if err := trunk.Start(w.Streams); err != nil {
 		return nil, hdr, err
 	}
 
@@ -98,7 +106,7 @@ func thresholdForkRuns(data []byte, sys config.System, thresholds []int, tcfg te
 		}
 		fsys := sys
 		fsys.Threshold = T
-		run, err := forkRun(data, hdr, fsys, snap, tcfg)
+		run, err := forkRun(t, fsys, snap, tcfg)
 		if err != nil {
 			return nil, hdr, fmt.Errorf("harness: fork at T=%d: %w", T, err)
 		}
@@ -108,7 +116,7 @@ func thresholdForkRuns(data []byte, sys config.System, thresholds []int, tcfg te
 	if err != nil {
 		return nil, hdr, err
 	}
-	if err := d.Err(); err != nil {
+	if err := checkStreams(w); err != nil {
 		return nil, hdr, err
 	}
 	out[tmax] = runMax
@@ -122,32 +130,42 @@ func thresholdForkRuns(data []byte, sys config.System, thresholds []int, tcfg te
 
 // forkRun completes one sweep point from a trunk snapshot: a fresh
 // machine at the point's own threshold restores the snapshot, seeks a
-// fresh set of trace streams to the consumed positions (the reader
-// skips whole compressed chunks, so the seek is cheap), and replays the
-// remaining suffix to completion.
-func forkRun(data []byte, hdr tracefile.Header, sys config.System, snap *machine.Snapshot, tcfg telemetry.Config) (*stats.Run, error) {
-	m, _, err := NewTraceMachine(hdr, sys, machine.WithTelemetry(tcfg))
+// fresh set of trace streams to the consumed positions, and replays the
+// remaining suffix to completion. Over a decoded trace the seek moves a
+// slice cursor; a streamed trace's reader skips whole seeded chunks
+// without inflating them and decodes the rest of the prefix.
+func forkRun(t *replayTrace, sys config.System, snap *machine.Snapshot, tcfg telemetry.Config) (*stats.Run, error) {
+	m, _, err := NewTraceMachine(t.hdr, sys, machine.WithTelemetry(tcfg))
 	if err != nil {
 		return nil, err
 	}
 	if err := m.Restore(snap); err != nil {
 		return nil, err
 	}
-	fd, err := tracefile.NewReader(bytes.NewReader(data))
+	w, err := t.open()
 	if err != nil {
 		return nil, err
 	}
-	if err := m.ResumeWith(fd.Streams()); err != nil {
+	if err := m.ResumeWith(w.Streams); err != nil {
 		return nil, err
 	}
 	run, err := m.Finish()
 	if err != nil {
 		return nil, err
 	}
-	if err := fd.Err(); err != nil {
+	if err := checkStreams(w); err != nil {
 		return nil, err
 	}
 	return run, nil
+}
+
+// checkStreams surfaces a streamed trace's decode error after its run;
+// decoded references have none.
+func checkStreams(w *workloads.Workload) error {
+	if w.Check == nil {
+		return nil
+	}
+	return w.Check()
 }
 
 // uniqInts compacts a sorted slice in place and returns the unique
@@ -168,8 +186,10 @@ func uniqInts(ts []int) int {
 // very job keys the sweep assembly reads, so Prefetch and Run find them
 // already done and only the threshold-independent systems (ideal,
 // CC-NUMA, S-COMA — one replay each, shared across all points) still
-// simulate. Already-cached points are left alone; when every point is
-// cached no trunk runs at all, and the trace's encoding is never derived.
+// simulate. The trunk and every fork replay the encoding's one decode,
+// which the point's other simulations share. Already-cached points are
+// left alone; when every point is cached no trunk runs at all, and the
+// trace is neither derived nor decoded.
 func (h *Harness) forkThresholdPoints(enc *encoding, pts []sweepPoint) error {
 	missing := false
 	for _, p := range pts {
@@ -181,7 +201,7 @@ func (h *Harness) forkThresholdPoints(enc *encoding, pts []sweepPoint) error {
 	if !missing {
 		return nil
 	}
-	data, err := enc.bytes()
+	tr, err := enc.trace()
 	if err != nil {
 		return err
 	}
@@ -190,7 +210,7 @@ func (h *Harness) forkThresholdPoints(enc *encoding, pts []sweepPoint) error {
 		thresholds = append(thresholds, p.rn.Threshold)
 	}
 	h.logf("forking  %-9s threshold sweep from one trunk at T=%d", pts[0].app, thresholds[len(thresholds)-1])
-	runs, _, err := thresholdForkRuns(data, pts[len(pts)-1].rn, thresholds, h.Telemetry)
+	runs, _, err := thresholdForkRuns(tr, pts[len(pts)-1].rn, thresholds, h.Telemetry)
 	if err != nil {
 		return err
 	}

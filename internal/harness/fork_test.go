@@ -51,13 +51,24 @@ func TestForkReplayIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: snapshot: %v", app, p, err)
 			}
-			forked, err := forkRun(data, hdr, sys, snap, telemetry.Config{})
-			if err != nil {
-				t.Fatalf("%s/%v: fork: %v", app, p, err)
-			}
-			if !reflect.DeepEqual(full, forked) {
-				t.Errorf("%s/%v: forked replay diverged from uninterrupted replay:\n full %+v\n fork %+v",
-					app, p, full, forked)
+			// Fork from the decoded trace (a slice seek) and from the
+			// streamed one (a chunk-skipping reader seek).
+			for _, b := range []*decodeBudget{nil, {limit: 1}} {
+				tr, err := decodeTrace(data, b)
+				if err != nil {
+					t.Fatalf("%s/%v: %v", app, p, err)
+				}
+				if !reflect.DeepEqual(tr.hdr, hdr) || (tr.w != nil) != (b == nil) {
+					t.Fatalf("%s/%v: decodeTrace header %+v, decoded %v", app, p, tr.hdr, tr.w != nil)
+				}
+				forked, err := forkRun(tr, sys, snap, telemetry.Config{})
+				if err != nil {
+					t.Fatalf("%s/%v: fork: %v", app, p, err)
+				}
+				if !reflect.DeepEqual(full, forked) {
+					t.Errorf("%s/%v (decoded %v): forked replay diverged from uninterrupted replay:\n full %+v\n fork %+v",
+						app, p, tr.w != nil, full, forked)
+				}
 			}
 		}
 	}
@@ -106,7 +117,11 @@ func TestThresholdForkRunsIdentity(t *testing.T) {
 		t.Error("no threshold relocated a page; pick lower thresholds")
 	}
 
-	if _, _, err := thresholdForkRuns(data, sys, nil, telemetry.Config{}); err == nil {
+	tr, err := decodeTrace(data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := thresholdForkRuns(tr, sys, nil, telemetry.Config{}); err == nil {
 		t.Error("empty threshold list accepted")
 	}
 	if _, err := Replay(bytes.NewReader(data), sys, WithThresholds(0, 16)); err == nil {

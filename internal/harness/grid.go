@@ -112,7 +112,7 @@ func (h *Harness) SweepGrid(data []byte, axisX Axis, valuesX []SweepValue, axisY
 	if len(valuesX) == 0 || len(valuesY) == 0 {
 		return nil, fmt.Errorf("harness: %s x %s grid over no values", axisX, axisY)
 	}
-	in, err := capture(data)
+	in, err := capture(data, noDecode) // cells replay transforms of it, never it
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +189,7 @@ func (h *Harness) gridPoints(in *variant, outerAxis Axis, outerVals []SweepValue
 			return nil, nil, nil, err
 		}
 		outerLabels[oi] = labelO
-		outer, err := in.step(outerAxis, ov)
+		outer, err := in.step(outerAxis, ov, &h.decodes)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -212,7 +212,7 @@ func (h *Harness) gridPoints(in *variant, outerAxis Axis, outerVals []SweepValue
 			innerLabels[ii] = labelI
 			cell := outer
 			if innerAxis != AxisThreshold {
-				if cell, err = outer.step(innerAxis, iv); err != nil {
+				if cell, err = outer.step(innerAxis, iv, &h.decodes); err != nil {
 					return nil, nil, nil, err
 				}
 				if err := h.Register(cell.source()); err != nil {

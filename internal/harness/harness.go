@@ -66,6 +66,7 @@ type Harness struct {
 	srcMu   sync.Mutex
 	logMu   sync.Mutex        // serializes progress lines
 	sources map[string]Source // registered spec/trace workloads, by name
+	decodes decodeBudget      // the in-memory traces this harness holds decoded
 
 	sims atomic.Int64 // simulations this harness executed itself
 }

@@ -75,8 +75,8 @@ func memoJobs(h *Harness, data []byte) ([]any, error) {
 
 // TestWarmResubmissionDoesNoTraceWork is the memo's purpose: a second
 // harness resubmitting every study over a warm store learns every store
-// key from the memo, so it transforms and hashes nothing, simulates
-// nothing, and returns the first harness's results.
+// key from the memo, so it transforms, hashes and decodes nothing,
+// simulates nothing, and returns the first harness's results.
 func TestWarmResubmissionDoesNoTraceWork(t *testing.T) {
 	isolateMemo(t)
 	const scale = 0.02
@@ -93,6 +93,7 @@ func TestWarmResubmissionDoesNoTraceWork(t *testing.T) {
 	warm := New(scale)
 	warm.Store = store
 	tr0, hs0 := traceWorkNow()
+	d0 := decodesNow()
 	got, err := memoJobs(warm, data)
 	if err != nil {
 		t.Fatal(err)
@@ -100,6 +101,9 @@ func TestWarmResubmissionDoesNoTraceWork(t *testing.T) {
 	tr1, hs1 := traceWorkNow()
 	if tr1 != tr0 || hs1 != hs0 {
 		t.Errorf("warm resubmission did %d transforms and %d canonical hashes, want 0 and 0", tr1-tr0, hs1-hs0)
+	}
+	if d := decodesNow() - d0; d != 0 {
+		t.Errorf("warm resubmission decoded %d traces, want 0", d)
 	}
 	if n := warm.Simulations(); n != 0 {
 		t.Errorf("warm resubmission ran %d simulations", n)
@@ -320,7 +324,7 @@ func TestMemoVerifiesLazyVariants(t *testing.T) {
 	isolateMemo(t)
 	const scale = 0.02
 	data := recordCatalog(t, "fft", scale)
-	in, err := capture(data)
+	in, err := capture(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,8 +57,8 @@ func WithTelemetry(cfg telemetry.Config) RunOption {
 // threshold through the trunk-and-fork engine (fork.go): the shared
 // prefix is paid once, and Result.ByThreshold maps each threshold to a
 // run bit-identical to an independent full replay at that threshold.
-// The fork engine needs a seekable encoding, so Replay then reads its
-// whole input into memory.
+// Replay then reads its whole input into memory and decodes it once;
+// the trunk and every fork replay fresh cursors over that decode.
 func WithThresholds(thresholds ...int) RunOption {
 	return func(o *runOptions) { o.thresholds = append(o.thresholds, thresholds...) }
 }
@@ -117,12 +117,17 @@ func Replay(r io.Reader, sys config.System, opts ...RunOption) (*Result, error) 
 }
 
 // replayThresholds is the WithThresholds arm of Replay: the
-// trunk-and-fork engine over an in-memory encoding.
+// trunk-and-fork engine over one decode of the input, which the trunk
+// and every fork replay (an input past the decode cap streams instead).
 func replayThresholds(data []byte, sys config.System, o runOptions) (*Result, error) {
 	if len(o.mopts) > 0 {
 		return nil, fmt.Errorf("harness: WithMachineOptions cannot combine with WithThresholds (forked machines snapshot only probe state)")
 	}
-	runs, hdr, err := thresholdForkRuns(data, sys, o.thresholds, o.tcfg)
+	tr, err := decodeTrace(data, nil)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
+	}
+	runs, hdr, err := thresholdForkRuns(tr, sys, o.thresholds, o.tcfg)
 	if err != nil {
 		return nil, err
 	}

@@ -43,10 +43,16 @@ func (h *Harness) Register(src Source) error {
 	if h.sources == nil {
 		h.sources = make(map[string]Source)
 	}
-	if old, ok := h.sources[src.Name()]; ok && old.Key() != src.Key() {
-		return fmt.Errorf("harness: source %q already registered with different content", src.Name())
+	if old, ok := h.sources[src.Name()]; ok {
+		if old.Key() != src.Key() {
+			return fmt.Errorf("harness: source %q already registered with different content", src.Name())
+		}
+		return nil // keep the source (and any decode) already registered
 	}
 	h.sources[src.Name()] = src
+	if enc := encodingOf(src); enc != nil {
+		enc.adopt(&h.decodes)
+	}
 	return nil
 }
 
@@ -117,9 +123,12 @@ func (s *specSource) Load(cfg workloads.Config) (*workloads.Workload, error) {
 
 // traceSource replays a recorded trace, either from a file (opened per
 // Load and streamed, never materialized) or from an in-memory encoding:
-// the caller's bytes, or a sweep variant derived on the first Load.
-// Workload.Check releases the input and surfaces any decode error after
-// the run.
+// the caller's bytes, or a sweep variant derived on the first Load. An
+// in-memory trace is decoded at most once, for its key on a memo miss or
+// else on the first Load, and every Load replays fresh cursors over that
+// decode; one past its harness's decode budget streams like a file. A
+// streamed Workload.Check releases the input and surfaces any decode
+// error after the run.
 type traceSource struct {
 	path string    // file-backed source ("" when in memory)
 	enc  *encoding // in-memory source (nil when file-backed)
@@ -131,8 +140,10 @@ type traceSource struct {
 // streams, not the bytes on disk — so a v1 trace, its v2 recompression,
 // and a cut+cat recomposition of the same capture all share simulations;
 // replay validates that the simulated machine matches the recorded
-// geometry and CPU count. Registration fully decodes the file, so a
-// truncated or corrupt trace is rejected here rather than mid-run.
+// geometry and CPU count. Opening hashes the file in one streaming
+// decode, so a truncated or corrupt trace is rejected here rather than
+// mid-run, and every Load streams the file again: a file-backed trace is
+// never materialized, whatever its size.
 func TraceFileSource(path string) (Source, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -151,9 +162,11 @@ func TraceFileSource(path string) (Source, error) {
 // dilated trace goes straight into the harness without a temp file. The
 // memo key follows the canonical content hash, like TraceFileSource;
 // bytes already hashed in this process reuse their key from the trace
-// memo instead of decoding again.
+// memo instead of decoding again. The trace is decoded at most once: for
+// its key on a memo miss, or else on the first Load. The harness it is
+// registered with holds the decode against its budget.
 func TraceSource(data []byte) (Source, error) {
-	v, err := capture(data)
+	v, err := capture(data, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -238,15 +251,15 @@ func (t *traceSource) Load(cfg workloads.Config) (*workloads.Workload, error) {
 			t.what(), hdr.Nodes, hdr.CPUs, cfg.Nodes, cpus)
 	}
 	if t.enc != nil {
-		data, err := t.enc.bytes()
+		tr, err := t.enc.trace()
 		if err != nil {
 			return nil, err
 		}
-		d, err := tracefile.NewReader(bytes.NewReader(data))
+		w, err := tr.open()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", t.what(), err)
 		}
-		return d.Workload(), nil
+		return w, nil
 	}
 	f, err := os.Open(t.path)
 	if err != nil {
@@ -345,9 +358,11 @@ func memoPut(d derivation, info traceInfo) {
 	traceMemo.m[d] = info
 }
 
-// traceWork counts, process-wide, the decoding work the memo avoids:
-// sweep transforms derived and canonical hashes computed.
-var traceWork struct{ transforms, hashes atomic.Int64 }
+// traceWork counts, process-wide, the trace work the memo and the shared
+// decode avoid: sweep transforms derived, canonical hashes computed, and
+// passes that decode an in-memory trace's records (a decode for replay,
+// a streamed replay or a streamed hash).
+var traceWork struct{ transforms, hashes, decodes atomic.Int64 }
 
 // contentKey fully decodes a trace and returns its content key.
 func contentKey(r io.Reader) (traceInfo, error) {
@@ -356,28 +371,196 @@ func contentKey(r io.Reader) (traceInfo, error) {
 	if err != nil {
 		return traceInfo{}, err
 	}
+	return newTraceInfo(sum, hdr), nil
+}
+
+// newTraceInfo names a trace by its canonical hash.
+func newTraceInfo(sum [sha256.Size]byte, hdr tracefile.Header) traceInfo {
 	hdr.Homes = nil
-	return traceInfo{key: fmt.Sprintf("trace:%s:%x", hdr.Name, sum[:8]), hdr: hdr}, nil
+	return traceInfo{key: fmt.Sprintf("trace:%s:%x", hdr.Name, sum[:8]), hdr: hdr}
 }
 
-// encoding is an in-memory trace's bytes: given outright for a caller's
-// input, or derived on first use for a sweep variant. A job's
-// simulations and fork trunk share one derivation.
-type encoding struct {
-	once   sync.Once
-	derive func() ([]byte, error)
-	data   []byte
-	err    error
+// maxDecodedRecords caps the trace references one harness holds decoded,
+// at 12 bytes each 96 MiB. The largest full-scale catalog capture, moldyn,
+// is 2,238,080 records. A trace that would pass the cap streams from its
+// bytes on every replay instead, as file-backed traces always do.
+const maxDecodedRecords = 1 << 23
+
+// decodeBudget counts the decoded trace references a harness holds. Its
+// zero value allows maxDecodedRecords; nothing is returned to it, so a
+// decode lives as long as its harness.
+type decodeBudget struct {
+	limit int64 // records; 0 means maxDecodedRecords
+	held  atomic.Int64
 }
 
-func (e *encoding) bytes() ([]byte, error) {
-	e.once.Do(func() {
-		if e.derive != nil {
-			e.data, e.err = e.derive()
-			e.derive = nil
+// noDecode is the budget of a capture its job only transforms (a
+// non-threshold sweep's or a grid's): hashing it streams, and it holds
+// no decode.
+var noDecode = &decodeBudget{limit: -1}
+
+func (b *decodeBudget) size() int64 {
+	if b.limit == 0 {
+		return maxDecodedRecords
+	}
+	return b.limit
+}
+
+func (b *decodeBudget) left() int64 { return b.size() - b.held.Load() }
+
+// reserve claims n records if they fit, reporting whether they did.
+func (b *decodeBudget) reserve(n int64) bool {
+	for {
+		held := b.held.Load()
+		if held+n > b.size() {
+			return false
 		}
-	})
+		if b.held.CompareAndSwap(held, held+n) {
+			return true
+		}
+	}
+}
+
+// replayTrace is an in-memory trace ready to replay: decoded once into
+// per-CPU reference slices when they fit the decode budget, or else
+// streamed from its bytes on every open.
+type replayTrace struct {
+	hdr  tracefile.Header    // homes included
+	w    *workloads.Workload // the decoded references; nil streams data
+	held int64               // records decoded (0 when streaming)
+	data []byte
+}
+
+// decodeTrace decodes an in-memory trace for replay when it fits what is
+// left of b (nil: a budget of its own), and otherwise leaves it to
+// stream. A malformed trace fails either way, with the decoder's error.
+func decodeTrace(data []byte, b *decodeBudget) (*replayTrace, error) {
+	if b == nil {
+		b = new(decodeBudget)
+	}
+	d, err := tracefile.NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	t := &replayTrace{hdr: d.Header(), data: data}
+	if b.left() < 1 {
+		return t, nil
+	}
+	traceWork.decodes.Add(1)
+	w, n, err := d.Decode(b.left())
+	if err != nil {
+		return nil, err
+	}
+	if w != nil && b.reserve(n) {
+		t.w, t.held = w, n
+	}
+	return t, nil
+}
+
+// open returns the trace as a workload whose streams start at record 0.
+func (t *replayTrace) open() (*workloads.Workload, error) {
+	if t.w != nil {
+		return t.w.Fresh(), nil
+	}
+	traceWork.decodes.Add(1)
+	d, err := tracefile.NewReader(bytes.NewReader(t.data))
+	if err != nil {
+		return nil, err
+	}
+	return d.Workload(), nil
+}
+
+// key hashes the trace's content key from its decoded references, or by
+// a streaming decode when it has none.
+func (t *replayTrace) key() (traceInfo, error) {
+	if t.w == nil {
+		traceWork.decodes.Add(1)
+		return contentKey(bytes.NewReader(t.data))
+	}
+	traceWork.hashes.Add(1)
+	return newTraceInfo(tracefile.CanonicalHashStreams(t.hdr, t.w.Fresh().Streams), t.hdr), nil
+}
+
+// encoding is an in-memory trace a job reads: its bytes, given outright
+// for a caller's input or derived on first use for a sweep variant, and
+// its decode for replay, made at most once. A job's simulations, fork
+// trunk and forks, and the trace's content key on a memo miss, all share
+// the one derivation and the one decode.
+type encoding struct {
+	mu sync.Mutex
+	// derive, until it runs, makes a variant's bytes, and its decode too
+	// when it hashes them against a memoized key.
+	derive func() ([]byte, *replayTrace, error)
+	budget *decodeBudget // the owning harness's; nil until registered
+	data   []byte
+	tr     *replayTrace // nil until decoded
+	err    error        // sticky derivation or decode error
+}
+
+// resolve runs a pending derivation. The caller holds e.mu.
+func (e *encoding) resolve() {
+	if e.derive != nil {
+		e.data, e.tr, e.err = e.derive()
+		e.derive = nil
+	}
+}
+
+// bytes returns the encoding, deriving it on first use.
+func (e *encoding) bytes() ([]byte, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.resolve()
 	return e.data, e.err
+}
+
+// trace returns the trace ready to replay, decoding it on first use.
+func (e *encoding) trace() (*replayTrace, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.resolve()
+	if e.tr == nil && e.err == nil {
+		e.tr, e.err = decodeTrace(e.data, e.budget)
+	}
+	return e.tr, e.err
+}
+
+// key computes the trace's content key from its shared decode.
+func (e *encoding) key() (traceInfo, error) {
+	tr, err := e.trace()
+	if err != nil {
+		return traceInfo{}, err
+	}
+	return tr.key()
+}
+
+// adopt makes a harness's budget the owner of an encoding that has none
+// (a TraceSource's): a decode already made is charged to it, or dropped
+// when it does not fit, and the trace then streams.
+func (e *encoding) adopt(b *decodeBudget) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.budget != nil {
+		return
+	}
+	e.budget = b
+	if e.tr != nil && e.tr.w != nil && !b.reserve(e.tr.held) {
+		e.tr = &replayTrace{hdr: e.tr.hdr, data: e.data}
+	}
+}
+
+// encodingOf returns the encoding behind an in-memory trace source, or
+// nil for any other source.
+func encodingOf(src Source) *encoding {
+	for {
+		switch s := src.(type) {
+		case *renamedSource:
+			src = s.Source
+		case *traceSource:
+			return s.enc
+		default:
+			return nil
+		}
+	}
 }
 
 // variant is one trace a sweep or grid reads: the caller's capture, or a
@@ -388,15 +571,18 @@ type variant struct {
 	enc  *encoding
 }
 
-// capture resolves a caller's input trace, hashing it only if these
-// bytes were not hashed before in this process.
-func capture(data []byte) (*variant, error) {
-	v := &variant{d: derivation{input: sha256.Sum256(data)}, enc: &encoding{data: data}}
+// capture resolves a caller's input trace, decoding and hashing it only
+// if these bytes were not hashed before in this process. b is the budget
+// its decode is charged to: the harness's when the job replays the
+// capture, noDecode when it only transforms it, nil for a TraceSource
+// that a harness adopts when it registers the source.
+func capture(data []byte, b *decodeBudget) (*variant, error) {
+	v := &variant{d: derivation{input: sha256.Sum256(data)}, enc: &encoding{data: data, budget: b}}
 	if info, ok := memoGet(v.d); ok {
 		v.info = info
 		return v, nil
 	}
-	info, err := contentKey(bytes.NewReader(data))
+	info, err := v.enc.key()
 	if err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
 	}
@@ -407,44 +593,53 @@ func capture(data []byte) (*variant, error) {
 
 // step resolves the variant that applies one validated transform to v.
 // On a memo hit nothing is decoded: the variant's bytes are derived only
-// when a simulation or a fork trunk reads them, and then hashed against
-// the memoized key, so a stale entry fails the job instead of keying a
-// result to the wrong trace. On a miss the variant is derived and hashed
-// now, and its key memoized.
-func (v *variant) step(axis Axis, val SweepValue) (*variant, error) {
+// when a simulation, a fork trunk or a further transform reads them, and
+// then decoded and hashed against the memoized key, so a stale entry
+// fails the job instead of keying a result to the wrong trace. On a miss
+// the variant is derived, decoded and hashed now, and its key memoized.
+// Either way its simulations replay that one decode, charged to b.
+func (v *variant) step(axis Axis, val SweepValue, b *decodeBudget) (*variant, error) {
 	out := &variant{d: v.d.then(axis, val)}
-	derive := func() ([]byte, traceInfo, error) {
+	derive := func() ([]byte, error) {
 		in, err := v.enc.bytes()
 		if err != nil {
-			return nil, traceInfo{}, err
+			return nil, err
 		}
-		data, err := transform(in, v.info.hdr, axis, val)
-		if err != nil {
-			return nil, traceInfo{}, err
-		}
-		info, err := contentKey(bytes.NewReader(data))
-		if err != nil {
-			return nil, traceInfo{}, fmt.Errorf("harness: %w", err)
-		}
-		return data, info, nil
+		return transform(in, v.info.hdr, axis, val)
 	}
 	if info, ok := memoGet(out.d); ok {
 		out.info = info
-		out.enc = &encoding{derive: func() ([]byte, error) {
-			data, got, err := derive()
-			if err == nil && got.key != info.key {
-				return nil, fmt.Errorf("harness: %s variant %s derived as %s, memoized as %s", axis, val, got.key, info.key)
+		out.enc = &encoding{budget: b, derive: func() ([]byte, *replayTrace, error) {
+			data, err := derive()
+			if err != nil {
+				return nil, nil, err
 			}
-			return data, err
+			tr, err := decodeTrace(data, b)
+			if err != nil {
+				return nil, nil, fmt.Errorf("harness: %w", err)
+			}
+			got, err := tr.key()
+			if err != nil {
+				return nil, nil, fmt.Errorf("harness: %w", err)
+			}
+			if got.key != info.key {
+				return nil, nil, fmt.Errorf("harness: %s variant %s derived as %s, memoized as %s", axis, val, got.key, info.key)
+			}
+			return data, tr, nil
 		}}
 		return out, nil
 	}
-	data, info, err := derive()
+	data, err := derive()
 	if err != nil {
 		return nil, err
 	}
+	out.enc = &encoding{data: data, budget: b}
+	info, err := out.enc.key()
+	if err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
+	}
 	memoPut(out.d, info)
-	out.info, out.enc = info, &encoding{data: data}
+	out.info = info
 	return out, nil
 }
 

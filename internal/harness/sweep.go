@@ -313,7 +313,13 @@ func (h *Harness) Sweep(data []byte, axis Axis, values []SweepValue) ([]AxisPoin
 	if len(values) == 0 {
 		return nil, "", fmt.Errorf("harness: %s sweep over no values", axis)
 	}
-	in, err := capture(data)
+	// Only a threshold sweep replays the capture itself; the other axes
+	// replay its transforms.
+	budget := noDecode
+	if axis == AxisThreshold {
+		budget = &h.decodes
+	}
+	in, err := capture(data, budget)
 	if err != nil {
 		return nil, "", err
 	}
@@ -340,7 +346,7 @@ func (h *Harness) Sweep(data []byte, axis Axis, values []SweepValue) ([]AxisPoin
 		}
 		app, vh := shared, hdr
 		if axis != AxisThreshold {
-			pv, err := in.step(axis, v)
+			pv, err := in.step(axis, v, &h.decodes)
 			if err != nil {
 				return nil, "", err
 			}

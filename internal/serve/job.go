@@ -350,6 +350,13 @@ func (s *Server) run(js *jobState) {
 		text, doc, sims, err = s.execute(js)
 	}()
 
+	// Log before publishing the outcome, so a client that sees the job
+	// finished also sees its log line.
+	if err != nil {
+		s.logf("job %s: failed: %v", js.id, err)
+	} else {
+		s.logf("job %s: done (%d new simulations)", js.id, sims)
+	}
 	js.mu.Lock()
 	js.finished = time.Now()
 	js.sims = sims
@@ -362,11 +369,6 @@ func (s *Server) run(js *jobState) {
 	}
 	js.mu.Unlock()
 	js.progress.finish()
-	if err != nil {
-		s.logf("job %s: failed: %v", js.id, err)
-	} else {
-		s.logf("job %s: done (%d new simulations)", js.id, sims)
-	}
 }
 
 // job resolves a job ID.

@@ -534,13 +534,52 @@ func (d *Reader) Drain() ([]int64, error) {
 // workload: home placement and segment size come from the header, and
 // Check surfaces any decode error after the run.
 func (d *Reader) Workload() *workloads.Workload {
-	return &workloads.Workload{
-		Name:        d.h.Name,
-		Description: fmt.Sprintf("recorded trace (%d cpus, %d pages)", d.h.CPUs, d.h.SharedPages),
-		PaperInput:  "(recorded trace)",
-		Streams:     d.streams,
-		Homes:       d.h.HomeFunc(),
-		SharedPages: d.h.SharedPages,
-		Check:       d.Err,
+	w := d.h.describe(&workloads.Workload{Streams: d.streams})
+	w.Check = d.Err
+	return w
+}
+
+// Decode reads the rest of the trace into memory, one reference slice per
+// CPU, and wraps the slices as a workload whose Fresh cursors replay them
+// any number of times, concurrently too; n is the number of records. It
+// gives up and returns a nil workload once more than limit records are
+// decoded, so a caller bounds what an untrusted input makes it hold; the
+// reader is spent either way. A malformed or truncated trace returns the
+// error its streams would have parked in Err.
+func (d *Reader) Decode(limit int64) (w *workloads.Workload, n int64, err error) {
+	refs := make([][]trace.Ref, d.h.CPUs)
+	// Round-robin batches keep the demux queues as small as a replay's.
+	for live := true; live; {
+		live = false
+		for cpu, s := range d.streams {
+			b := s.(*readerStream).NextBatch(chunkRecords)
+			if len(b) == 0 {
+				continue
+			}
+			if n += int64(len(b)); n > limit {
+				return nil, 0, nil
+			}
+			refs[cpu] = append(refs[cpu], b...)
+			live = true
+		}
 	}
+	if d.err != nil {
+		return nil, 0, d.err
+	}
+	for cpu, r := range refs {
+		if cap(r)-len(r) > len(r)/8 { // drop append's spare capacity
+			refs[cpu] = append([]trace.Ref(nil), r...)
+		}
+	}
+	return d.h.describe(workloads.FromRefs(d.h.Name, refs, d.h.HomeFunc(), d.h.SharedPages)), n, nil
+}
+
+// describe fills in a trace workload's header-derived fields.
+func (h Header) describe(w *workloads.Workload) *workloads.Workload {
+	w.Name = h.Name
+	w.Description = fmt.Sprintf("recorded trace (%d cpus, %d pages)", h.CPUs, h.SharedPages)
+	w.PaperInput = "(recorded trace)"
+	w.Homes = h.HomeFunc()
+	w.SharedPages = h.SharedPages
+	return w
 }

@@ -69,8 +69,16 @@ func (s CutSpec) validate(h Header) ([]bool, error) {
 // invoking fn for each record in the canonical interleaved order. It
 // surfaces both fn's error and the reader's sticky decode error.
 func eachRecord(d *Reader, fn func(cpu int, r trace.Ref) error) error {
-	live := make([]trace.Stream, len(d.Streams()))
-	copy(live, d.Streams())
+	if err := roundRobin(d.Streams(), fn); err != nil {
+		return err
+	}
+	return d.Err()
+}
+
+// roundRobin drains streams in the canonical interleaved order: each
+// round takes one record from every stream not yet ended, in CPU order.
+func roundRobin(streams []trace.Stream, fn func(cpu int, r trace.Ref) error) error {
+	live := append([]trace.Stream(nil), streams...)
 	for remaining := len(live); remaining > 0; {
 		remaining = 0
 		for cpu, s := range live {
@@ -88,7 +96,7 @@ func eachRecord(d *Reader, fn func(cpu int, r trace.Ref) error) error {
 			}
 		}
 	}
-	return d.Err()
+	return nil
 }
 
 // Cut copies the selected slice of src to dst, re-encoded with the given
@@ -203,9 +211,24 @@ func CanonicalHash(r io.Reader) ([sha256.Size]byte, Header, error) {
 	if err != nil {
 		return [sha256.Size]byte{}, Header{}, err
 	}
-	h := d.Header()
+	sum := CanonicalHashStreams(d.h, d.Streams())
+	if err := d.Err(); err != nil {
+		return [sha256.Size]byte{}, d.h, err
+	}
+	return sum, d.h, nil
+}
+
+// CanonicalHashStreams is CanonicalHash over a trace already decoded: its
+// header (homes included) and one stream per CPU, which it drains. It
+// hashes the same byte sequence — the header fields, the homes, then
+// every record in eachRecord's round-robin order — so a decoded trace
+// keys exactly as any of its encodings does.
+func CanonicalHashStreams(h Header, streams []trace.Stream) [sha256.Size]byte {
+	// The sequence is hashed in runs of about hashRun bytes: fewer Write
+	// calls, the same digest.
+	const hashRun = 4096
 	hash := sha256.New()
-	buf := make([]byte, 0, 64+len(h.Name))
+	buf := make([]byte, 0, hashRun+64+len(h.Name))
 	buf = append(buf, "rntr-canonical-1\x00"...)
 	buf = append(buf, byte(h.Geometry.BlockShift), byte(h.Geometry.PageShift))
 	buf = binary.AppendUvarint(buf, uint64(h.CPUs))
@@ -213,14 +236,15 @@ func CanonicalHash(r io.Reader) ([sha256.Size]byte, Header, error) {
 	buf = binary.AppendUvarint(buf, uint64(h.SharedPages))
 	buf = binary.AppendUvarint(buf, uint64(len(h.Name)))
 	buf = append(buf, h.Name...)
-	hash.Write(buf)
 	for _, n := range h.Homes {
-		buf = binary.AppendUvarint(buf[:0], uint64(n))
-		hash.Write(buf)
+		buf = binary.AppendUvarint(buf, uint64(n))
+		if len(buf) >= hashRun {
+			hash.Write(buf)
+			buf = buf[:0]
+		}
 	}
-
-	err = eachRecord(d, func(cpu int, rec trace.Ref) error {
-		buf = binary.AppendUvarint(buf[:0], uint64(cpu))
+	roundRobin(streams, func(cpu int, rec trace.Ref) error { //nolint:errcheck // fn never fails
+		buf = binary.AppendUvarint(buf, uint64(cpu))
 		var flags byte
 		if rec.Write {
 			flags |= flagWrite
@@ -232,13 +256,14 @@ func CanonicalHash(r io.Reader) ([sha256.Size]byte, Header, error) {
 		buf = binary.AppendUvarint(buf, uint64(rec.Page))
 		buf = binary.AppendUvarint(buf, uint64(rec.Off))
 		buf = binary.AppendUvarint(buf, uint64(rec.Gap))
-		hash.Write(buf)
+		if len(buf) >= hashRun {
+			hash.Write(buf)
+			buf = buf[:0]
+		}
 		return nil
 	})
-	if err != nil {
-		return [sha256.Size]byte{}, h, err
-	}
+	hash.Write(buf)
 	var sum [sha256.Size]byte
 	copy(sum[:], hash.Sum(nil))
-	return sum, h, nil
+	return sum
 }

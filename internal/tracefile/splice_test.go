@@ -2,6 +2,8 @@ package tracefile
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"io"
 	"reflect"
 	"strings"
@@ -261,5 +263,193 @@ func TestCanonicalHashAcrossEncodings(t *testing.T) {
 	}
 	if sumM == sum1 {
 		t.Error("flipping one record's write bit left the canonical hash unchanged")
+	}
+}
+
+// canonicalReference hashes the canonical byte sequence of a decoded
+// trace written out longhand, one Write per header field, home and
+// record, in round-robin order: an independent statement of the
+// definition both canonical hashes share.
+func canonicalReference(h Header, refs [][]trace.Ref) [sha256.Size]byte {
+	hash := sha256.New()
+	hash.Write([]byte("rntr-canonical-1\x00"))
+	hash.Write([]byte{byte(h.Geometry.BlockShift), byte(h.Geometry.PageShift)})
+	for _, v := range []int{h.CPUs, h.Nodes, h.SharedPages, len(h.Name)} {
+		hash.Write(binary.AppendUvarint(nil, uint64(v)))
+	}
+	hash.Write([]byte(h.Name))
+	for _, n := range h.Homes {
+		hash.Write(binary.AppendUvarint(nil, uint64(n)))
+	}
+	for i := 0; ; i++ {
+		any := false
+		for cpu, s := range refs {
+			if i >= len(s) {
+				continue
+			}
+			any = true
+			r := s[i]
+			rec := binary.AppendUvarint(nil, uint64(cpu))
+			var flags byte
+			if r.Write {
+				flags |= flagWrite
+			}
+			if r.Barrier {
+				flags |= flagBarrier
+			}
+			rec = append(rec, flags)
+			rec = binary.AppendUvarint(rec, uint64(r.Page))
+			rec = binary.AppendUvarint(rec, uint64(r.Off))
+			rec = binary.AppendUvarint(rec, uint64(r.Gap))
+			hash.Write(rec)
+		}
+		if !any {
+			break
+		}
+	}
+	var sum [sha256.Size]byte
+	copy(sum[:], hash.Sum(nil))
+	return sum
+}
+
+// sliceStreams wraps a reference matrix as fresh streams.
+func sliceStreams(refs [][]trace.Ref) []trace.Stream {
+	out := make([]trace.Stream, len(refs))
+	for i, r := range refs {
+		out[i] = trace.FromSlice(r)
+	}
+	return out
+}
+
+// TestCanonicalHashStreams pins the canonical hash over decoded streams
+// to CanonicalHash: equal on every encoding of the same streams, on a
+// cut+cat recomposition, and on streams of unequal length (which fixes
+// the round-robin tail order), and both equal to the definition written
+// out longhand. Decode's streams hash the same as the matrix they came
+// from.
+func TestCanonicalHashStreams(t *testing.T) {
+	h := testHeader()
+	even := randRefs(h, 3*chunkRecords/2, 41)
+	uneven := randRefs(h, 3*chunkRecords/2, 43)
+	uneven[0] = uneven[0][:10]
+	uneven[1] = nil
+	uneven[3] = uneven[3][:chunkRecords+7]
+
+	for _, tc := range []struct {
+		name string
+		refs [][]trace.Ref
+	}{{"even", even}, {"uneven", uneven}} {
+		want := canonicalReference(h, tc.refs)
+		if got := CanonicalHashStreams(h, sliceStreams(tc.refs)); got != want {
+			t.Errorf("%s: CanonicalHashStreams %x, longhand definition %x", tc.name, got[:8], want[:8])
+		}
+		v2 := encodeOpts(t, h, tc.refs)
+		var head, tail, joined bytes.Buffer
+		if _, err := Cut(&head, bytes.NewReader(v2), CutSpec{To: 100}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Cut(&tail, bytes.NewReader(v2), CutSpec{From: 100}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Cat(&joined, []io.Reader{&head, &tail}); err != nil {
+			t.Fatal(err)
+		}
+		for _, enc := range []struct {
+			name string
+			data []byte
+		}{
+			{"v1", encodeOpts(t, h, tc.refs, FormatVersion(VersionV1))},
+			{"v2", v2},
+			{"v2-raw", encodeOpts(t, h, tc.refs, Compression(false))},
+			{"cut+cat", joined.Bytes()},
+		} {
+			sum, _, err := CanonicalHash(bytes.NewReader(enc.data))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, enc.name, err)
+			}
+			if sum != want {
+				t.Errorf("%s/%s: CanonicalHash %x, CanonicalHashStreams %x", tc.name, enc.name, sum[:8], want[:8])
+			}
+			d, err := NewReader(bytes.NewReader(enc.data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, n, err := d.Decode(1 << 30)
+			if err != nil || w == nil {
+				t.Fatalf("%s/%s: Decode: %v (workload %v)", tc.name, enc.name, err, w)
+			}
+			if total := records(tc.refs); n != total {
+				t.Errorf("%s/%s: Decode counted %d records, want %d", tc.name, enc.name, n, total)
+			}
+			if got := CanonicalHashStreams(d.Header(), w.Fresh().Streams); got != want {
+				t.Errorf("%s/%s: decoded streams hash %x, want %x", tc.name, enc.name, got[:8], want[:8])
+			}
+		}
+	}
+}
+
+// records counts a matrix's references.
+func records(refs [][]trace.Ref) int64 {
+	var n int64
+	for _, r := range refs {
+		n += int64(len(r))
+	}
+	return n
+}
+
+// TestDecodeLimit: Decode materializes a trace of exactly limit records,
+// gives up on one more, and reports a corrupt trace's error as the
+// streams would.
+func TestDecodeLimit(t *testing.T) {
+	h := testHeader()
+	refs := randRefs(h, 2*chunkRecords+3, 47)
+	data := encode(t, h, refs)
+	n := records(refs)
+	for _, tc := range []struct {
+		limit  int64
+		decode bool
+	}{{n, true}, {n - 1, false}, {0, false}} {
+		d, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, got, err := d.Decode(tc.limit)
+		if err != nil {
+			t.Fatalf("limit %d: %v", tc.limit, err)
+		}
+		if (w != nil) != tc.decode {
+			t.Fatalf("limit %d of %d records: decoded %v, want %v", tc.limit, n, w != nil, tc.decode)
+		}
+		if w == nil {
+			continue
+		}
+		if got != n || w.Name != h.Name || w.SharedPages != h.SharedPages {
+			t.Errorf("limit %d: %d records, workload %q/%d pages", tc.limit, got, w.Name, w.SharedPages)
+		}
+		for round := 0; round < 2; round++ { // Fresh cursors replay from the start
+			for cpu, s := range w.Fresh().Streams {
+				var out []trace.Ref
+				for {
+					r, ok := s.Next()
+					if !ok {
+						break
+					}
+					out = append(out, r)
+				}
+				if !reflect.DeepEqual(out, refs[cpu]) {
+					t.Fatalf("limit %d round %d: cpu %d replayed %d refs differing from the %d encoded", tc.limit, round, cpu, len(out), len(refs[cpu]))
+				}
+			}
+		}
+	}
+
+	cut := data[:len(data)*2/3]
+	_, _, want := CanonicalHash(bytes.NewReader(cut))
+	d, err := NewReader(bytes.NewReader(cut))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := d.Decode(1 << 30); err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("Decode of a truncated trace: %v, streams report %v", err, want)
 	}
 }

@@ -87,15 +87,15 @@ type Workload struct {
 	// machine splits the run's counters per client when it is present.
 	Attribution *trace.Attribution
 
-	// refs are the generated per-CPU references behind Streams (nil for
-	// workloads not built by a Builder).
+	// refs are the per-CPU references behind Streams (nil for workloads
+	// neither built by a Builder nor made by FromRefs).
 	refs [][]trace.Ref
 }
 
-// Fresh returns a copy of a Builder-made workload whose streams are new
-// cursors at the start of the generated reference slices. One build can
-// then drive any number of simulations, concurrently too: the slices and
-// the home map are only ever read. Every catalog application is
+// Fresh returns a copy of a Builder-made (or FromRefs) workload whose
+// streams are new cursors at the start of the reference slices. One build
+// can then drive any number of simulations, concurrently too: the slices
+// and the home map are only ever read. Every catalog application is
 // Builder-made; Fresh panics on a workload that is not.
 func (w *Workload) Fresh() *Workload {
 	if w.refs == nil {
@@ -107,6 +107,14 @@ func (w *Workload) Fresh() *Workload {
 		cp.Streams[i] = trace.FromSlice(r)
 	}
 	return &cp
+}
+
+// FromRefs wraps per-CPU reference slices — a decoded trace, say — as a
+// workload that Fresh replays like a Builder-made one. The slices are
+// only ever read.
+func FromRefs(name string, refs [][]trace.Ref, homes func(addr.PageNum) addr.NodeID, sharedPages int) *Workload {
+	w := &Workload{Name: name, Homes: homes, SharedPages: sharedPages, refs: refs}
+	return w.Fresh()
 }
 
 // ResolveHomes materializes the workload's home function into a dense
