@@ -186,9 +186,9 @@ func BenchmarkFigure9(b *testing.B) {
 	b.ReportMetric(scHit, "scoma-soft-max-slowdown")
 }
 
-// BenchmarkAblationCounting regenerates the counting-policy ablation
-// (DESIGN.md Section 7): refetch-only counters vs naive all-miss counters
-// on a producer-consumer workload.
+// BenchmarkAblationCounting regenerates the counting-policy ablation:
+// refetch-only counters vs naive all-miss counters on a producer-consumer
+// workload.
 func BenchmarkAblationCounting(b *testing.B) {
 	var slowdown float64
 	for i := 0; i < b.N; i++ {
@@ -217,10 +217,11 @@ func BenchmarkAblationPlacement(b *testing.B) {
 	b.ReportMetric(slowdown, "roundrobin-slowdown%")
 }
 
-// BenchmarkFullEvaluation regenerates every figure and table from one
-// deduplicated plan, comparing serial execution against the concurrent
-// scheduler. The workers=1 case is the pre-scheduler behavior; the
-// workers=N case is what cmd/rnuma-experiments does by default.
+// BenchmarkFullEvaluation simulates the whole deduplicated grid of every
+// figure and table, comparing the scheduler's worker pool at one worker
+// (rnuma-experiments -parallel 1) against GOMAXPROCS workers (its
+// default). Both cases run every job and share one workload build per
+// application.
 func BenchmarkFullEvaluation(b *testing.B) {
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -106,15 +106,18 @@
 // NewDiskStore), so concurrent
 // requests for one configuration simulate exactly once and figure assembly
 // — always serial — produces output byte-identical to a serial run. The
-// pool takes a plan's jobs grouped by application and builds each catalog
-// workload once for all of that application's simulations, which replay
-// its read-only reference slices through cursors of their own. Each
+// pool, at one worker too, takes a plan's jobs grouped by application and
+// builds each catalog workload once for all of that application's
+// simulations, which replay its read-only reference slices through
+// cursors of their own. Each
 // simulation owns a fresh Machine whose hot state (page homes, sharing
 // flags, page tables, refetch counters, the directory's block index)
 // lives in dense page- and block-indexed slices, keeping map hashing off
 // the per-reference path (the ideal baseline's infinite block cache aside)
 // and mutable state off the shared heap; its event queue is a tournament
-// tree with one fixed leaf per CPU.
+// tree with one fixed leaf per CPU, whose root key names the next CPU to
+// run. Each CPU reads its references in place from a buffer the machine
+// owns, refilled a batch at a time by one copy from the CPU's stream.
 //
 // The benchmarks in bench_test.go regenerate each table/figure; see
 // EXPERIMENTS.md for paper-versus-measured results and README.md for a

@@ -220,6 +220,17 @@ func (q *Queue) Peek() *Actor {
 	return q.actors[q.tree[1]&idMask]
 }
 
+// TopID returns the ID of the actor Peek would return, with ok=false when
+// the queue is empty. The ID is read out of the root key, so a caller
+// that keeps its own per-ID state reaches it without a load through the
+// actor.
+func (q *Queue) TopID() (id int, ok bool) {
+	if q.n == 0 {
+		return 0, false
+	}
+	return int(q.tree[1] & idMask), true
+}
+
 // Update restores the queue order after a queued actor's clock changed in
 // place.
 func (q *Queue) Update(a *Actor) { q.set(a.ID, key(a)) }

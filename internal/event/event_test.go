@@ -211,8 +211,8 @@ func (m model) second() (int64, bool) {
 // TestQueueMatchesLinearScan drives the queue and the brute-force model
 // through the same random Push/Update/Remove/Pop sequences — sparse IDs
 // up to 511, clocks drawn from a handful of values so ties dominate —
-// and checks Peek, Len and SecondClock against the model after every
-// step.
+// and checks Peek, TopID, Len and SecondClock against the model after
+// every step.
 func TestQueueMatchesLinearScan(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -264,6 +264,13 @@ func TestQueueMatchesLinearScan(t *testing.T) {
 			}
 			if want, got := m.top(), q.Peek(); (want < 0) != (got == nil) || (got != nil && got.ID != want) {
 				t.Fatalf("seed %d step %d: Peek returned %v, want actor %d", seed, step, got, want)
+			}
+			if want := m.top(); want < 0 {
+				if id, ok := q.TopID(); ok {
+					t.Fatalf("seed %d step %d: TopID on empty queue returned %d", seed, step, id)
+				}
+			} else if id, ok := q.TopID(); !ok || id != want {
+				t.Fatalf("seed %d step %d: TopID = %d,%v, want %d,true", seed, step, id, ok, want)
 			}
 			ws, wok := m.second()
 			if s, ok := q.SecondClock(); s != ws || ok != wok {
@@ -318,11 +325,15 @@ func TestQueueHotPathAllocs(t *testing.T) {
 		q.Push(&actors[i])
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		a := q.Peek()
+		id, ok := q.TopID()
+		if !ok {
+			t.Fatal("TopID on a full queue reported it empty")
+		}
+		a := &actors[id]
 		a.Clock += 3
 		q.Update(a)
 	}); n != 0 {
-		t.Errorf("Update allocates %.1f times per call", n)
+		t.Errorf("TopID+Update allocates %.1f times per call", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		if _, ok := q.SecondClock(); !ok {

@@ -7,8 +7,8 @@ import (
 	"rnuma/internal/stats"
 )
 
-// This file implements the ablation studies from DESIGN.md Section 7:
-// isolating the design decisions the paper's results rest on.
+// This file implements the ablation studies: each isolates one design
+// decision the paper's results rest on.
 
 // ablationJob builds a tagged job carrying extra machine options; the tag
 // keys it separately in the memo cache. The round-robin placement ablation

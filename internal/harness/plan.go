@@ -179,16 +179,15 @@ const progressPeriod = 2 * time.Second
 //
 // Jobs are dispatched grouped by application (see byApp), and a catalog
 // workload is built once per (application, workload config) for all the
-// simulations of the group, then dropped after the group's last job.
+// simulations of the group, then dropped after the group's last job. A
+// harness with one worker runs the same pool and shared builds with a
+// single goroutine.
 func (h *Harness) Prefetch(p *Plan) {
 	jobs := p.Jobs()
-	w := h.workers()
-	if w > len(jobs) {
-		w = len(jobs)
+	if len(jobs) < 2 {
+		return // a lone job gains nothing: assembly runs it on first use
 	}
-	if w <= 1 || len(jobs) < 2 {
-		return // serial mode: assembly runs each job on first use
-	}
+	w := min(h.workers(), len(jobs))
 	jobs = byApp(jobs)
 	b := h.newBuilds(jobs)
 	var done, refs atomic.Int64
@@ -280,9 +279,10 @@ func (b *builds) key(j Job) (buildKey, bool) {
 }
 
 // workload returns app's workload at cfg with fresh stream cursors,
-// building it on the group's first call; a nil builds (serial mode)
-// builds afresh. newBuilds counted every job's group before dispatch and
-// done drops a group only after its last job, so the group exists.
+// building it on the group's first call; a nil builds (a job run outside
+// Prefetch) builds afresh. newBuilds counted every job's group before
+// dispatch and done drops a group only after its last job, so the group
+// exists.
 func (b *builds) workload(app workloads.App, cfg workloads.Config) *workloads.Workload {
 	if b == nil {
 		return app.Build(cfg)

@@ -270,6 +270,19 @@ func TestSharedBuildsMatchFreshBuilds(t *testing.T) {
 	}
 }
 
+// TestSerialPrefetchSimulatesEveryJob: a one-worker Prefetch runs the
+// whole plan through the worker pool and its shared builds, as a
+// concurrent one does, rather than leaving each job to assembly.
+func TestSerialPrefetchSimulatesEveryJob(t *testing.T) {
+	p := NewPlan().AddRuns([]string{"fft", "lu"}, config.Ideal(), config.Base(config.CCNUMA))
+	h := New(0.05)
+	h.Workers = 1
+	h.Prefetch(p)
+	if got := h.Simulations(); got != int64(p.Len()) {
+		t.Fatalf("serial Prefetch simulated %d of %d jobs", got, p.Len())
+	}
+}
+
 // TestBuildsShareAndDrop: one Prefetch's builds hand every simulation of
 // an (application, config) group fresh cursors over the same references,
 // drop the build after the group's last job, and leave registered

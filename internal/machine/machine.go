@@ -74,9 +74,8 @@ type Machine struct {
 	active  int
 	started bool
 
-	// Per-CPU batch buffers: streams implementing trace.Batcher deliver
-	// references in bulk, amortizing the per-Next interface call.
-	batch []refBuffer
+	// Per-CPU reference buffers, indexed by global CPU id (see refBuffer).
+	refs []refBuffer
 
 	// relocate scratch, reused across calls so the relocation path does
 	// not allocate: a blocks-per-page offset-indexed merge table plus
@@ -354,19 +353,46 @@ func (m *Machine) homeAt(p addr.PageNum) addr.NodeID {
 	return m.homes[p]
 }
 
-// refBuffer is one CPU's batch-delivery state: a view of references
-// pulled from a Batcher stream in one call, drained by the event loop
-// before the next pull (the view aliases stream-owned storage).
+// refBuffer is one CPU's reference buffer, its storage included, so the
+// machine's refs slice is one slab of every CPU's records, allocated on
+// the first bind and reused after. A refill copies the stream's next
+// batch in with one copy, and the event loop reads each record in place.
+// Filling a batch at once issues the loads of all its cache lines
+// together, where taking one record at a time from 32 interleaved
+// streams fetches every new line alone, at the moment the loop first
+// needs it.
 type refBuffer struct {
-	src trace.Batcher // nil when the stream only supports Next
-	buf []trace.Ref
-	pos int
+	pos, n int // next record to hand out; records of the last refill
+	store  [batchSize]trace.Ref
+	stream trace.Stream
+	src    trace.Batcher // stream as a Batcher; nil when it only has Next
 }
 
-// batchSize is the per-CPU bulk-delivery unit. Large enough to amortize
-// the interface call and (for trace files) the chunk-decode bookkeeping,
-// small enough that the buffers stay cache-resident.
-const batchSize = 256
+// batchSize is the per-CPU refill unit, in records. A refill amortizes
+// the stream's interface call (and, for trace files, the chunk-decode
+// bookkeeping) across the batch; at 12 bytes a record, the base
+// machine's 32 buffers hold 24 KiB, so they stay cache-resident.
+// BenchmarkMachineReference measured 256 within noise of 64.
+const batchSize = 64
+
+// refill loads the stream's next batch into the buffer and rewinds it,
+// reporting false at end of stream.
+func (rb *refBuffer) refill() bool {
+	n := 0
+	if rb.src != nil {
+		n = copy(rb.store[:], rb.src.NextBatch(batchSize))
+	} else {
+		for ; n < batchSize; n++ {
+			r, ok := rb.stream.Next()
+			if !ok {
+				break
+			}
+			rb.store[n] = r
+		}
+	}
+	rb.pos, rb.n = 0, n
+	return n > 0
+}
 
 // Run executes one stream per CPU to completion and returns the collected
 // statistics. The number of streams must equal the machine's CPU count.
@@ -408,18 +434,16 @@ func (m *Machine) Start(streams []trace.Stream) error {
 	return nil
 }
 
-// bind attaches streams to CPUs and sets up batch delivery for streams
-// that support it.
+// bind attaches one stream per CPU to its reference buffer, empty.
 func (m *Machine) bind(streams []trace.Stream) {
-	if m.batch == nil {
-		m.batch = make([]refBuffer, len(m.cpus))
+	if m.refs == nil {
+		m.refs = make([]refBuffer, len(m.cpus))
 	}
-	for i, c := range m.cpus {
-		c.Stream = streams[i]
-		rb := &m.batch[i]
-		rb.src, _ = streams[i].(trace.Batcher)
-		rb.buf = nil
-		rb.pos = 0
+	for i, s := range streams {
+		rb := &m.refs[i]
+		rb.stream = s
+		rb.src, _ = s.(trace.Batcher)
+		rb.pos, rb.n = 0, 0
 	}
 }
 
@@ -460,32 +484,6 @@ func (m *Machine) RunUntilCounter(w uint32) (done bool, err error) {
 	return m.loop(0, w, true), nil
 }
 
-// nextRef pulls the CPU's next trace record, through the batch buffer
-// when the stream supports bulk delivery.
-func (m *Machine) nextRef(c *node.CPU) (trace.Ref, bool) {
-	rb := &m.batch[c.Global]
-	if rb.pos < len(rb.buf) {
-		r := rb.buf[rb.pos]
-		rb.pos++
-		c.Consumed++
-		return r, true
-	}
-	if rb.src != nil {
-		rb.buf = rb.src.NextBatch(batchSize)
-		if len(rb.buf) > 0 {
-			rb.pos = 1
-			c.Consumed++
-			return rb.buf[0], true
-		}
-		return trace.Ref{}, false
-	}
-	r, ok := c.Stream.Next()
-	if ok {
-		c.Consumed++
-	}
-	return r, ok
-}
-
 // release resumes every barrier-parked CPU at the latest arrival time:
 // all still-running CPUs have reached the barrier.
 func (m *Machine) release() {
@@ -512,8 +510,8 @@ func (m *Machine) release() {
 func (m *Machine) loop(pauseRefs int64, pauseAt uint32, pauseCounter bool) (done bool) {
 	q := &m.q
 	for {
-		a := q.Peek()
-		if a == nil {
+		id, ok := q.TopID()
+		if !ok {
 			return true
 		}
 		if pauseRefs > 0 && m.run.Refs >= pauseRefs {
@@ -522,13 +520,16 @@ func (m *Machine) loop(pauseRefs int64, pauseAt uint32, pauseCounter bool) (done
 		if pauseCounter && m.counterHigh >= pauseAt {
 			return false
 		}
-		c := m.cpus[a.ID]
-		var ref trace.Ref
+		c := m.cpus[id]
+		a := &c.Actor
+		var ref *trace.Ref
 		if c.HasPending {
-			ref, c.HasPending = c.Pending, false
+			ref, c.HasPending = &c.Pending, false
 		} else {
-			r, ok := m.nextRef(c)
-			if !ok {
+			// The next record is read in place; it stays valid until this
+			// CPU's next refill.
+			rb := &m.refs[id]
+			if rb.pos == rb.n && !rb.refill() {
 				c.Done = true
 				c.Finish = a.Clock
 				q.Remove(a)
@@ -538,7 +539,9 @@ func (m *Machine) loop(pauseRefs int64, pauseAt uint32, pauseCounter bool) (done
 				}
 				continue
 			}
-			ref = r
+			ref = &rb.store[rb.pos]
+			rb.pos++
+			c.Consumed++
 			if ref.Gap > 0 {
 				// The compute gap advances this CPU's clock before the
 				// reference issues; if another CPU is now strictly
@@ -549,7 +552,7 @@ func (m *Machine) loop(pauseRefs int64, pauseAt uint32, pauseCounter bool) (done
 				a.Clock += int64(ref.Gap)
 				if s, ok := q.SecondClock(); ok && s < a.Clock {
 					q.Update(a)
-					c.Pending, c.HasPending = ref, true
+					c.Pending, c.HasPending = *ref, true
 					continue
 				}
 			}
@@ -568,7 +571,7 @@ func (m *Machine) loop(pauseRefs int64, pauseAt uint32, pauseCounter bool) (done
 			}
 			continue
 		}
-		lat := m.access(c, a.Clock, ref)
+		lat := m.access(c, a.Clock, *ref)
 		a.Clock += lat
 		c.Refs++
 		q.Update(a)

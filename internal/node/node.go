@@ -20,7 +20,6 @@ type CPU struct {
 	Index  int // index within the node
 	Global int // index within the machine
 
-	Stream trace.Stream
 	Finish int64
 	Done   bool
 
@@ -34,9 +33,10 @@ type CPU struct {
 	// the engine state a machine snapshot must capture).
 	AtBarrier bool
 
-	// Consumed counts trace records pulled from Stream so far, barriers
-	// included and a Pending reference included: it is the stream cursor a
-	// forked replay seeks to before resuming.
+	// Consumed counts trace records handed to this CPU so far, barriers
+	// included and a Pending reference included (records the machine has
+	// buffered but not handed over are not counted): it is the stream
+	// cursor a forked replay seeks to before resuming.
 	Consumed int64
 
 	Actor event.Actor

@@ -38,10 +38,10 @@ type Stream interface {
 // Batcher is an optional Stream extension for bulk delivery: NextBatch
 // returns a view of up to max consecutive references (empty at end of
 // program). The view aliases stream-owned storage and is valid only
-// until the next call on the stream — the machine's event loop drains it
-// before pulling again, amortizing the per-Next interface call (and, for
-// decoded trace files, the per-record decode) across the batch with no
-// copying.
+// until the next call on the stream. The machine copies each view into
+// a buffer of its own with one copy and reads the records from there,
+// so one interface call (and, for decoded trace files, the chunk
+// bookkeeping) serves the whole batch.
 type Batcher interface {
 	Stream
 	NextBatch(max int) []Ref

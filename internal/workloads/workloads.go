@@ -11,7 +11,7 @@
 // sharing fractions (Table 4), page density (sparse pages thrash the page
 // cache, Section 2.2), and per-node load imbalance (lu, Section 5.5). The
 // per-application constants are documented with the paper passage they
-// encode. See DESIGN.md Section 3 for the substitution rationale.
+// encode.
 //
 // The Builder type and its access-pattern primitives (Sweep, Scatter,
 // Windowed, ...) are exported so other packages — notably internal/spec's
