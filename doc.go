@@ -38,8 +38,9 @@
 //     machine shape under pluggable page-remapping policies and CPU
 //     fold policies (modulo or weighted interleave), RetargetGeometry
 //     re-splitting every address onto a different block/page geometry,
-//     Dilate of compute gaps by a rational factor, and Diff reporting
-//     the first diverging CPU/record plus a per-CPU summary)
+//     Dilate of compute gaps by a rational factor, each a pure Map over
+//     the header, and Diff reporting the first diverging CPU/record
+//     plus a per-CPU summary)
 //   - internal/tracefile/snapfile — the RNSS checkpoint file format for
 //     machine snapshots (versioned gob payload, CRC-32C, strict
 //     truncation/corruption rejection) behind rnuma-trace snapshot and
@@ -76,25 +77,24 @@
 //     first exceeds a bound; a bounded, in-memory trace memo maps each
 //     input's SHA-256 plus the transforms applied to it to the content
 //     key, so resubmitted sweeps, grids and replays learn every store key
-//     without decoding, and a point's transformed trace is derived only
-//     when a simulation or a fork trunk reads it; a job decodes each
-//     in-memory trace it reads at most once (up to a per-harness cap of
-//     decoded references; past it the trace streams), and its key on a
-//     memo miss, its simulations, fork trunk and forks all replay that
-//     decode through fresh cursors
+//     without decoding; a job decodes only its capture, at most once (up
+//     to a per-harness cap; past it the capture streams), and reads each
+//     sweep or grid variant from that decode through the transforms'
+//     Maps (X before Y), never encoding or decoding a variant; keys,
+//     simulations, fork trunks and forks all read it through fresh cursors
 //   - internal/serve — the long-running experiment service behind
 //     cmd/rnuma-serve: content-addressed artifact uploads (traces,
 //     specs, traffic scenarios), replay/sweep/grid/diffstats/
 //     experiments jobs with streamed progress, and text or JSON
 //     reports; requests resolve at submission, so unknown systems,
-//     figures or applications and malformed axis/value lists answer
-//     422 naming the offending token; every job runs on its own harness
-//     over the server's one shared result store, so repeated and
-//     concurrent submissions re-simulate nothing, and through the
-//     harness's trace memo a warm resubmission decodes nothing;
-//     Execute, the job executor, also runs rnuma-experiments' figures,
-//     sweeps and grids and rnuma-trace replay, so served and offline
-//     reports agree byte for byte
+//     figures or applications, malformed axis/value lists and points
+//     the trace rejects answer 422 naming the offending value; every
+//     job runs on its own harness over the server's one shared result
+//     store, so repeated and concurrent submissions re-simulate nothing,
+//     and through the harness's trace memo a warm resubmission decodes
+//     nothing; Execute, the job executor, also runs rnuma-experiments'
+//     figures, sweeps and grids and rnuma-trace replay, so served and
+//     offline reports agree byte for byte
 //   - internal/model — the analytical worst-case model (Section 3.2)
 //
 // The harness declares each figure's (application, system) grid as a Plan

@@ -11,25 +11,23 @@ import (
 	"rnuma/internal/tracefile"
 )
 
-// The shared decode's tests: a job decodes each in-memory trace it
-// reads at most once, every replay of that decode equals a streaming
-// replay of the same trace, and a trace past the harness's decode budget
-// streams with the same results.
+// The shared decode's tests: a job decodes only the capture it reads,
+// at most once, and reads every sweep variant through its maps from that
+// decode; every replay of the decode equals a streaming replay of the
+// same trace; and a trace past the harness's decode budget streams with
+// the same results.
 
 // decodesNow reads the in-memory trace decode counter.
 func decodesNow() int64 { return traceWork.decodes.Load() }
 
-// decodeStudy is one cold job over a capture and the traces it reads.
+// decodeStudy is one cold job over a capture. variants is the number of
+// variants it simulates, each mapped from the capture and hashed once
+// for its key; a grid of two transforms maps each cell straight from the
+// capture, through both maps.
 type decodeStudy struct {
-	name string
-	run  func(h *Harness, data []byte) error
-	// cold is the number of distinct traces the study reads: the capture
-	// and every variant, each keyed on a memo miss and decoded once.
-	cold int64
-	// warm is what a memo-warm, store-cold rerun decodes: the traces it
-	// replays, plus a grid's outer variants, decoded to check their
-	// memoized keys before their cells are derived from them.
-	warm int64
+	name     string
+	run      func(h *Harness, data []byte) error
+	variants int64
 }
 
 func sweepStudy(axis Axis, vals []SweepValue) func(*Harness, []byte) error {
@@ -50,20 +48,22 @@ var memoPages = []SweepValue{IntValue(2048), IntValue(8192)}
 
 // decodeStudies covers every sweep axis and both kinds of grid line.
 var decodeStudies = []decodeStudy{
-	{"nodes", sweepStudy(AxisNodes, memoNodes), 3, 2},
-	{"dilate", sweepStudy(AxisDilate, memoDilate), 3, 2},
-	{"block", sweepStudy(AxisBlockSize, memoBlocks), 3, 2},
-	{"page", sweepStudy(AxisPageSize, memoPages), 3, 2},
-	{"threshold", sweepStudy(AxisThreshold, memoThresholds), 1, 1},
-	{"block x threshold", gridStudy(AxisThreshold, memoThresholds), 3, 2},
-	{"block x dilate", gridStudy(AxisDilate, memoDilate), 7, 6},
+	{"nodes", sweepStudy(AxisNodes, memoNodes), 2},
+	{"dilate", sweepStudy(AxisDilate, memoDilate), 2},
+	{"block", sweepStudy(AxisBlockSize, memoBlocks), 2},
+	{"page", sweepStudy(AxisPageSize, memoPages), 2},
+	{"threshold", sweepStudy(AxisThreshold, memoThresholds), 0},
+	{"block x threshold", gridStudy(AxisThreshold, memoThresholds), 2},
+	{"block x dilate", gridStudy(AxisDilate, memoDilate), 4},
 }
 
-// TestColdRunsDecodeEachTraceOnce counts decodes. A cold study keys
-// every trace on a memo miss and simulates the capture or its variants,
-// fork trunks and forks included, yet decodes each trace exactly once; a
-// rerun with the memo warm but the store cold decodes only what it
-// replays; a warm resubmission decodes nothing.
+// TestColdRunsDecodeEachTraceOnce counts trace work. A cold study keys
+// its capture and every variant on memo misses and simulates them, fork
+// trunks and forks included, yet decodes only its capture, once, and
+// maps and hashes each variant once; a rerun with the memo warm but the
+// store cold decodes the capture once and maps and hashes each variant
+// once, to check its memoized key; a warm resubmission decodes, maps and
+// hashes nothing.
 func TestColdRunsDecodeEachTraceOnce(t *testing.T) {
 	const scale = 0.02
 	data := recordCatalog(t, "fft", scale)
@@ -72,25 +72,30 @@ func TestColdRunsDecodeEachTraceOnce(t *testing.T) {
 			isolateMemo(t)
 			store := NewMemoryStore()
 			for _, pass := range []struct {
-				name  string
-				store Store
-				want  int64
+				name                  string
+				store                 Store
+				decodes, maps, hashes int64
 			}{
-				{"cold", store, s.cold},
-				{"memo-warm store-cold", NewMemoryStore(), s.warm},
-				{"warm", store, 0},
+				{"cold", store, 1, s.variants, s.variants + 1},
+				{"memo-warm store-cold", NewMemoryStore(), 1, s.variants, s.variants},
+				{"warm", store, 0, 0, 0},
 			} {
 				h := New(scale)
 				h.Store = pass.store
 				h.Workers = 2
 				d0 := decodesNow()
+				m0, hs0 := traceWorkNow()
 				if err := s.run(h, data); err != nil {
 					t.Fatal(err)
 				}
-				if got := decodesNow() - d0; got != pass.want {
-					t.Errorf("%s: %d decodes, want %d", pass.name, got, pass.want)
+				m1, hs1 := traceWorkNow()
+				if got := decodesNow() - d0; got != pass.decodes {
+					t.Errorf("%s: %d decodes, want %d", pass.name, got, pass.decodes)
 				}
-				if pass.want > 0 && h.Simulations() == 0 {
+				if m1-m0 != pass.maps || hs1-hs0 != pass.hashes {
+					t.Errorf("%s: %d variants mapped, %d hashes; want %d and %d", pass.name, m1-m0, hs1-hs0, pass.maps, pass.hashes)
+				}
+				if pass.decodes > 0 && h.Simulations() == 0 {
 					t.Errorf("%s: simulated nothing", pass.name)
 				}
 			}
@@ -231,12 +236,9 @@ func TestDecodeTraceCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := contentKey(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(k1, want) || !reflect.DeepEqual(k2, want) {
-		t.Errorf("content keys: decoded %s, streamed %s, full decode %s", k1.key, k2.key, want.key)
+	want, _ := fullKey(t, data)
+	if k1 != want || k2 != want {
+		t.Errorf("content keys: decoded %s, streamed %s, full decode %s", k1, k2, want)
 	}
 	sys := config.Base(config.RNUMA)
 	ts := []int{4, 64}

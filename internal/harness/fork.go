@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rnuma/internal/config"
@@ -64,7 +65,7 @@ func thresholdForkRuns(t *replayTrace, sys config.System, thresholds []int, tcfg
 	}
 	ts := append([]int(nil), thresholds...)
 	sort.Ints(ts)
-	ts = ts[:uniqInts(ts)]
+	ts = slices.Compact(ts)
 	if ts[0] < 1 {
 		return nil, hdr, fmt.Errorf("harness: threshold %d must be positive", ts[0])
 	}
@@ -168,29 +169,16 @@ func checkStreams(w *workloads.Workload) error {
 	return w.Check()
 }
 
-// uniqInts compacts a sorted slice in place and returns the unique
-// length.
-func uniqInts(ts []int) int {
-	n := 0
-	for i, v := range ts {
-		if i == 0 || v != ts[n-1] {
-			ts[n] = v
-			n++
-		}
-	}
-	return n
-}
-
 // forkThresholdPoints pre-computes a threshold sweep's R-NUMA points
 // with thresholdForkRuns and donates them to the store under the
 // very job keys the sweep assembly reads, so Prefetch and Run find them
 // already done and only the threshold-independent systems (ideal,
 // CC-NUMA, S-COMA — one replay each, shared across all points) still
-// simulate. The trunk and every fork replay the encoding's one decode,
+// simulate. The trunk and every fork replay the trace's one decode,
 // which the point's other simulations share. Already-cached points are
 // left alone; when every point is cached no trunk runs at all, and the
-// trace is neither derived nor decoded.
-func (h *Harness) forkThresholdPoints(enc *encoding, pts []sweepPoint) error {
+// trace is neither mapped nor decoded.
+func (h *Harness) forkThresholdPoints(v *variant, pts []sweepPoint) error {
 	missing := false
 	for _, p := range pts {
 		if !h.cached(NewJob(p.app, p.rn)) {
@@ -201,7 +189,7 @@ func (h *Harness) forkThresholdPoints(enc *encoding, pts []sweepPoint) error {
 	if !missing {
 		return nil
 	}
-	tr, err := enc.trace()
+	tr, err := v.trace()
 	if err != nil {
 		return err
 	}

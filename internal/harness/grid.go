@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rnuma/internal/config"
@@ -73,11 +74,7 @@ type Grid struct {
 func (g *Grid) Row(i int) []AxisPoint {
 	out := make([]AxisPoint, len(g.XValues))
 	for j, c := range g.Cells[i] {
-		out[j] = AxisPoint{
-			Axis: g.AxisX, Value: g.XValues[j], Label: g.XLabels[j],
-			Nodes: c.Nodes, CPUsPerNode: c.CPUsPerNode,
-			CCNUMA: c.CCNUMA, SCOMA: c.SCOMA, RNUMA: c.RNUMA,
-		}
+		out[j] = c.point(g.AxisX, g.XValues[j], g.XLabels[j])
 	}
 	return out
 }
@@ -87,14 +84,15 @@ func (g *Grid) Row(i int) []AxisPoint {
 func (g *Grid) Col(j int) []AxisPoint {
 	out := make([]AxisPoint, len(g.YValues))
 	for i := range g.Cells {
-		c := g.Cells[i][j]
-		out[i] = AxisPoint{
-			Axis: g.AxisY, Value: g.YValues[i], Label: g.YLabels[i],
-			Nodes: c.Nodes, CPUsPerNode: c.CPUsPerNode,
-			CCNUMA: c.CCNUMA, SCOMA: c.SCOMA, RNUMA: c.RNUMA,
-		}
+		out[i] = g.Cells[i][j].point(g.AxisY, g.YValues[i], g.YLabels[i])
 	}
 	return out
+}
+
+// point is the cell as the sweep point at value v along axis.
+func (c GridCell) point(axis Axis, v SweepValue, label string) AxisPoint {
+	return AxisPoint{Axis: axis, Value: v, Label: label, Nodes: c.Nodes, CPUsPerNode: c.CPUsPerNode,
+		CCNUMA: c.CCNUMA, SCOMA: c.SCOMA, RNUMA: c.RNUMA}
 }
 
 // SweepGrid transforms the in-memory trace encoding along two distinct
@@ -112,11 +110,11 @@ func (h *Harness) SweepGrid(data []byte, axisX Axis, valuesX []SweepValue, axisY
 	if len(valuesX) == 0 || len(valuesY) == 0 {
 		return nil, fmt.Errorf("harness: %s x %s grid over no values", axisX, axisY)
 	}
-	in, err := capture(data, noDecode) // cells replay transforms of it, never it
+	in, err := openCapture(data, &h.decodes)
 	if err != nil {
 		return nil, err
 	}
-	hdr := in.info.hdr
+	hdr := in.hdr
 
 	xs := normalizeSweepValues(valuesX)
 	ys := normalizeSweepValues(valuesY)
@@ -176,55 +174,51 @@ func (h *Harness) SweepGrid(data []byte, axisX Axis, valuesX []SweepValue, axisY
 // outer: pts[oi][ii] is the cell at (outer value oi, inner value ii).
 // outerAxis is never the threshold (SweepGrid swaps first); innerAxis
 // may be a second transform or the config-only threshold axis. Keys come
-// from the trace memo exactly as in Sweep: an outer variant is derived
-// only to learn a key the memo lacks or to feed a simulation, a cell
-// variant, or the line's fork trunk.
+// from the trace memo exactly as in Sweep. An outer variant needs a key
+// only on a threshold line, which replays it; a cell of two transforms
+// reads the capture through both maps, so its outer variant is never
+// keyed or read.
 func (h *Harness) gridPoints(in *variant, outerAxis Axis, outerVals []SweepValue, innerAxis Axis, innerVals []SweepValue) (pts [][]sweepPoint, outerLabels, innerLabels []string, err error) {
 	pts = make([][]sweepPoint, len(outerVals))
 	outerLabels = make([]string, len(outerVals))
 	innerLabels = make([]string, len(innerVals))
 	for oi, ov := range outerVals {
-		labelO, err := pointLabel(in.info.hdr, outerAxis, ov)
+		labelO, mO, err := pointOf(in.hdr, outerAxis, ov)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		outerLabels[oi] = labelO
-		outer, err := in.step(outerAxis, ov, &h.decodes)
-		if err != nil {
-			return nil, nil, nil, err
-		}
+		outer := in.then(outerAxis, ov, mO)
 		// The threshold axis replays the outer variant unchanged: the
 		// line's cells share its one source, registered under its own
 		// transformed name (always "@"-suffixed, so it cannot shadow a
 		// catalog app).
 		if innerAxis == AxisThreshold {
-			if err := h.Register(outer.source()); err != nil {
+			if err := h.registerVariant(outer); err != nil {
 				return nil, nil, nil, err
 			}
 		}
 
 		pts[oi] = make([]sweepPoint, len(innerVals))
 		for ii, iv := range innerVals {
-			labelI, err := pointLabel(outer.info.hdr, innerAxis, iv)
+			labelI, mI, err := pointOf(outer.hdr, innerAxis, iv)
 			if err != nil {
 				return nil, nil, nil, err
 			}
 			innerLabels[ii] = labelI
 			cell := outer
-			if innerAxis != AxisThreshold {
-				if cell, err = outer.step(innerAxis, iv, &h.decodes); err != nil {
-					return nil, nil, nil, err
-				}
-				if err := h.Register(cell.source()); err != nil {
+			if mI != nil {
+				cell = outer.then(innerAxis, iv, mI)
+				if err := h.registerVariant(cell); err != nil {
 					return nil, nil, nil, err
 				}
 			}
-			pts[oi][ii] = newSweepPoint(cell.info.hdr.Name, cell.info.hdr, innerAxis, iv, labelO+", "+labelI)
+			pts[oi][ii] = newSweepPoint(cell.hdr.Name, cell.hdr, innerAxis, iv, labelO+", "+labelI)
 		}
 		// A threshold line shares its whole replay prefix: one trunk at
 		// the largest threshold, each cell forked from its watermark.
 		if innerAxis == AxisThreshold && len(innerVals) > 1 {
-			if err := h.forkThresholdPoints(outer.enc, pts[oi]); err != nil {
+			if err := h.forkThresholdPoints(outer, pts[oi]); err != nil {
 				return nil, nil, nil, err
 			}
 		}
@@ -233,13 +227,14 @@ func (h *Harness) gridPoints(in *variant, outerAxis Axis, outerVals []SweepValue
 }
 
 // gridCell assembles one resolved point's normalized cell from the
-// store (Prefetch has already run the plan, so these are cache reads).
+// store (Prefetch has already run the plan, so these are cache reads);
+// Sweep reads its points the same way.
 func (h *Harness) gridCell(p sweepPoint) (GridCell, error) {
 	base, err := h.Run(p.app, p.ideal)
 	if err != nil {
 		return GridCell{}, err
 	}
-	cell := GridCell{Nodes: p.nodes, CPUsPerNode: p.cpusPer}
+	cell := GridCell{Nodes: p.ideal.Nodes, CPUsPerNode: p.ideal.CPUsPerNode}
 	for _, c := range []struct {
 		sys  config.System
 		into *float64
@@ -265,11 +260,5 @@ func normalizeSweepValues(values []SweepValue) []SweepValue {
 		vals = append(vals, v.reduced())
 	}
 	sort.Slice(vals, func(i, j int) bool { return vals[i].Float() < vals[j].Float() })
-	out := vals[:0]
-	for i, v := range vals {
-		if i == 0 || vals[i-1] != v {
-			out = append(out, v)
-		}
-	}
-	return out
+	return slices.Compact(vals)
 }

@@ -44,10 +44,7 @@ func TestSweepGridMatchesOneAxisSweeps(t *testing.T) {
 
 	// Columns: threshold swept at a fixed block size.
 	for j, b := range blocks {
-		enc, err := transform(data, hdr, AxisBlockSize, b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc := wrapped(t, data, hdr, AxisBlockSize, b)
 		fresh := New(scale)
 		want, _, err := fresh.Sweep(enc, AxisThreshold, thresholds)
 		if err != nil {
@@ -141,10 +138,7 @@ func TestSweepGridForkMatchesDirectReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	enc, err := transform(data, hdr, AxisBlockSize, IntValue(32))
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := wrapped(t, data, hdr, AxisBlockSize, IntValue(32))
 	vd, err := tracefile.NewReader(bytes.NewReader(enc))
 	if err != nil {
 		t.Fatal(err)
@@ -198,10 +192,7 @@ func TestSweepGridCommutingRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, b := range blocks {
-		enc, err := transform(data, hdr, AxisBlockSize, b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc := wrapped(t, data, hdr, AxisBlockSize, b)
 		fresh := New(scale)
 		want, _, err := fresh.Sweep(enc, AxisDilate, factors)
 		if err != nil {

@@ -5,12 +5,15 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"rnuma/internal/config"
 	"rnuma/internal/tracefile"
+	"rnuma/internal/workloads"
 )
 
 // The trace memo's tests. The memo is process-wide, so each test that
@@ -31,9 +34,9 @@ func isolateMemo(t *testing.T) {
 	})
 }
 
-// traceWorkNow reads the transform and canonical-hash counters.
-func traceWorkNow() (transforms, hashes int64) {
-	return traceWork.transforms.Load(), traceWork.hashes.Load()
+// traceWorkNow reads the variant-mapping and canonical-hash counters.
+func traceWorkNow() (maps, hashes int64) {
+	return traceWork.maps.Load(), traceWork.hashes.Load()
 }
 
 // The memo tests' axis values: small enough that a cold pass over the
@@ -75,7 +78,7 @@ func memoJobs(h *Harness, data []byte) ([]any, error) {
 
 // TestWarmResubmissionDoesNoTraceWork is the memo's purpose: a second
 // harness resubmitting every study over a warm store learns every store
-// key from the memo, so it transforms, hashes and decodes nothing,
+// key from the memo, so it decodes, maps and hashes nothing,
 // simulates nothing, and returns the first harness's results.
 func TestWarmResubmissionDoesNoTraceWork(t *testing.T) {
 	isolateMemo(t)
@@ -100,7 +103,7 @@ func TestWarmResubmissionDoesNoTraceWork(t *testing.T) {
 	}
 	tr1, hs1 := traceWorkNow()
 	if tr1 != tr0 || hs1 != hs0 {
-		t.Errorf("warm resubmission did %d transforms and %d canonical hashes, want 0 and 0", tr1-tr0, hs1-hs0)
+		t.Errorf("warm resubmission mapped %d variants and ran %d canonical hashes, want 0 and 0", tr1-tr0, hs1-hs0)
 	}
 	if d := decodesNow() - d0; d != 0 {
 		t.Errorf("warm resubmission decoded %d traces, want 0", d)
@@ -124,7 +127,7 @@ func TestWarmResubmissionDoesNoTraceWork(t *testing.T) {
 
 // TestMemoWarmStoreCold resubmits every study with the memo warm but the
 // store empty, as after pointing a process at a fresh store: every
-// variant is then derived lazily for its simulations and hashed against
+// variant is then mapped lazily for its simulations and hashed against
 // its memoized key, and the results and the simulation count equal the
 // cold run's.
 func TestMemoWarmStoreCold(t *testing.T) {
@@ -151,10 +154,10 @@ func TestMemoWarmStoreCold(t *testing.T) {
 	if a, b := again.Simulations(), cold.Simulations(); a != b {
 		t.Errorf("memo-warm, store-cold run simulated %d configurations, the cold run %d", a, b)
 	}
-	// Every key came from the memo, so every derivation was lazy and
-	// each derived variant was hashed exactly once, against its key.
+	// Every key came from the memo, so every variant was mapped lazily
+	// and hashed exactly once, against its key.
 	if tr1 == tr0 || hs1-hs0 != tr1-tr0 {
-		t.Errorf("lazy derivations: %d transforms, %d canonical hashes; want equal and > 0", tr1-tr0, hs1-hs0)
+		t.Errorf("lazy variants: %d mapped, %d canonical hashes; want equal and > 0", tr1-tr0, hs1-hs0)
 	}
 }
 
@@ -177,12 +180,12 @@ func TestMemoKeysMatchFullDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if tr, hs := traceWorkNow(); tr != tr0 || hs != hs0 {
-		t.Fatalf("the resubmission did trace work (%d transforms, %d hashes): its keys are not all from the memo", tr-tr0, hs-hs0)
+		t.Fatalf("the resubmission did trace work (%d variants mapped, %d hashes): its keys are not all from the memo", tr-tr0, hs-hs0)
 	}
 	hdr := headerOf(t, data)
 
-	// Each variant built without the memo: transformed and fully
-	// decoded, X transform then Y.
+	// Each variant built without the memo or the maps: encoded by the
+	// tracefile io wrappers and fully decoded, X transform then Y.
 	type variantCase struct {
 		axis  Axis // the last transform's axis
 		v     SweepValue
@@ -191,14 +194,11 @@ func TestMemoKeysMatchFullDecode(t *testing.T) {
 	}
 	var cases []variantCase
 	add := func(in []byte, inHdr tracefile.Header, axis Axis, v SweepValue, prefix string) []byte {
-		label, err := pointLabel(inHdr, axis, v)
+		label, _, err := pointOf(inHdr, axis, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc, err := transform(in, inHdr, axis, v)
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc := wrapped(t, in, inHdr, axis, v)
 		cases = append(cases, variantCase{axis, v, prefix + label, enc})
 		return enc
 	}
@@ -210,28 +210,25 @@ func TestMemoKeysMatchFullDecode(t *testing.T) {
 	}
 	for _, x := range memoBlocks {
 		encX := add(data, hdr, AxisBlockSize, x, "")
-		labelX, _ := pointLabel(hdr, AxisBlockSize, x)
+		labelX, _, _ := pointOf(hdr, AxisBlockSize, x)
 		for _, y := range memoDilate {
 			add(encX, headerOf(t, encX), AxisDilate, y, labelX+", ")
 		}
 	}
 	for _, c := range cases {
-		full, err := contentKey(bytes.NewReader(c.enc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := full.hdr.Name
+		key, hdr := fullKey(t, c.enc)
+		name := hdr.Name
 		src := h.source(name)
 		if src == nil {
 			t.Fatalf("no source registered as %q", name)
 		}
-		if src.Key() != full.key {
-			t.Errorf("%s: memoized key %s, full decode %s", name, src.Key(), full.key)
+		if src.Key() != key {
+			t.Errorf("%s: memoized key %s, full decode %s", name, src.Key(), key)
 		}
-		pt := newSweepPoint(name, full.hdr, c.axis, c.v, c.label)
+		pt := newSweepPoint(name, hdr, c.axis, c.v, c.label)
 		for _, sys := range []config.System{pt.ideal, pt.cc, pt.scoma, pt.rn} {
 			got := h.KeyFor(NewJob(name, sys)).String()
-			want := JobKey{App: full.key, Sys: sysKey(sys), Seed: h.Seed, Scale: h.Scale}.String()
+			want := JobKey{App: key, Sys: sysKey(sys), Seed: h.Seed, Scale: h.Scale}.String()
 			if got != want {
 				t.Errorf("%s on %s: JobKey %s, full decode %s", name, sys.Name, got, want)
 			}
@@ -239,13 +236,21 @@ func TestMemoKeysMatchFullDecode(t *testing.T) {
 	}
 
 	// The threshold axis registers the capture itself.
-	full, err := contentKey(bytes.NewReader(data))
+	full, _ := fullKey(t, data)
+	if src := h.source(hdr.Name + "@threshold"); src == nil || src.Key() != full {
+		t.Errorf("threshold sweep's capture source %v, want key %s", src, full)
+	}
+}
+
+// fullKey is a trace's content key and header from a full decode of its
+// bytes.
+func fullKey(t *testing.T, data []byte) (string, tracefile.Header) {
+	t.Helper()
+	sum, hdr, err := tracefile.CanonicalHash(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src := h.source(hdr.Name + "@threshold"); src == nil || src.Key() != full.key {
-		t.Errorf("threshold sweep's capture source %v, want key %s", src, full.key)
-	}
+	return traceKey(sum, hdr.Name), hdr
 }
 
 // headerOf parses a trace's header.
@@ -259,7 +264,7 @@ func headerOf(t *testing.T, data []byte) tracefile.Header {
 }
 
 // TestMemoStoresOnlyContent checks the memo's two refusals: an input
-// that fails to decode or transform fails again on every call (failures
+// that fails to decode or map fails again on every call (failures
 // are not memoized), and two inputs that embed the same name but differ
 // in content never share a key.
 func TestMemoStoresOnlyContent(t *testing.T) {
@@ -317,28 +322,56 @@ func TestMemoStoresOnlyContent(t *testing.T) {
 }
 
 // TestMemoVerifiesLazyVariants plants a wrong key for a variant and
-// sweeps over a cold store: the variant derived for the simulation
+// sweeps over a cold store: the variant mapped for the simulation
 // hashes to a different key, and the sweep fails instead of filing a
 // result under the planted key.
 func TestMemoVerifiesLazyVariants(t *testing.T) {
 	isolateMemo(t)
 	const scale = 0.02
 	data := recordCatalog(t, "fft", scale)
-	in, err := capture(data, nil)
+	in, err := openCapture(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := in.d.then(AxisNodes, IntValue(4))
-	planted := in.info
-	planted.hdr.Nodes = 4
-	planted.hdr.Name = "fft@4n"
-	planted.key = "trace:fft@4n:0000000000000000"
-	memoPut(d, planted)
+	const planted = "trace:fft@4n:0000000000000000"
+	memoPut(in.d.then(AxisNodes, IntValue(4)), traceInfo{key: planted})
 
 	_, _, err = New(scale).Sweep(data, AxisNodes, []SweepValue{IntValue(4)})
-	if err == nil || !strings.Contains(err.Error(), "memoized as "+planted.key) {
+	if err == nil || !strings.Contains(err.Error(), "memoized as "+planted) {
 		t.Fatalf("sweep over a planted key: %v, want a key mismatch", err)
 	}
+}
+
+// TestMemoDoesNotRetainDecodes: the memo keeps a capture's key and
+// header, never its decode, so the decode is freed with the job that
+// made it.
+func TestMemoDoesNotRetainDecodes(t *testing.T) {
+	isolateMemo(t)
+	data := recordCatalog(t, "fft", 0.02)
+	freed := make(chan struct{})
+	func() {
+		v, err := openCapture(data, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := v.trace()
+		if err != nil || tr.w == nil {
+			t.Fatalf("capture not decoded: %v", err)
+		}
+		runtime.SetFinalizer(tr.w, func(*workloads.Workload) { close(freed) })
+	}()
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			if _, ok := memoGet(derivation{input: sha256.Sum256(data)}); !ok {
+				t.Error("the capture's key was not memoized")
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Error("the capture's decode outlived its job: something process-wide keeps it")
 }
 
 // TestTraceMemoBound fills the memo past its bound: it never holds more

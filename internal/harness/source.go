@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
 
 	"rnuma/internal/spec"
+	"rnuma/internal/trace"
 	"rnuma/internal/tracefile"
 	"rnuma/internal/traffic"
 	"rnuma/internal/workloads"
@@ -50,8 +50,8 @@ func (h *Harness) Register(src Source) error {
 		return nil // keep the source (and any decode) already registered
 	}
 	h.sources[src.Name()] = src
-	if enc := encodingOf(src); enc != nil {
-		enc.adopt(&h.decodes)
+	if v := variantOf(src); v != nil {
+		v.adopt(&h.decodes)
 	}
 	return nil
 }
@@ -121,18 +121,12 @@ func (s *specSource) Load(cfg workloads.Config) (*workloads.Workload, error) {
 
 // ---------------------------------------------------------------------
 
-// traceSource replays a recorded trace, either from a file (opened per
-// Load and streamed, never materialized) or from an in-memory encoding:
-// the caller's bytes, or a sweep variant derived on the first Load. An
-// in-memory trace is decoded at most once, for its key on a memo miss or
-// else on the first Load, and every Load replays fresh cursors over that
-// decode; one past its harness's decode budget streams like a file. A
-// streamed Workload.Check releases the input and surfaces any decode
-// error after the run.
+// traceSource replays a recorded trace: a file, opened per Load and
+// streamed, never materialized, or an in-memory trace — a caller's
+// capture, or a sweep variant read from the capture (see variant).
 type traceSource struct {
-	path string    // file-backed source ("" when in memory)
-	enc  *encoding // in-memory source (nil when file-backed)
-	info traceInfo
+	path string   // file-backed source ("" when in memory)
+	v    *variant // the trace's key and header; in memory, the trace itself
 }
 
 // TraceFileSource opens a recorded trace as a workload source. The memo
@@ -150,11 +144,11 @@ func TraceFileSource(path string) (Source, error) {
 		return nil, fmt.Errorf("harness: %w", err)
 	}
 	defer f.Close()
-	info, err := contentKey(f)
+	sum, hdr, err := tracefile.CanonicalHash(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return &traceSource{path: path, info: info}, nil
+	return &traceSource{path: path, v: &variant{key: traceKey(sum, hdr.Name), hdr: hdr}}, nil
 }
 
 // TraceSource wraps an in-memory trace encoding as a workload source —
@@ -166,7 +160,7 @@ func TraceFileSource(path string) (Source, error) {
 // its key on a memo miss, or else on the first Load. The harness it is
 // registered with holds the decode against its budget.
 func TraceSource(data []byte) (Source, error) {
-	v, err := capture(data, nil)
+	v, err := openCapture(data, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -199,11 +193,8 @@ func TrafficSource(data []byte, baseDir string, cfg workloads.Config) (*TrafficS
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if _, _, err := sc.Encode(&buf); err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	sum, _, err := tracefile.CanonicalHash(bytes.NewReader(buf.Bytes()))
+	wl := sc.Workload()
+	sum, err := tracefile.CanonicalHashStreams(tracefile.WorkloadHeader(wl, sc.Cfg), wl.Streams)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
 	}
@@ -230,19 +221,19 @@ func (t *TrafficScenarioSource) Load(cfg workloads.Config) (*workloads.Workload,
 	return t.sc.Workload(), nil
 }
 
-func (t *traceSource) Name() string { return t.info.hdr.Name }
-func (t *traceSource) Key() string  { return t.info.key }
+func (t *traceSource) Name() string { return t.v.hdr.Name }
+func (t *traceSource) Key() string  { return t.v.key }
 
 // what names the source in errors.
 func (t *traceSource) what() string {
 	if t.path != "" {
 		return t.path
 	}
-	return "(in-memory) " + t.info.hdr.Name
+	return "(in-memory) " + t.v.hdr.Name
 }
 
 func (t *traceSource) Load(cfg workloads.Config) (*workloads.Workload, error) {
-	hdr := t.info.hdr
+	hdr := t.v.hdr
 	if cfg.Geometry != hdr.Geometry {
 		return nil, fmt.Errorf("harness: trace %s recorded with %v, machine uses %v", t.what(), hdr.Geometry, cfg.Geometry)
 	}
@@ -250,8 +241,8 @@ func (t *traceSource) Load(cfg workloads.Config) (*workloads.Workload, error) {
 		return nil, fmt.Errorf("harness: trace %s recorded on %d nodes/%d cpus, machine has %d/%d",
 			t.what(), hdr.Nodes, hdr.CPUs, cfg.Nodes, cpus)
 	}
-	if t.enc != nil {
-		tr, err := t.enc.trace()
+	if t.path == "" {
+		tr, err := t.v.trace()
 		if err != nil {
 			return nil, err
 		}
@@ -282,16 +273,14 @@ func (t *traceSource) Load(cfg workloads.Config) (*workloads.Workload, error) {
 }
 
 // ---------------------------------------------------------------------
-// The trace memo. A trace's store key is its content key, which only a
-// full decode (tracefile.CanonicalHash) can produce, and a sweep point's
-// trace exists only after a transform has decoded and re-encoded the
-// capture. Both depend on nothing but the input bytes and the transforms
-// applied to them, so the process remembers each derivation's key: a
-// resubmitted sweep, grid or replay learns every key without decoding,
-// and a variant is derived only when a simulation or a fork trunk reads
-// it. The memo is never persisted: a change to a transform changes the
-// variants it derives, and so their keys, which a persisted map would
-// not notice.
+// The trace memo. A trace's store key is its content key, which only
+// hashing every record can produce. It depends on nothing but the input
+// bytes and the sweep transforms applied to them, so the process
+// remembers each derivation's key: a resubmitted sweep, grid or replay
+// learns every key without decoding, and a variant is mapped only when a
+// simulation or a fork trunk reads it. The memo is never persisted: a
+// change to a transform changes the variants it maps, and so their keys,
+// which a persisted map would not notice.
 
 // derivation names a trace by how it was made: the SHA-256 of the bytes
 // a caller handed in, then each sweep transform applied to them in
@@ -319,21 +308,22 @@ func (d derivation) then(axis Axis, v SweepValue) derivation {
 	return d
 }
 
-// traceInfo is what the memo keeps of a trace: its content key and its
-// header without the home map. It holds no encoding.
-type traceInfo struct {
-	key string           // "trace:<name>:<hash8>", a JobKey's App part
-	hdr tracefile.Header // name, shape, geometry, pages; Homes is nil
-}
-
-// traceMemoBound caps the memo's entries (a few hundred bytes each).
-// Dropping an entry costs a re-derivation, never a wrong key.
+// traceMemoBound caps the memo's entries (a few hundred bytes each, and
+// a capture's home map). Dropping an entry costs a re-derivation, never a
+// wrong key.
 const traceMemoBound = 2048
 
-// traceMemo maps derivations to content keys for the whole process:
-// entries follow content alone, so every harness, store, scale and seed
-// may share them. Only successes are stored, so a bad input fails again
-// on every call.
+// traceInfo is what the memo keeps of a trace: its content key and, for
+// a capture, its header, so a resubmission reads only its bytes' digest.
+type traceInfo struct {
+	key string
+	hdr *tracefile.Header // a capture's, homes included; nil for a variant
+}
+
+// traceMemo maps derivations to what the memo keeps for the whole
+// process: entries follow content alone, so every harness, store, scale
+// and seed may share them. Only successes are stored, so a bad input
+// fails again on every call.
 var traceMemo = struct {
 	sync.Mutex
 	m map[derivation]traceInfo
@@ -359,25 +349,15 @@ func memoPut(d derivation, info traceInfo) {
 }
 
 // traceWork counts, process-wide, the trace work the memo and the shared
-// decode avoid: sweep transforms derived, canonical hashes computed, and
-// passes that decode an in-memory trace's records (a decode for replay,
-// a streamed replay or a streamed hash).
-var traceWork struct{ transforms, hashes, decodes atomic.Int64 }
+// decode avoid: variants mapped to learn or check their keys, canonical
+// hashes of in-memory traces, and passes that decode a capture's records
+// (a decode for replay, a streamed replay or a streamed hash).
+var traceWork struct{ maps, hashes, decodes atomic.Int64 }
 
-// contentKey fully decodes a trace and returns its content key.
-func contentKey(r io.Reader) (traceInfo, error) {
-	traceWork.hashes.Add(1)
-	sum, hdr, err := tracefile.CanonicalHash(r)
-	if err != nil {
-		return traceInfo{}, err
-	}
-	return newTraceInfo(sum, hdr), nil
-}
-
-// newTraceInfo names a trace by its canonical hash.
-func newTraceInfo(sum [sha256.Size]byte, hdr tracefile.Header) traceInfo {
-	hdr.Homes = nil
-	return traceInfo{key: fmt.Sprintf("trace:%s:%x", hdr.Name, sum[:8]), hdr: hdr}
+// traceKey names a trace by its canonical hash: "trace:<name>:<hash8>",
+// a JobKey's App part.
+func traceKey(sum [sha256.Size]byte, name string) string {
+	return fmt.Sprintf("trace:%s:%x", name, sum[:8])
 }
 
 // maxDecodedRecords caps the trace references one harness holds decoded,
@@ -393,11 +373,6 @@ type decodeBudget struct {
 	limit int64 // records; 0 means maxDecodedRecords
 	held  atomic.Int64
 }
-
-// noDecode is the budget of a capture its job only transforms (a
-// non-threshold sweep's or a grid's): hashing it streams, and it holds
-// no decode.
-var noDecode = &decodeBudget{limit: -1}
 
 func (b *decodeBudget) size() int64 {
 	if b.limit == 0 {
@@ -421,14 +396,16 @@ func (b *decodeBudget) reserve(n int64) bool {
 	}
 }
 
-// replayTrace is an in-memory trace ready to replay: decoded once into
-// per-CPU reference slices when they fit the decode budget, or else
-// streamed from its bytes on every open.
+// replayTrace is an in-memory trace ready to replay: a capture decoded
+// once into per-CPU reference slices when they fit the decode budget, or
+// else streamed from its bytes on every open, read through a variant's
+// maps if it has any.
 type replayTrace struct {
 	hdr  tracefile.Header    // homes included
-	w    *workloads.Workload // the decoded references; nil streams data
+	w    *workloads.Workload // the capture's decoded references; nil streams data
 	held int64               // records decoded (0 when streaming)
 	data []byte
+	maps []tracefile.Map
 }
 
 // decodeTrace decodes an in-memory trace for replay when it fits what is
@@ -457,191 +434,248 @@ func decodeTrace(data []byte, b *decodeBudget) (*replayTrace, error) {
 	return t, nil
 }
 
-// open returns the trace as a workload whose streams start at record 0.
+// open returns the trace as a workload whose streams start at record 0:
+// fresh cursors over the decode, or a streaming decode of the bytes.
 func (t *replayTrace) open() (*workloads.Workload, error) {
-	if t.w != nil {
-		return t.w.Fresh(), nil
+	w := t.w
+	if w != nil {
+		w = w.Fresh()
+	} else {
+		traceWork.decodes.Add(1)
+		d, err := tracefile.NewReader(bytes.NewReader(t.data))
+		if err != nil {
+			return nil, err
+		}
+		w = d.Workload()
 	}
-	traceWork.decodes.Add(1)
-	d, err := tracefile.NewReader(bytes.NewReader(t.data))
-	if err != nil {
-		return nil, err
+	if len(t.maps) == 0 {
+		return w, nil
 	}
-	return d.Workload(), nil
+	// Maps keep each record's CPU and position, so refills and fork seeks
+	// work unchanged. A map error ends the streams; Check reports it.
+	failed := new(error)
+	streams := make([]trace.Stream, len(w.Streams))
+	for cpu, s := range w.Streams {
+		streams[cpu] = &mapStream{src: s.(seekBatcher), cpu: cpu, maps: t.maps, failed: failed}
+	}
+	return &workloads.Workload{
+		Name: t.hdr.Name, Streams: streams, Homes: t.hdr.HomeFunc(), SharedPages: t.hdr.SharedPages,
+		Check: func() error {
+			if err := checkStreams(w); err != nil {
+				return err
+			}
+			return *failed
+		},
+	}, nil
 }
 
-// key hashes the trace's content key from its decoded references, or by
-// a streaming decode when it has none.
-func (t *replayTrace) key() (traceInfo, error) {
-	if t.w == nil {
-		traceWork.decodes.Add(1)
-		return contentKey(bytes.NewReader(t.data))
+// key hashes the trace's content key from the records open delivers.
+func (t *replayTrace) key() (string, error) {
+	w, err := t.open()
+	if err != nil {
+		return "", err
 	}
 	traceWork.hashes.Add(1)
-	return newTraceInfo(tracefile.CanonicalHashStreams(t.hdr, t.w.Fresh().Streams), t.hdr), nil
-}
-
-// encoding is an in-memory trace a job reads: its bytes, given outright
-// for a caller's input or derived on first use for a sweep variant, and
-// its decode for replay, made at most once. A job's simulations, fork
-// trunk and forks, and the trace's content key on a memo miss, all share
-// the one derivation and the one decode.
-type encoding struct {
-	mu sync.Mutex
-	// derive, until it runs, makes a variant's bytes, and its decode too
-	// when it hashes them against a memoized key.
-	derive func() ([]byte, *replayTrace, error)
-	budget *decodeBudget // the owning harness's; nil until registered
-	data   []byte
-	tr     *replayTrace // nil until decoded
-	err    error        // sticky derivation or decode error
-}
-
-// resolve runs a pending derivation. The caller holds e.mu.
-func (e *encoding) resolve() {
-	if e.derive != nil {
-		e.data, e.tr, e.err = e.derive()
-		e.derive = nil
+	sum, err := tracefile.CanonicalHashStreams(t.hdr, w.Streams)
+	if cerr := checkStreams(w); cerr != nil {
+		err = cerr
 	}
+	return traceKey(sum, t.hdr.Name), err
 }
 
-// bytes returns the encoding, deriving it on first use.
-func (e *encoding) bytes() ([]byte, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.resolve()
-	return e.data, e.err
+// seekBatcher is what a capture's streams, decoded or streamed, are.
+type seekBatcher interface {
+	trace.Batcher
+	trace.Seeker
 }
 
-// trace returns the trace ready to replay, decoding it on first use.
-func (e *encoding) trace() (*replayTrace, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.resolve()
-	if e.tr == nil && e.err == nil {
-		e.tr, e.err = decodeTrace(e.data, e.budget)
+// mapStream is one CPU's records read through a variant's maps (no sweep
+// transform changes the CPU count, so no map moves a record's CPU).
+type mapStream struct {
+	src    seekBatcher
+	cpu    int
+	maps   []tracefile.Map
+	rec    trace.Ref   // Next's record, mapped in place
+	buf    []trace.Ref // NextBatch's records, mapped in place
+	failed *error      // the workload's first map error
+}
+
+// mapRef maps one record in place, or records the map's error and
+// reports false.
+func (s *mapStream) mapRef(r *trace.Ref) bool {
+	for i := range s.maps {
+		if _, err := s.maps[i].Record(s.cpu, r); err != nil {
+			if *s.failed == nil {
+				*s.failed = err
+			}
+			return false
+		}
 	}
-	return e.tr, e.err
+	return true
 }
 
-// key computes the trace's content key from its shared decode.
-func (e *encoding) key() (traceInfo, error) {
-	tr, err := e.trace()
+func (s *mapStream) Next() (trace.Ref, bool) {
+	var ok bool
+	if s.rec, ok = s.src.Next(); !ok || *s.failed != nil || !s.mapRef(&s.rec) {
+		return trace.Ref{}, false
+	}
+	return s.rec, true
+}
+
+// NextBatch maps a copy of the source's batch in place: the source's
+// view aliases the capture's shared decode.
+func (s *mapStream) NextBatch(max int) []trace.Ref {
+	if *s.failed != nil {
+		return nil
+	}
+	s.buf = append(s.buf[:0], s.src.NextBatch(max)...)
+	for i := range s.buf {
+		if !s.mapRef(&s.buf[i]) {
+			return s.buf[:i]
+		}
+	}
+	return s.buf
+}
+
+func (s *mapStream) SeekRecord(n int64) error { return s.src.SeekRecord(n) }
+
+// variant is one in-memory trace a job reads: a caller's capture, or a
+// sweep transform of one. A capture holds its bytes and decodes them at
+// most once, for its key on a memo miss or for the first simulation,
+// fork trunk or variant that reads it; the decode is held while its
+// variants exist. A transform's variant is never encoded or decoded: it
+// is its capture's records read through the transforms' pure forms (a
+// grid's X map, then its Y map), keyed by the canonical hash of those
+// mapped records, which is the key its encoding would have.
+type variant struct {
+	d    derivation
+	key  string           // the content key
+	hdr  tracefile.Header // homes included
+	data []byte           // a capture's bytes
+	in   *variant         // the capture (itself for a capture)
+	maps []tracefile.Map  // a transform's pure forms, in order
+
+	mu     sync.Mutex
+	budget *decodeBudget // a capture's: the owning harness's, nil until registered
+	tr     *replayTrace  // nil until read
+	err    error         // sticky read error
+}
+
+// openCapture resolves a caller's input trace: its key and header come
+// from the memo, or else from decoding and hashing it now. b is the
+// budget the decode is charged to: the harness's for a sweep or grid,
+// nil for a TraceSource, which its harness adopts on registration.
+func openCapture(data []byte, b *decodeBudget) (*variant, error) {
+	v := &variant{d: derivation{input: sha256.Sum256(data)}, data: data, budget: b}
+	v.in = v
+	if info, ok := memoGet(v.d); ok {
+		v.key, v.hdr = info.key, *info.hdr
+		return v, nil
+	}
+	tr, err := v.trace()
+	if err == nil {
+		v.hdr = tr.hdr
+		v.key, err = tr.key()
+	}
 	if err != nil {
-		return traceInfo{}, err
+		return nil, fmt.Errorf("harness: %w", err)
 	}
-	return tr.key()
+	hdr := tr.hdr // a copy: the memo must not keep the decode alive
+	memoPut(v.d, traceInfo{v.key, &hdr})
+	return v, nil
 }
 
-// adopt makes a harness's budget the owner of an encoding that has none
+// then returns the variant that applies one more transform to v's
+// capture: m is its pure form over v's header (pointOf). Its key is
+// unresolved until registerVariant.
+func (v *variant) then(axis Axis, val SweepValue, m *tracefile.Map) *variant {
+	return &variant{d: v.d.then(axis, val), hdr: m.Header, in: v.in, maps: append(v.maps[:len(v.maps):len(v.maps)], *m)}
+}
+
+// registerVariant learns a transform's key and registers the variant
+// under its embedded name. On a memo hit nothing is read (trace maps and
+// checks the variant when a simulation or fork trunk first reads it); on
+// a miss it is mapped and hashed now, and its key memoized.
+func (h *Harness) registerVariant(v *variant) error {
+	if info, ok := memoGet(v.d); ok {
+		v.key = info.key
+	} else {
+		tr, key, err := v.view()
+		if err != nil {
+			return err
+		}
+		v.tr, v.key = tr, key
+		memoPut(v.d, traceInfo{key: key})
+	}
+	return h.Register(v.source())
+}
+
+// view reads the capture through the variant's maps and hashes the
+// result.
+func (v *variant) view() (*replayTrace, string, error) {
+	tr, err := v.in.trace()
+	if err != nil {
+		return nil, "", fmt.Errorf("harness: %w", err)
+	}
+	traceWork.maps.Add(1)
+	tr = &replayTrace{hdr: v.hdr, w: tr.w, data: tr.data, maps: v.maps}
+	key, err := tr.key()
+	if err != nil {
+		return nil, "", fmt.Errorf("harness: %w", err)
+	}
+	return tr, key, nil
+}
+
+// trace returns the trace ready to replay, reading it on first use: a
+// capture's decode, or a transform read through its maps and hashed
+// against its memoized key, so a stale memo entry fails the job instead
+// of keying a result to the wrong trace.
+func (v *variant) trace() (*replayTrace, error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.tr == nil && v.err == nil {
+		if v.in == v {
+			v.tr, v.err = decodeTrace(v.data, v.budget)
+		} else if tr, key, err := v.view(); err != nil {
+			v.err = err
+		} else if key != v.key {
+			v.err = fmt.Errorf("harness: variant %s mapped as %s, memoized as %s", v.hdr.Name, key, v.key)
+		} else {
+			v.tr = tr
+		}
+	}
+	return v.tr, v.err
+}
+
+// adopt makes a harness's budget the owner of a capture that has none
 // (a TraceSource's): a decode already made is charged to it, or dropped
-// when it does not fit, and the trace then streams.
-func (e *encoding) adopt(b *decodeBudget) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.budget != nil {
+// when it does not fit, and the capture then streams.
+func (v *variant) adopt(b *decodeBudget) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.in != v || v.budget != nil {
 		return
 	}
-	e.budget = b
-	if e.tr != nil && e.tr.w != nil && !b.reserve(e.tr.held) {
-		e.tr = &replayTrace{hdr: e.tr.hdr, data: e.data}
+	v.budget = b
+	if v.tr != nil && v.tr.w != nil && !b.reserve(v.tr.held) {
+		v.tr = &replayTrace{hdr: v.tr.hdr, data: v.data}
 	}
 }
 
-// encodingOf returns the encoding behind an in-memory trace source, or
-// nil for any other source.
-func encodingOf(src Source) *encoding {
+// variantOf returns the trace behind an in-memory trace source, or nil
+// for any other source.
+func variantOf(src Source) *variant {
 	for {
 		switch s := src.(type) {
 		case *renamedSource:
 			src = s.Source
 		case *traceSource:
-			return s.enc
+			return s.v
 		default:
 			return nil
 		}
 	}
 }
 
-// variant is one trace a sweep or grid reads: the caller's capture, or a
-// transform of it.
-type variant struct {
-	d    derivation
-	info traceInfo
-	enc  *encoding
-}
-
-// capture resolves a caller's input trace, decoding and hashing it only
-// if these bytes were not hashed before in this process. b is the budget
-// its decode is charged to: the harness's when the job replays the
-// capture, noDecode when it only transforms it, nil for a TraceSource
-// that a harness adopts when it registers the source.
-func capture(data []byte, b *decodeBudget) (*variant, error) {
-	v := &variant{d: derivation{input: sha256.Sum256(data)}, enc: &encoding{data: data, budget: b}}
-	if info, ok := memoGet(v.d); ok {
-		v.info = info
-		return v, nil
-	}
-	info, err := v.enc.key()
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	memoPut(v.d, info)
-	v.info = info
-	return v, nil
-}
-
-// step resolves the variant that applies one validated transform to v.
-// On a memo hit nothing is decoded: the variant's bytes are derived only
-// when a simulation, a fork trunk or a further transform reads them, and
-// then decoded and hashed against the memoized key, so a stale entry
-// fails the job instead of keying a result to the wrong trace. On a miss
-// the variant is derived, decoded and hashed now, and its key memoized.
-// Either way its simulations replay that one decode, charged to b.
-func (v *variant) step(axis Axis, val SweepValue, b *decodeBudget) (*variant, error) {
-	out := &variant{d: v.d.then(axis, val)}
-	derive := func() ([]byte, error) {
-		in, err := v.enc.bytes()
-		if err != nil {
-			return nil, err
-		}
-		return transform(in, v.info.hdr, axis, val)
-	}
-	if info, ok := memoGet(out.d); ok {
-		out.info = info
-		out.enc = &encoding{budget: b, derive: func() ([]byte, *replayTrace, error) {
-			data, err := derive()
-			if err != nil {
-				return nil, nil, err
-			}
-			tr, err := decodeTrace(data, b)
-			if err != nil {
-				return nil, nil, fmt.Errorf("harness: %w", err)
-			}
-			got, err := tr.key()
-			if err != nil {
-				return nil, nil, fmt.Errorf("harness: %w", err)
-			}
-			if got.key != info.key {
-				return nil, nil, fmt.Errorf("harness: %s variant %s derived as %s, memoized as %s", axis, val, got.key, info.key)
-			}
-			return data, tr, nil
-		}}
-		return out, nil
-	}
-	data, err := derive()
-	if err != nil {
-		return nil, err
-	}
-	out.enc = &encoding{data: data, budget: b}
-	info, err := out.enc.key()
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	memoPut(out.d, info)
-	out.info = info
-	return out, nil
-}
-
 // source wraps the variant as a workload source under its embedded name.
-func (v *variant) source() Source { return &traceSource{enc: v.enc, info: v.info} }
+func (v *variant) source() Source { return &traceSource{v: v} }

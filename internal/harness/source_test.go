@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -364,6 +366,38 @@ func compileScenario(t *testing.T, path string, cfg workloads.Config) *TrafficSc
 		t.Fatal(err)
 	}
 	return src
+}
+
+// TestTrafficKeyMatchesEncoding: a traffic scenario is keyed from its
+// compiled streams without encoding them, yet each example scenario keys
+// exactly as hashing its encoding does.
+func TestTrafficKeyMatchesEncoding(t *testing.T) {
+	cfg := workloads.DefaultConfig()
+	cfg.Scale = 0.05
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
+	if err != nil || len(paths) != 2 {
+		t.Fatalf("example scenarios %v (%v), want two", paths, err)
+	}
+	for _, path := range paths {
+		src := compileScenario(t, path, cfg)
+		var buf bytes.Buffer
+		sc := src.Scenario()
+		if _, _, err := tracefile.WriteWorkload(&buf, sc.Workload(), sc.Cfg); err != nil {
+			t.Fatal(err)
+		}
+		sum, _, err := tracefile.CanonicalHash(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specSum := sha256.Sum256(data)
+		if want := fmt.Sprintf("traffic:%s:%x:%x", src.Name(), sum[:8], specSum[:8]); src.Key() != want {
+			t.Errorf("%s: key %s, encoded and hashed %s", path, src.Key(), want)
+		}
+	}
 }
 
 func TestTrafficSourceThroughHarness(t *testing.T) {

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -206,14 +205,13 @@ type sweepPoint struct {
 	value                SweepValue
 	label                string
 	app                  string
-	nodes, cpusPer       int
 	ideal, cc, scoma, rn config.System
 }
 
 // newSweepPoint sizes a point's four systems to its trace's header; a
 // threshold-axis value also sets R-NUMA's relocation threshold.
 func newSweepPoint(app string, hdr tracefile.Header, axis Axis, v SweepValue, label string) sweepPoint {
-	pt := sweepPoint{value: v, label: label, app: app, nodes: hdr.Nodes, cpusPer: hdr.CPUs / hdr.Nodes}
+	pt := sweepPoint{value: v, label: label, app: app}
 	pt.ideal = sweepSystem(config.Ideal(), hdr, label)
 	pt.cc = sweepSystem(config.Base(config.CCNUMA), hdr, label)
 	pt.scoma = sweepSystem(config.Base(config.SCOMA), hdr, label)
@@ -224,78 +222,73 @@ func newSweepPoint(app string, hdr tracefile.Header, axis Axis, v SweepValue, la
 	return pt
 }
 
-// pointLabel validates one axis value against the header of the trace it
-// applies to and names the point the way reports print it. It reads only
-// the header: transform derives the variant itself.
-func pointLabel(hdr tracefile.Header, axis Axis, v SweepValue) (string, error) {
-	switch axis {
-	case AxisNodes:
-		n := int(v.Num)
-		if v.Den != 1 || n < 1 {
-			return "", fmt.Errorf("harness: node count %s must be a positive integer", v)
-		}
-		if hdr.CPUs%n != 0 {
-			return "", fmt.Errorf("harness: trace %s has %d CPUs, not divisible across %d nodes", hdr.Name, hdr.CPUs, n)
-		}
-		return fmt.Sprintf("%dn x %dcpu", n, hdr.CPUs/n), nil
-	case AxisDilate:
-		return "x" + v.String(), nil
-	case AxisBlockSize, AxisPageSize:
-		n := int(v.Num)
-		if v.Den != 1 || n < 1 {
-			return "", fmt.Errorf("harness: %s size %s must be a positive integer", axis, v)
-		}
-		if axis == AxisPageSize {
-			return "p=" + humanBytes(n), nil
-		}
-		return "b=" + humanBytes(n), nil
-	case AxisThreshold:
-		T := int(v.Num)
-		if v.Den != 1 || T < 1 {
-			return "", fmt.Errorf("harness: threshold %s must be a positive integer", v)
-		}
-		return fmt.Sprintf("T=%d", T), nil
+// pointOf validates one axis value against the header of the trace it
+// applies to, reading nothing but the header: it names the point the way
+// reports print it and, on a transform axis, builds the transform's pure
+// form, whose header is the variant's. The variant is named
+// "<name>@<point>". The threshold axis is a configuration change and
+// maps nothing (nil).
+func pointOf(hdr tracefile.Header, axis Axis, v SweepValue) (string, *tracefile.Map, error) {
+	n := int(v.Num)
+	if axis != AxisDilate && (v.Den != 1 || n < 1) {
+		return "", nil, fmt.Errorf("harness: %s %s must be a positive integer", axis, v)
 	}
-	return "", fmt.Errorf("harness: unknown sweep axis %v", axis)
-}
-
-// transform derives the variant of a trace (data, with header hdr) at an
-// axis value pointLabel accepted. The variant is named "<name>@<point>".
-// The threshold axis is a configuration change and has no transform.
-func transform(data []byte, hdr tracefile.Header, axis Axis, v SweepValue) ([]byte, error) {
-	traceWork.transforms.Add(1)
-	var buf bytes.Buffer
-	src := bytes.NewReader(data)
+	var label string
+	var m tracefile.Map
 	var err error
 	switch axis {
 	case AxisNodes:
-		n := int(v.Num)
-		_, err = tracefile.Retarget(&buf, src, tracefile.RetargetSpec{
-			Nodes:  n,
-			Policy: tracefile.RoundRobin(),
-			Name:   fmt.Sprintf("%s@%dn", hdr.Name, n),
-		})
+		if hdr.CPUs%n != 0 {
+			return "", nil, fmt.Errorf("harness: trace %s has %d CPUs, not divisible across %d nodes", hdr.Name, hdr.CPUs, n)
+		}
+		label = fmt.Sprintf("%dn x %dcpu", n, hdr.CPUs/n)
+		m, err = tracefile.RetargetMap(hdr, tracefile.RetargetSpec{
+			Nodes: n, Policy: tracefile.RoundRobin(), Name: fmt.Sprintf("%s@%dn", hdr.Name, n)})
 	case AxisDilate:
-		_, err = tracefile.Dilate(&buf, src, tracefile.DilateSpec{
-			Num: v.Num, Den: v.Den,
-			Name: fmt.Sprintf("%s@x%s", hdr.Name, v),
-		})
+		label = "x" + v.String()
+		m, err = tracefile.DilateMap(hdr, tracefile.DilateSpec{
+			Num: v.Num, Den: v.Den, Name: fmt.Sprintf("%s@x%s", hdr.Name, v)})
 	case AxisBlockSize, AxisPageSize:
-		n := int(v.Num)
 		spec := tracefile.GeometrySpec{Name: fmt.Sprintf("%s@%s%d", hdr.Name, axis, n)}
 		if axis == AxisPageSize {
-			spec.PageBytes = n
+			label, spec.PageBytes = "p="+humanBytes(n), n
 		} else {
-			spec.BlockBytes = n
+			label, spec.BlockBytes = "b="+humanBytes(n), n
 		}
-		_, err = tracefile.RetargetGeometry(&buf, src, spec)
+		m, err = tracefile.RetargetGeometryMap(hdr, spec)
+	case AxisThreshold:
+		return fmt.Sprintf("T=%d", n), nil, nil
 	default:
-		return nil, fmt.Errorf("harness: the %s axis has no transform", axis)
+		return "", nil, fmt.Errorf("harness: unknown sweep axis %v", axis)
 	}
 	if err != nil {
-		return nil, err
+		return "", nil, fmt.Errorf("harness: %s %s on %s: %w", axis, v, hdr.Name, err)
 	}
-	return buf.Bytes(), nil
+	return label, &m, nil
+}
+
+// CheckPoints validates a sweep's values along axis, or with valuesB a
+// grid's cells (the axis transform first, then axisB's), against a
+// capture's header alone. It runs the check Sweep and SweepGrid run on
+// every point before reading a record (pointOf), so a value it accepts
+// they accept too. The daemon checks each request with it at submission.
+func CheckPoints(hdr tracefile.Header, axis Axis, values []SweepValue, axisB Axis, valuesB []SweepValue) error {
+	for _, x := range values {
+		_, m, err := pointOf(hdr, axis, x)
+		if err != nil {
+			return err
+		}
+		xh := hdr
+		if m != nil {
+			xh = m.Header
+		}
+		for _, y := range valuesB {
+			if _, _, err := pointOf(xh, axisB, y); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Sweep transforms the in-memory trace encoding along one axis and
@@ -307,23 +300,17 @@ func transform(data []byte, hdr tracefile.Header, axis Axis, v SweepValue) ([]by
 //
 // Every point's store key comes from the trace memo when this process
 // has derived it before, so a warm resubmission decodes nothing; a
-// variant is transformed only when its key is unknown or a simulation
-// reads it.
+// point's variant reads the capture's one decode through the transform's
+// map, and is mapped only when its key is unknown or a simulation reads it.
 func (h *Harness) Sweep(data []byte, axis Axis, values []SweepValue) ([]AxisPoint, string, error) {
 	if len(values) == 0 {
 		return nil, "", fmt.Errorf("harness: %s sweep over no values", axis)
 	}
-	// Only a threshold sweep replays the capture itself; the other axes
-	// replay its transforms.
-	budget := noDecode
-	if axis == AxisThreshold {
-		budget = &h.decodes
-	}
-	in, err := capture(data, budget)
+	in, err := openCapture(data, &h.decodes)
 	if err != nil {
 		return nil, "", err
 	}
-	hdr := in.info.hdr
+	hdr := in.hdr
 	vals := normalizeSweepValues(values)
 
 	// The threshold axis replays the capture unchanged; register it once
@@ -340,20 +327,17 @@ func (h *Harness) Sweep(data []byte, axis Axis, values []SweepValue) ([]AxisPoin
 	plan := NewPlan()
 	pts := make([]sweepPoint, 0, len(vals))
 	for _, v := range vals {
-		label, err := pointLabel(hdr, axis, v)
+		label, m, err := pointOf(hdr, axis, v)
 		if err != nil {
 			return nil, "", err
 		}
 		app, vh := shared, hdr
-		if axis != AxisThreshold {
-			pv, err := in.step(axis, v, &h.decodes)
-			if err != nil {
+		if m != nil {
+			pv := in.then(axis, v, m)
+			if err := h.registerVariant(pv); err != nil {
 				return nil, "", err
 			}
-			if err := h.Register(pv.source()); err != nil {
-				return nil, "", err
-			}
-			app, vh = pv.info.hdr.Name, pv.info.hdr
+			app, vh = pv.hdr.Name, pv.hdr
 		}
 		pt := newSweepPoint(app, vh, axis, v, label)
 		plan.AddRuns([]string{pt.app}, pt.ideal, pt.cc, pt.scoma, pt.rn)
@@ -364,7 +348,7 @@ func (h *Harness) Sweep(data []byte, axis Axis, values []SweepValue) ([]AxisPoin
 	// they share a prefix: run it once on a trunk machine and fork each
 	// point from a snapshot instead of replaying it per point (fork.go).
 	if axis == AxisThreshold && len(pts) > 1 {
-		if err := h.forkThresholdPoints(in.enc, pts); err != nil {
+		if err := h.forkThresholdPoints(in, pts); err != nil {
 			return nil, "", err
 		}
 	}
@@ -372,26 +356,11 @@ func (h *Harness) Sweep(data []byte, axis Axis, values []SweepValue) ([]AxisPoin
 	h.Prefetch(plan)
 	out := make([]AxisPoint, 0, len(pts))
 	for _, p := range pts {
-		base, err := h.Run(p.app, p.ideal)
+		c, err := h.gridCell(p)
 		if err != nil {
 			return nil, "", err
 		}
-		ap := AxisPoint{Axis: axis, Value: p.value, Label: p.label, Nodes: p.nodes, CPUsPerNode: p.cpusPer}
-		for _, c := range []struct {
-			sys  config.System
-			into *float64
-		}{
-			{p.cc, &ap.CCNUMA},
-			{p.scoma, &ap.SCOMA},
-			{p.rn, &ap.RNUMA},
-		} {
-			run, err := h.Run(p.app, c.sys)
-			if err != nil {
-				return nil, "", err
-			}
-			*c.into = run.Normalized(base)
-		}
-		out = append(out, ap)
+		out = append(out, c.point(axis, p.value, p.label))
 	}
 	return out, hdr.Name, nil
 }

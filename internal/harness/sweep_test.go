@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -22,6 +23,36 @@ func recordCatalog(t *testing.T, name string, scale float64) []byte {
 	cfg.Scale = scale
 	var buf bytes.Buffer
 	if _, _, err := tracefile.WriteWorkload(&buf, app.Build(cfg), cfg); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// wrapped transforms a trace by the tracefile io wrapper that a sweep
+// point's transform names, decoding, mapping and encoding it: the
+// reference a sweep variant read through its map must agree with.
+func wrapped(t *testing.T, data []byte, hdr tracefile.Header, axis Axis, v SweepValue) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	src := bytes.NewReader(data)
+	var err error
+	switch n := int(v.Num); axis {
+	case AxisNodes:
+		_, err = tracefile.Retarget(&buf, src, tracefile.RetargetSpec{
+			Nodes: n, Policy: tracefile.RoundRobin(), Name: fmt.Sprintf("%s@%dn", hdr.Name, n)})
+	case AxisDilate:
+		_, err = tracefile.Dilate(&buf, src, tracefile.DilateSpec{
+			Num: v.Num, Den: v.Den, Name: fmt.Sprintf("%s@x%s", hdr.Name, v)})
+	case AxisBlockSize:
+		_, err = tracefile.RetargetGeometry(&buf, src, tracefile.GeometrySpec{
+			BlockBytes: n, Name: fmt.Sprintf("%s@block%d", hdr.Name, n)})
+	case AxisPageSize:
+		_, err = tracefile.RetargetGeometry(&buf, src, tracefile.GeometrySpec{
+			PageBytes: n, Name: fmt.Sprintf("%s@page%d", hdr.Name, n)})
+	default:
+		t.Fatalf("the %s axis has no transform", axis)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -199,7 +199,7 @@ func (e *valueError) Unwrap() error { return e.err }
 
 // resolve turns a request into an executable Job before it occupies a
 // job slot: artifact references must resolve (400 when they don't), and
-// systems, axis values, figures and applications must parse (422).
+// systems, axis values, figures, applications and points must be valid (422).
 func (s *Server) resolve(req JobRequest) (Job, error) {
 	job := Job{Type: req.Type, Normalize: req.Normalize, KneeBound: req.KneeBound}
 	var err error
@@ -217,8 +217,10 @@ func (s *Server) resolve(req JobRequest) (Job, error) {
 		if req.Axis == "" || req.Values == "" {
 			return job, fmt.Errorf("serve: sweep needs axis and values")
 		}
-		job.Axis, job.Values, err = parseAxisValues(req.Axis, req.Values)
-		return job, err
+		if job.Axis, job.Values, err = parseAxisValues(req.Axis, req.Values); err != nil {
+			return job, err
+		}
+		return job, checkPoints(job)
 	case "grid":
 		if job.Artifact, err = s.traceArtifact(req.Artifact, req.Type); err != nil {
 			return job, err
@@ -238,7 +240,7 @@ func (s *Server) resolve(req JobRequest) (Job, error) {
 		if req.KneeBound < 0 {
 			return job, &valueError{fmt.Errorf("serve: bad kneeBound %v (must be >= 0)", req.KneeBound)}
 		}
-		return job, nil
+		return job, checkPoints(job)
 	case "diffstats":
 		if job.Artifact, err = s.traceArtifact(req.Artifact, req.Type); err != nil {
 			return job, err
@@ -287,6 +289,14 @@ func (s *Server) traceArtifact(ref, jobType string) (*Artifact, error) {
 		return nil, &valueError{fmt.Errorf("serve: %s needs a trace artifact, %s is a %s", jobType, a.ID[:12], a.Kind)}
 	}
 	return a, nil
+}
+
+// checkPoints rejects a sweep point or grid cell the job's trace fails.
+func checkPoints(job Job) error {
+	if err := harness.CheckPoints(job.Artifact.hdr, job.Axis, job.Values, job.AxisB, job.ValuesB); err != nil {
+		return &valueError{err}
+	}
+	return nil
 }
 
 // systemFor resolves a request's system name (default rnuma) and

@@ -77,8 +77,9 @@ func TestGridJob(t *testing.T) {
 
 // TestSubmitValueErrors pins the 422 surface: requests whose fields are
 // present but unparseable or unknown — axis values, systems, figures,
-// applications, inputs of the wrong kind — answer 422 naming the
-// offending token, while structurally incomplete requests stay 400.
+// applications, inputs of the wrong kind — or whose sweep points or grid
+// cells the trace rejects answer 422 naming the offending token, while
+// structurally incomplete requests stay 400.
 func TestSubmitValueErrors(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	a := upload(t, ts, KindTrace, recordTraceScaled(t, "fft", 0.02))
@@ -116,6 +117,10 @@ func TestSubmitValueErrors(t *testing.T) {
 		{"diffstats unknown systemB", fmt.Sprintf(`{"type":"diffstats","artifact":"%s","artifactB":"%s","systemB":"warp"}`, a.ID, a.ID), 422, `"warp"`},
 		{"diffstats spec side", fmt.Sprintf(`{"type":"diffstats","artifact":"%s","artifactB":"%s"}`, a.ID, spec.ID), 422, "needs a trace"},
 		{"sweep over a spec", fmt.Sprintf(`{"type":"sweep","artifact":"%s","axis":"nodes","values":"4"}`, spec.ID), 422, "needs a trace"},
+		{"sweep block not a power of two", fmt.Sprintf(`{"type":"sweep","artifact":"%s","axis":"block","values":"16,24"}`, a.ID), 422, "block 24"},
+		{"sweep nodes not dividing the cpus", fmt.Sprintf(`{"type":"sweep","artifact":"%s","axis":"nodes","values":"4,3"}`, a.ID), 422, "3 nodes"},
+		{"sweep threshold zero", fmt.Sprintf(`{"type":"sweep","artifact":"%s","axis":"threshold","values":"0,16"}`, a.ID), 422, "threshold 0"},
+		{"grid cell past its X variant", fmt.Sprintf(`{"type":"grid","artifact":"%s","axis":"page","values":"256","axisB":"block","valuesB":"16,512"}`, a.ID), 422, "block 512 on fft@page256"},
 		{"experiments unknown figure", `{"type":"experiments","figures":["6","12"]}`, 422, `"12"`},
 		{"experiments unknown app", `{"type":"experiments","apps":["fft","doom"]}`, 422, `"doom"`},
 	} {

@@ -408,11 +408,20 @@ func TestAPIErrors(t *testing.T) {
 		t.Errorf("bad format: %d, want 400", code)
 	}
 
-	// A job that parses but fails at run time (32 CPUs do not fold onto
-	// 5 nodes): the job records the error and its report answers 422.
-	j = waitJob(t, ts, submit(t, ts, JobRequest{Type: "sweep", Artifact: a.ID, Axis: "nodes", Values: "5"}).ID)
+	// A point the trace rejects (32 CPUs do not fold onto 5 nodes) is
+	// refused at submission, from the trace's header.
+	if code := post(fmt.Sprintf(`{"type":"sweep","artifact":"%s","axis":"nodes","values":"5"}`, a.ID)); code != http.StatusUnprocessableEntity {
+		t.Errorf("5-node sweep of a 32-CPU capture: %d, want 422", code)
+	}
+
+	// A job that resolves but fails at run time (a trace whose header
+	// parses but whose records are cut short): the job records the error
+	// and its report answers 422.
+	data := recordTrace(t, "fft")
+	cut := upload(t, ts, KindTrace, data[:len(data)*2/3])
+	j = waitJob(t, ts, submit(t, ts, JobRequest{Type: "sweep", Artifact: cut.ID, Axis: "nodes", Values: "4"}).ID)
 	if j.Status != StatusFailed || j.Error == "" {
-		t.Errorf("5-node sweep of a 32-CPU capture: %+v, want failed", j)
+		t.Errorf("sweep of a truncated capture: %+v, want failed", j)
 	}
 	if code, _ := fetchReport(t, ts, j.ID, ""); code != http.StatusUnprocessableEntity {
 		t.Errorf("failed job report: %d, want 422", code)

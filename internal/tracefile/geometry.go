@@ -90,59 +90,54 @@ func (s GeometrySpec) resolve(src addr.Geometry) (addr.Geometry, error) {
 // reproduces the trace exactly (the canonical hash is preserved). Returns
 // the record count written.
 func RetargetGeometry(dst io.Writer, src io.Reader, spec GeometrySpec, opts ...WriterOption) (int64, error) {
-	d, err := NewReader(src)
-	if err != nil {
-		return 0, err
-	}
-	h := d.Header()
-	sg := h.Geometry
+	return apply(dst, src, func(h Header) (Map, error) { return RetargetGeometryMap(h, spec) }, opts)
+}
+
+// RetargetGeometryMap is RetargetGeometry's pure form.
+func RetargetGeometryMap(src Header, spec GeometrySpec) (Map, error) {
+	sg := src.Geometry
 	tg, err := spec.resolve(sg)
 	if err != nil {
-		return 0, err
+		return Map{}, err
 	}
 
 	// The segment keeps its byte size: target pages = ceil(source bytes /
 	// target page bytes).
-	srcBytes := uint64(h.SharedPages) << sg.PageShift
+	srcBytes := uint64(src.SharedPages) << sg.PageShift
 	pages := int((srcBytes + uint64(tg.PageBytes()) - 1) >> tg.PageShift)
-	homes := make([]addr.NodeID, pages)
-	for q := range homes {
-		sp := (uint64(q) << tg.PageShift) >> sg.PageShift
-		if sp < uint64(len(h.Homes)) {
-			homes[q] = h.Homes[sp]
-		} else {
-			homes[q] = addr.NodeID(q % h.Nodes)
+	homes := src.Homes // a block-size change keeps the pages
+	if tg.PageShift != sg.PageShift {
+		homes = make([]addr.NodeID, pages)
+		for q := range homes {
+			sp := (uint64(q) << tg.PageShift) >> sg.PageShift
+			if sp < uint64(len(src.Homes)) {
+				homes[q] = src.Homes[sp]
+			} else {
+				homes[q] = addr.NodeID(q % src.Nodes)
+			}
 		}
 	}
 	nh := Header{
-		Name:        h.Name,
+		Name:        src.Name,
 		Geometry:    tg,
-		CPUs:        h.CPUs,
-		Nodes:       h.Nodes,
+		CPUs:        src.CPUs,
+		Nodes:       src.Nodes,
 		SharedPages: pages,
 		Homes:       homes,
 	}
 	if spec.Name != "" {
 		nh.Name = spec.Name
 	}
-	tw, err := NewWriter(dst, nh, opts...)
-	if err != nil {
-		return 0, err
+	if err := nh.Validate(); err != nil {
+		return Map{}, err
 	}
 	blocksPerPage := uint64(tg.BlocksPerPage())
-	err = eachRecord(d, func(cpu int, r trace.Ref) error {
+	return Map{Header: nh, Record: func(cpu int, r *trace.Ref) (int, error) {
 		if !r.Barrier {
 			a := (uint64(r.Page) << sg.PageShift) | (uint64(r.Off) << sg.BlockShift)
 			r.Page = addr.PageNum(a >> tg.PageShift)
 			r.Off = uint16((a >> tg.BlockShift) & (blocksPerPage - 1))
 		}
-		return tw.Append(cpu, r)
-	})
-	if err != nil {
-		return tw.Refs(), err
-	}
-	if err := tw.Close(); err != nil {
-		return tw.Refs(), err
-	}
-	return tw.Refs(), nil
+		return cpu, nh.checkRecord(cpu, r)
+	}}, nil
 }

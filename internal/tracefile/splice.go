@@ -127,13 +127,10 @@ func Cut(dst io.Writer, src io.Reader, sel CutSpec, opts ...WriterOption) (int64
 		}
 		return tw.Append(cpu, r)
 	})
-	if err != nil {
-		return tw.Refs(), err
+	if err == nil {
+		err = tw.Close()
 	}
-	if err := tw.Close(); err != nil {
-		return tw.Refs(), err
-	}
-	return tw.Refs(), nil
+	return tw.Refs(), err
 }
 
 // Cat concatenates traces of identical machine shape (geometry, CPU and
@@ -166,10 +163,7 @@ func Cat(dst io.Writer, srcs []io.Reader, opts ...WriterOption) (int64, error) {
 			return tw.Refs(), fmt.Errorf("input %d: %w", i, err)
 		}
 	}
-	if err := tw.Close(); err != nil {
-		return tw.Refs(), err
-	}
-	return tw.Refs(), nil
+	return tw.Refs(), tw.Close()
 }
 
 func refsOf(tw *Writer) int64 {
@@ -211,8 +205,11 @@ func CanonicalHash(r io.Reader) ([sha256.Size]byte, Header, error) {
 	if err != nil {
 		return [sha256.Size]byte{}, Header{}, err
 	}
-	sum := CanonicalHashStreams(d.h, d.Streams())
-	if err := d.Err(); err != nil {
+	sum, err := CanonicalHashStreams(d.h, d.Streams())
+	if derr := d.Err(); derr != nil {
+		err = derr
+	}
+	if err != nil {
 		return [sha256.Size]byte{}, d.h, err
 	}
 	return sum, d.h, nil
@@ -222,8 +219,14 @@ func CanonicalHash(r io.Reader) ([sha256.Size]byte, Header, error) {
 // header (homes included) and one stream per CPU, which it drains. It
 // hashes the same byte sequence — the header fields, the homes, then
 // every record in eachRecord's round-robin order — so a decoded trace
-// keys exactly as any of its encodings does.
-func CanonicalHashStreams(h Header, streams []trace.Stream) [sha256.Size]byte {
+// keys exactly as any of its encodings does. The header and every record
+// are checked as the Writer checks them: streams no encoding could carry
+// fail instead of getting a key.
+func CanonicalHashStreams(h Header, streams []trace.Stream) ([sha256.Size]byte, error) {
+	var sum [sha256.Size]byte
+	if err := h.Validate(); err != nil {
+		return sum, err
+	}
 	// The sequence is hashed in runs of about hashRun bytes: fewer Write
 	// calls, the same digest.
 	const hashRun = 4096
@@ -243,7 +246,10 @@ func CanonicalHashStreams(h Header, streams []trace.Stream) [sha256.Size]byte {
 			buf = buf[:0]
 		}
 	}
-	roundRobin(streams, func(cpu int, rec trace.Ref) error { //nolint:errcheck // fn never fails
+	err := roundRobin(streams, func(cpu int, rec trace.Ref) error {
+		if err := h.checkRecord(cpu, &rec); err != nil {
+			return err
+		}
 		buf = binary.AppendUvarint(buf, uint64(cpu))
 		var flags byte
 		if rec.Write {
@@ -262,8 +268,10 @@ func CanonicalHashStreams(h Header, streams []trace.Stream) [sha256.Size]byte {
 		}
 		return nil
 	})
+	if err != nil {
+		return sum, err
+	}
 	hash.Write(buf)
-	var sum [sha256.Size]byte
 	copy(sum[:], hash.Sum(nil))
-	return sum
+	return sum, nil
 }

@@ -340,8 +340,8 @@ func TestCanonicalHashStreams(t *testing.T) {
 		refs [][]trace.Ref
 	}{{"even", even}, {"uneven", uneven}} {
 		want := canonicalReference(h, tc.refs)
-		if got := CanonicalHashStreams(h, sliceStreams(tc.refs)); got != want {
-			t.Errorf("%s: CanonicalHashStreams %x, longhand definition %x", tc.name, got[:8], want[:8])
+		if got, err := CanonicalHashStreams(h, sliceStreams(tc.refs)); err != nil || got != want {
+			t.Errorf("%s: CanonicalHashStreams %x (%v), longhand definition %x", tc.name, got[:8], err, want[:8])
 		}
 		v2 := encodeOpts(t, h, tc.refs)
 		var head, tail, joined bytes.Buffer
@@ -381,8 +381,8 @@ func TestCanonicalHashStreams(t *testing.T) {
 			if total := records(tc.refs); n != total {
 				t.Errorf("%s/%s: Decode counted %d records, want %d", tc.name, enc.name, n, total)
 			}
-			if got := CanonicalHashStreams(d.Header(), w.Fresh().Streams); got != want {
-				t.Errorf("%s/%s: decoded streams hash %x, want %x", tc.name, enc.name, got[:8], want[:8])
+			if got, err := CanonicalHashStreams(d.Header(), w.Fresh().Streams); err != nil || got != want {
+				t.Errorf("%s/%s: decoded streams hash %x (%v), want %x", tc.name, enc.name, got[:8], err, want[:8])
 			}
 		}
 	}

@@ -15,9 +15,50 @@ import (
 // This file implements trace transforms: operations that rewrite a
 // trace's *content* rather than merely slicing it (splice.go). Retarget
 // remaps a capture onto a different machine shape, Dilate rescales its
-// compute gaps, and Diff explains where two traces' streams diverge. All
-// three stream through the Reader/Writer pair, so transforms compose with
-// cut/cat piping and never materialize a whole trace.
+// compute gaps, and Diff explains where two traces' streams diverge. The
+// rewrites are pure Maps over the source header; the io functions stream
+// a trace through them, so transforms compose with cut/cat piping and
+// never materialize a whole trace.
+
+// Map is a transform's pure form: the output header, validated as
+// NewWriter validates it, and Record, which rewrites a source CPU's
+// record in place, range-checked against Header as Writer.Append checks
+// it, and returns its output CPU. Only a CPU-count retarget moves records.
+type Map struct {
+	Header Header
+	Record func(cpu int, r *trace.Ref) (int, error)
+}
+
+// apply streams src through the pure form pure builds from its header
+// into dst, in the canonical round-robin record order. It returns the
+// record count written.
+func apply(dst io.Writer, src io.Reader, pure func(Header) (Map, error), opts []WriterOption) (int64, error) {
+	d, err := NewReader(src)
+	if err != nil {
+		return 0, err
+	}
+	m, err := pure(d.Header())
+	if err != nil {
+		return 0, err
+	}
+	tw, err := NewWriter(dst, m.Header, opts...)
+	if err != nil {
+		return 0, err
+	}
+	var rec trace.Ref // one record mapped in place; a per-call &r would escape
+	err = eachRecord(d, func(cpu int, r trace.Ref) error {
+		rec = r
+		cpu, err := m.Record(cpu, &rec)
+		if err != nil {
+			return err
+		}
+		return tw.Append(cpu, rec)
+	})
+	if err != nil {
+		return tw.Refs(), err
+	}
+	return tw.Refs(), tw.Close()
+}
 
 // ---------------------------------------------------------------------
 // Retarget.
@@ -313,26 +354,26 @@ func (s RetargetSpec) resolve(h Header) (nodes, cpus, pages int, policy RemapPol
 // Records keep their order (the canonical round-robin interleaving),
 // flags, offsets, and gaps. Returns the record count written.
 func Retarget(dst io.Writer, src io.Reader, spec RetargetSpec, opts ...WriterOption) (int64, error) {
-	d, err := NewReader(src)
+	return apply(dst, src, func(h Header) (Map, error) { return RetargetMap(h, spec) }, opts)
+}
+
+// RetargetMap is Retarget's pure form.
+func RetargetMap(src Header, spec RetargetSpec) (Map, error) {
+	nodes, cpus, pages, policy, err := spec.resolve(src)
 	if err != nil {
-		return 0, err
+		return Map{}, err
 	}
-	h := d.Header()
-	nodes, cpus, pages, policy, err := spec.resolve(h)
+	mapPage, homes, err := policy.Resolve(src, nodes, pages)
 	if err != nil {
-		return 0, err
+		return Map{}, err
 	}
-	mapPage, homes, err := policy.Resolve(h, nodes, pages)
+	foldCPU, err := spec.CPUFold.resolve(src.CPUs, cpus)
 	if err != nil {
-		return 0, err
-	}
-	foldCPU, err := spec.CPUFold.resolve(h.CPUs, cpus)
-	if err != nil {
-		return 0, err
+		return Map{}, err
 	}
 	nh := Header{
-		Name:        h.Name,
-		Geometry:    h.Geometry,
+		Name:        src.Name,
+		Geometry:    src.Geometry,
 		CPUs:        cpus,
 		Nodes:       nodes,
 		SharedPages: pages,
@@ -341,27 +382,20 @@ func Retarget(dst io.Writer, src io.Reader, spec RetargetSpec, opts ...WriterOpt
 	if spec.Name != "" {
 		nh.Name = spec.Name
 	}
-	tw, err := NewWriter(dst, nh, opts...)
-	if err != nil {
-		return 0, err
+	if err := nh.Validate(); err != nil {
+		return Map{}, err
 	}
-	err = eachRecord(d, func(cpu int, r trace.Ref) error {
+	return Map{Header: nh, Record: func(cpu int, r *trace.Ref) (int, error) {
 		if !r.Barrier {
 			q, err := mapPage(r.Page)
 			if err != nil {
-				return err
+				return cpu, err
 			}
 			r.Page = q
 		}
-		return tw.Append(foldCPU(cpu), r)
-	})
-	if err != nil {
-		return tw.Refs(), err
-	}
-	if err := tw.Close(); err != nil {
-		return tw.Refs(), err
-	}
-	return tw.Refs(), nil
+		cpu = foldCPU(cpu)
+		return cpu, nh.checkRecord(cpu, r)
+	}}, nil
 }
 
 // ---------------------------------------------------------------------
@@ -430,24 +464,24 @@ func ParseRatio(s string) (num, den int64, err error) {
 // pages, offsets, flags, and stream attribution are untouched. Returns
 // the record count written.
 func Dilate(dst io.Writer, src io.Reader, spec DilateSpec, opts ...WriterOption) (int64, error) {
+	return apply(dst, src, func(h Header) (Map, error) { return DilateMap(h, spec) }, opts)
+}
+
+// DilateMap is Dilate's pure form.
+func DilateMap(src Header, spec DilateSpec) (Map, error) {
 	clamp, err := spec.validate()
 	if err != nil {
-		return 0, err
+		return Map{}, err
 	}
-	d, err := NewReader(src)
-	if err != nil {
-		return 0, err
-	}
-	nh := d.Header()
+	nh := src
 	if spec.Name != "" {
 		nh.Name = spec.Name
 	}
-	tw, err := NewWriter(dst, nh, opts...)
-	if err != nil {
-		return 0, err
+	if err := nh.Validate(); err != nil {
+		return Map{}, err
 	}
 	num, den := uint64(spec.Num), uint64(spec.Den)
-	err = eachRecord(d, func(cpu int, r trace.Ref) error {
+	return Map{Header: nh, Record: func(cpu int, r *trace.Ref) (int, error) {
 		if r.Gap != 0 {
 			g := (uint64(r.Gap)*num + den/2) / den
 			if g > clamp {
@@ -455,15 +489,8 @@ func Dilate(dst io.Writer, src io.Reader, spec DilateSpec, opts ...WriterOption)
 			}
 			r.Gap = uint16(g)
 		}
-		return tw.Append(cpu, r)
-	})
-	if err != nil {
-		return tw.Refs(), err
-	}
-	if err := tw.Close(); err != nil {
-		return tw.Refs(), err
-	}
-	return tw.Refs(), nil
+		return cpu, nh.checkRecord(cpu, r)
+	}}, nil
 }
 
 // ---------------------------------------------------------------------

@@ -143,21 +143,9 @@ func (tw *Writer) Append(cpu int, r trace.Ref) error {
 		tw.err = fmt.Errorf("tracefile: append after Close")
 		return tw.err
 	}
-	if cpu < 0 || cpu >= tw.h.CPUs {
-		tw.err = fmt.Errorf("tracefile: cpu %d out of range [0,%d)", cpu, tw.h.CPUs)
-		return tw.err
-	}
-	// Barrier markers carry no meaningful page/offset; only real
-	// references are range-checked against the recorded segment.
-	if !r.Barrier {
-		if int(r.Page) >= tw.h.SharedPages {
-			tw.err = fmt.Errorf("tracefile: page %d outside the %d-page segment", r.Page, tw.h.SharedPages)
-			return tw.err
-		}
-		if int(r.Off) >= tw.h.Geometry.BlocksPerPage() {
-			tw.err = fmt.Errorf("tracefile: block offset %d outside the %d-block page", r.Off, tw.h.Geometry.BlocksPerPage())
-			return tw.err
-		}
+	if err := tw.h.checkRecord(cpu, &r); err != nil {
+		tw.err = err
+		return err
 	}
 
 	if tw.counts[cpu] == 0 {
@@ -211,6 +199,24 @@ func (tw *Writer) Append(cpu int, r trace.Ref) error {
 		tw.flushChunk(cpu)
 	}
 	return tw.err
+}
+
+// checkRecord range-checks one record of a CPU's stream: the CPU must
+// exist, and a reference (a barrier's page and offset mean nothing) must
+// name a block of the shared segment.
+func (h *Header) checkRecord(cpu int, r *trace.Ref) error {
+	if cpu < 0 || cpu >= h.CPUs {
+		return fmt.Errorf("tracefile: cpu %d out of range [0,%d)", cpu, h.CPUs)
+	}
+	if !r.Barrier {
+		if int(r.Page) >= h.SharedPages {
+			return fmt.Errorf("tracefile: page %d outside the %d-page segment", r.Page, h.SharedPages)
+		}
+		if int(r.Off) >= h.Geometry.BlocksPerPage() {
+			return fmt.Errorf("tracefile: block offset %d outside the %d-block page", r.Off, h.Geometry.BlocksPerPage())
+		}
+	}
+	return nil
 }
 
 // flushChunk emits the CPU's pending records as one chunk.
@@ -329,27 +335,8 @@ func WriteWorkload(w io.Writer, wl *workloads.Workload, cfg workloads.Config, op
 	if err != nil {
 		return 0, 0, err
 	}
-	live := make([]trace.Stream, len(wl.Streams))
-	copy(live, wl.Streams)
-	for remaining := len(live); remaining > 0; {
-		remaining = 0
-		for cpu, s := range live {
-			if s == nil {
-				continue
-			}
-			r, ok := s.Next()
-			if !ok {
-				live[cpu] = nil
-				continue
-			}
-			remaining++
-			if err := tw.Append(cpu, r); err != nil {
-				return tw.Refs(), tw.Bytes(), err
-			}
-		}
+	if err = roundRobin(wl.Streams, tw.Append); err == nil {
+		err = tw.Close()
 	}
-	if err := tw.Close(); err != nil {
-		return tw.Refs(), tw.Bytes(), err
-	}
-	return tw.Refs(), tw.Bytes(), nil
+	return tw.Refs(), tw.Bytes(), err
 }

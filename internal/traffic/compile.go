@@ -3,7 +3,6 @@ package traffic
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -304,13 +303,6 @@ func (sc *Scenario) Workload() *workloads.Workload {
 		SharedPages: sc.SharedPages,
 		Attribution: sc.Attr,
 	}
-}
-
-// Encode writes the scenario's merged streams as an ordinary trace file
-// (the attribution is a replay-side concept and is not encoded, so the
-// trace stays readable by tools that know nothing about clients).
-func (sc *Scenario) Encode(w io.Writer, opts ...tracefile.WriterOption) (refs, bytes int64, err error) {
-	return tracefile.WriteWorkload(w, sc.Workload(), sc.Cfg, opts...)
 }
 
 // Records returns the scenario's total record count (all CPUs, barriers

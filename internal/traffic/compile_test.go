@@ -76,7 +76,7 @@ func TestCompileDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := sc.Encode(&bufs[i]); err != nil {
+		if _, _, err := tracefile.WriteWorkload(&bufs[i], sc.Workload(), sc.Cfg); err != nil {
 			t.Fatal(err)
 		}
 		sum, _, err := tracefile.CanonicalHash(bytes.NewReader(bufs[i].Bytes()))
@@ -217,7 +217,7 @@ func TestScenarioReplayableAsPlainTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	refs, _, err := sc.Encode(&buf)
+	refs, _, err := tracefile.WriteWorkload(&buf, sc.Workload(), sc.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestTracePhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, _, err := sc0.Encode(&buf); err != nil {
+	if _, _, err := tracefile.WriteWorkload(&buf, sc0.Workload(), sc0.Cfg); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "solo.trace"), buf.Bytes(), 0o644); err != nil {
