@@ -20,10 +20,11 @@
 // sweeps and grids run through rnuma-serve's job executor
 // (serve.Execute), so the CLI prints exactly what the daemon serves.
 //
-// -specs and -traces register declarative workload files and recorded
-// traces as additional applications: their rows appear in every selected
-// figure alongside the Table 3 catalog (memoized by file content hash).
-// Recorded traces must match the experiments' 8x4 base machine shape.
+// -specs and -traces load declarative workload files and recorded
+// traces from their bytes as additional applications: their rows appear
+// in every selected figure alongside the Table 3 catalog (memoized by
+// content hash; a trace is decoded once). Recorded traces must match the
+// experiments' 8x4 base machine shape.
 //
 // The sensitivity experiments replay one capture — from -sweep-trace, or
 // recorded from -sweep-app at the base shape — transformed along one
@@ -76,6 +77,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -173,25 +175,21 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// source shadows a same-named catalog generator, so a name already in
 	// the list (via -apps) is not appended again — the row would be the
 	// source replay twice, never the generator-vs-trace comparison.
-	addSource := func(src harness.Source) {
-		die(h.Register(src))
-		for _, name := range list {
-			if name == src.Name() {
-				fmt.Fprintf(stderr, "note: %q rows replay the registered source (it shadows the catalog generator)\n", src.Name())
-				return
+	base := config.Base(config.RNUMA)
+	for _, in := range []struct{ kind, paths string }{{harness.KindSpec, *specs}, {harness.KindTrace, *traces}} {
+		for _, path := range splitList(in.paths) {
+			data, err := os.ReadFile(path)
+			die(err)
+			src, err := h.Load(in.kind, data, "", "", base)
+			if err != nil {
+				die(fmt.Errorf("%s: %w", path, err))
 			}
+			if slices.Contains(list, src.Name()) {
+				fmt.Fprintf(stderr, "note: %q rows replay the registered source (it shadows the catalog generator)\n", src.Name())
+				continue
+			}
+			list = append(list, src.Name())
 		}
-		list = append(list, src.Name())
-	}
-	for _, path := range splitList(*specs) {
-		src, err := harness.SpecFileSource(path)
-		die(err)
-		addSource(src)
-	}
-	for _, path := range splitList(*traces) {
-		src, err := harness.TraceFileSource(path)
-		die(err)
-		addSource(src)
 	}
 	sep := func() { fmt.Fprintln(stdout, "\n"+strings.Repeat("=", 80)+"\n") }
 
@@ -255,7 +253,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// daemon's executor and returns its JSON document.
 	execute := func(job serve.Job) any {
 		data, name := capture()
-		a, err := serve.NewArtifact(serve.KindTrace, data, name, "")
+		a, err := serve.NewArtifact(harness.KindTrace, data, name, "")
 		die(err)
 		job.Artifact = a
 		doc, err := serve.Execute(h, job, stdout)
@@ -320,12 +318,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		data, err := os.ReadFile(*trafficSpec)
 		die(err)
-		cfg := workloads.DefaultConfig()
-		cfg.Scale, cfg.Seed = *scale, *seed
-		src, err := harness.TrafficSource(data, filepath.Dir(*trafficSpec), cfg)
+		src, err := h.Load(harness.KindTraffic, data, "", filepath.Dir(*trafficSpec), base)
 		die(err)
-		die(h.Register(src))
-		sc := src.Scenario()
+		sc := harness.ScenarioOf(src)
 		systems := []config.System{
 			config.Base(config.CCNUMA), config.Base(config.SCOMA), config.Base(config.RNUMA),
 		}

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -171,5 +172,34 @@ func TestServedReportsMatchCLI(t *testing.T) {
 		if want := served(tc.req) + tc.tail; stdout != want {
 			t.Errorf("%v: CLI output differs from the served report\nCLI:\n%s\nserved:\n%s", tc.args, stdout, want)
 		}
+	}
+}
+
+// TestSpecAndTraceRows: -specs and -traces files join the figures as
+// rows of their own, and a trace file that fails to load exits 1 naming
+// its path.
+func TestSpecAndTraceRows(t *testing.T) {
+	specs := "../../examples/specs/halo.json,../../examples/specs/hotcold.json"
+	code, stdout, stderr := runCLI(t, "-exp", "fig6", "-scale", "0.05", "-apps", "lu", "-specs", specs, "-traces", ciTrace)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	for _, row := range []string{"lu", "halo-exchange", "hotcold", "fft"} {
+		if !regexp.MustCompile(`(?m)^` + row + ` `).MatchString(stdout) {
+			t.Errorf("no %s row in:\n%s", row, stdout)
+		}
+	}
+
+	data, err := os.ReadFile(ciTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(t.TempDir(), "cut.trace")
+	if err := os.WriteFile(cut, data[:len(data)*2/3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr = runCLI(t, "-exp", "fig6", "-scale", "0.05", "-apps", "lu", "-traces", cut)
+	if code != 1 || !strings.Contains(stderr, cut+": ") {
+		t.Errorf("truncated -traces file: exit %d, stderr %q; want 1 naming %s", code, stderr, cut)
 	}
 }

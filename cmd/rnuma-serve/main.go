@@ -80,7 +80,7 @@ func run(args []string, stderr io.Writer, ready chan<- net.Addr) int {
 			fmt.Fprintf(stderr, "rnuma-serve: %v\n", err)
 			return 1
 		}
-		a, _, err := s.AddArtifact(serve.KindTrace, data)
+		a, _, err := s.AddArtifact(harness.KindTrace, data)
 		if err != nil {
 			fmt.Fprintf(stderr, "rnuma-serve: %s: %v\n", path, err)
 			return 1

@@ -61,10 +61,14 @@
 //   - internal/profiling — -cpuprofile/-memprofile plumbing for
 //     rnuma-trace replay
 //   - internal/harness — the experiment-plan layer and concurrent
-//     scheduler that regenerate every table and figure; spec files and
-//     recorded traces register as workload sources whose memo keys hash
-//     the decoded streams (CanonicalHash), so re-encodings of one
-//     capture share simulations, and Sweep transforms one capture along
+//     scheduler that regenerate every table and figure; one loader
+//     (Harness.Load) turns an input's bytes (a recorded trace, a spec or
+//     a traffic scenario; the kind is named or sniffed) into a workload
+//     source registered under its embedded name or a given one; a
+//     trace's memo key hashes the decoded streams (CanonicalHash), so
+//     re-encodings of one capture share simulations, and every trace,
+//     -traces rows included, is decoded once per harness, charged to its
+//     decode cap, past which it streams from its bytes; Sweep transforms one capture along
 //     a parameter axis (nodes, dilate factor, block size, page size,
 //     relocation threshold) to replay a whole sensitivity study from a
 //     single recording; multi-point threshold sweeps replay the trace
@@ -86,9 +90,11 @@
 //     cmd/rnuma-serve: content-addressed artifact uploads (traces,
 //     specs, traffic scenarios), replay/sweep/grid/diffstats/
 //     experiments jobs with streamed progress, and text or JSON
-//     reports; requests resolve at submission, so unknown systems,
-//     figures or applications, malformed axis/value lists and points
-//     the trace rejects answer 422 naming the offending value; every
+//     reports; uploads are checked by harness.Inspect and jobs load
+//     them through Harness.Load; requests resolve at submission, so
+//     unknown systems, figures or applications, malformed axis/value
+//     lists, points the trace rejects and traces whose nodes do not
+//     divide their CPUs answer 422 naming the offending value; every
 //     job runs on its own harness over the server's one shared result
 //     store, so repeated and concurrent submissions re-simulate nothing,
 //     and through the harness's trace memo a warm resubmission decodes

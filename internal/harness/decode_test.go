@@ -117,14 +117,8 @@ func TestColdRunsDecodeEachTraceOnce(t *testing.T) {
 	t.Run("trace source", func(t *testing.T) {
 		isolateMemo(t)
 		d0 := decodesNow()
-		src, err := TraceSource(data)
-		if err != nil {
-			t.Fatal(err)
-		}
 		h := New(scale)
-		if err := h.Register(src); err != nil {
-			t.Fatal(err)
-		}
+		src := load(t, h, KindTrace, data)
 		for _, sys := range []config.System{config.Base(config.RNUMA), config.Ideal()} {
 			if _, err := h.Run(src.Name(), sys); err != nil {
 				t.Fatal(err)
@@ -134,7 +128,7 @@ func TestColdRunsDecodeEachTraceOnce(t *testing.T) {
 			t.Errorf("a replay job decoded its trace %d times, want 1", got)
 		}
 		if h.decodes.held.Load() == 0 {
-			t.Error("the registering harness holds no decode")
+			t.Error("the loading harness holds no decode")
 		}
 	})
 }
@@ -158,7 +152,7 @@ func storeRuns(t *testing.T, s Store) map[string]any {
 // TestSharedDecodeMatchesStreaming runs every study, probed so that each
 // run carries its timeline, under three decode budgets: the default, one
 // that holds a single trace, and one that holds none, so every trace
-// past it streams as file-backed traces do. Every run in the store, fork
+// past it streams from its bytes. Every run in the store, fork
 // points included, must be identical across the three.
 func TestSharedDecodeMatchesStreaming(t *testing.T) {
 	const scale = 0.02
@@ -268,7 +262,7 @@ func TestDecodeErrors(t *testing.T) {
 		t.Fatal("test premise broken: the cut trace decodes")
 	}
 	for i, run := range []func() error{
-		func() error { _, err := TraceSource(corrupt); return err },
+		func() error { _, err := New(scale).Load(KindTrace, corrupt, "", "", config.System{}); return err },
 		func() error { _, _, err := New(scale).Sweep(corrupt, AxisThreshold, memoThresholds); return err },
 		func() error { _, _, err := New(scale).Sweep(corrupt, AxisNodes, memoNodes); return err },
 		func() error {
@@ -289,39 +283,26 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestRegisterKeepsFirstSource: re-registering content that is already
-// registered under the name is a no-op — lookups return the first
-// source, whose decode later jobs share — and different content under
-// the name is an error.
+// TestRegisterKeepsFirstSource: re-loading content that is already
+// registered under the name is a no-op — the loader and lookups return
+// the first source, whose decode later jobs share — and different
+// content under the name is an error.
 func TestRegisterKeepsFirstSource(t *testing.T) {
 	const scale = 0.02
 	data := recordCatalog(t, "fft", scale)
-	a, err := TraceSource(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := TraceSource(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == b || a.Key() != b.Key() {
-		t.Fatal("test premise broken: want two sources with one key")
-	}
 	h := New(scale)
-	for _, src := range []Source{a, b, RenamedSource(b, a.Name())} {
-		if err := h.Register(src); err != nil {
+	a := load(t, h, KindTrace, data)
+	for _, name := range []string{"", a.Name()} {
+		b, err := h.Load(KindTrace, data, name, "", config.System{})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := h.source(a.Name()); got != a {
-			t.Fatalf("after registering %p, lookup returns %p, want the first source %p", src, got, a)
+		if b != a || h.source(a.Name()) != a {
+			t.Fatalf("re-loading as %q returned %p and lookup %p, want the first source %p", name, b, h.source(a.Name()), a)
 		}
 	}
-	other, err := TraceSource(dilated(t, data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Register(other); err == nil || other.Name() != a.Name() {
-		t.Errorf("registering different content as %q: %v, want an error", other.Name(), err)
+	if _, err := h.Load(KindTrace, dilated(t, data), "", "", config.System{}); err == nil {
+		t.Errorf("loading different content as %q: no error", a.Name())
 	}
 }
 

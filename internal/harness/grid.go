@@ -213,7 +213,9 @@ func (h *Harness) gridPoints(in *variant, outerAxis Axis, outerVals []SweepValue
 					return nil, nil, nil, err
 				}
 			}
-			pts[oi][ii] = newSweepPoint(cell.hdr.Name, cell.hdr, innerAxis, iv, labelO+", "+labelI)
+			if pts[oi][ii], err = newSweepPoint(cell.name, cell.hdr, innerAxis, iv, labelO+", "+labelI); err != nil {
+				return nil, nil, nil, err
+			}
 		}
 		// A threshold line shares its whole replay prefix: one trunk at
 		// the largest threshold, each cell forked from its watermark.

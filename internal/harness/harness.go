@@ -65,7 +65,7 @@ type Harness struct {
 	// long simulations are in flight.
 	srcMu   sync.Mutex
 	logMu   sync.Mutex        // serializes progress lines
-	sources map[string]Source // registered spec/trace workloads, by name
+	sources map[string]Source // loaded sources, by name
 	decodes decodeBudget      // the in-memory traces this harness holds decoded
 
 	sims atomic.Int64 // simulations this harness executed itself
@@ -176,8 +176,8 @@ func (h *Harness) workloadConfig(sys config.System) workloads.Config {
 // call constructs a fresh Machine, so concurrent jobs share no mutable
 // state; the workload build is deterministic (fixed seeds), so results do
 // not depend on the schedule, nor on whether the references come from a
-// build shared through b. Registered sources (spec files, recorded
-// traces) take precedence over the built-in catalog.
+// build shared through b. Registered sources (loaded traces, specs and
+// scenarios) take precedence over the built-in catalog.
 func (h *Harness) simulate(j Job, b *builds) (*stats.Run, error) {
 	cfg := h.workloadConfig(j.Sys)
 	var w *workloads.Workload
@@ -193,19 +193,6 @@ func (h *Harness) simulate(j Job, b *builds) (*stats.Run, error) {
 		}
 		w = b.workload(app, cfg)
 	}
-	// Check also releases the workload's resources (trace sources hold an
-	// open file), so it must run on every path once the workload is
-	// loaded — not only after a successful simulation.
-	checked := false
-	check := func() error {
-		if w.Check == nil || checked {
-			return nil
-		}
-		checked = true
-		return w.Check()
-	}
-	defer check() //nolint:errcheck // error path below already reported one
-
 	opts := make([]machine.Option, 0, len(j.opts)+3)
 	opts = append(opts, j.opts...)
 	if !j.skipHomes {
@@ -231,9 +218,9 @@ func (h *Harness) simulate(j Job, b *builds) (*stats.Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Replayed traces cannot report I/O or decode errors through
-	// trace.Stream; a failure here means the run saw truncated input.
-	if err := check(); err != nil {
+	// Replayed traces cannot report decode errors through trace.Stream;
+	// a failure here means the run saw truncated input.
+	if err := checkStreams(w); err != nil {
 		return nil, err
 	}
 	h.logf("  %s", run.Summary())

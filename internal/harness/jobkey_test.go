@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"rnuma/internal/config"
 	"rnuma/internal/stats"
 )
 
@@ -50,7 +51,8 @@ func (s *keyStore) Stats() StoreStats                              { return Stor
 // TestJobKeysStable sweeps the CI capture on all five axes at the CLI's
 // default values and runs block x dilate, nodes x page and block x
 // threshold grids, each on a cold memo so that every variant's key is
-// derived from the capture, and compares the keys asked for with the
+// derived from the capture, then loads the example specs and scenarios
+// and the capture itself, and compares the keys asked for with the
 // fixture.
 func TestJobKeysStable(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "ci", "fft.trace"))
@@ -97,6 +99,37 @@ func TestJobKeysStable(t *testing.T) {
 		h.Store = store
 		if _, err := h.SweepGrid(data, g.x, vals(g.x, g.xcsv), g.y, vals(g.y, g.ycsv)); err != nil {
 			t.Fatalf("%s x %s grid: %v", g.x, g.y, err)
+		}
+	}
+	// Registered sources: both example specs, both example scenarios
+	// compiled at the 8x4 base shape and scale 0.05, and the capture
+	// under its embedded name.
+	isolateMemo(t)
+	h := New(0.05)
+	h.Store = store
+	root := filepath.Join("..", "..")
+	var names []string
+	for _, in := range []struct{ kind, path string }{
+		{KindSpec, "examples/specs/halo.json"},
+		{KindSpec, "examples/specs/hotcold.json"},
+		{KindTraffic, "examples/scenarios/burst-collision.json"},
+		{KindTraffic, "examples/scenarios/steady-mix.json"},
+		{KindTrace, "testdata/ci/fft.trace"},
+	} {
+		path := filepath.Join(root, in.path)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := h.Load(in.kind, data, "", filepath.Dir(path), config.Base(config.RNUMA))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		names = append(names, src.Name())
+	}
+	for _, name := range names {
+		if _, err := h.Run(name, config.Base(config.RNUMA)); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 	got := make([]string, 0, len(store.keys))

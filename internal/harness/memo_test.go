@@ -115,13 +115,11 @@ func TestWarmResubmissionDoesNoTraceWork(t *testing.T) {
 		t.Errorf("warm results differ from the cold run:\n got %+v\nwant %+v", got, want)
 	}
 
-	// Replay and diffstats jobs register their input through TraceSource:
-	// bytes hashed once are never hashed again.
-	if _, err := TraceSource(data); err != nil {
-		t.Fatal(err)
-	}
+	// Replay and diffstats jobs load their input: bytes hashed once are
+	// never hashed again.
+	load(t, New(scale), KindTrace, data)
 	if _, hs := traceWorkNow(); hs != hs1 {
-		t.Errorf("TraceSource of a memoized capture ran %d canonical hashes", hs-hs1)
+		t.Errorf("loading a memoized capture ran %d canonical hashes", hs-hs1)
 	}
 }
 
@@ -225,7 +223,10 @@ func TestMemoKeysMatchFullDecode(t *testing.T) {
 		if src.Key() != key {
 			t.Errorf("%s: memoized key %s, full decode %s", name, src.Key(), key)
 		}
-		pt := newSweepPoint(name, hdr, c.axis, c.v, c.label)
+		pt, err := newSweepPoint(name, hdr, c.axis, c.v, c.label)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, sys := range []config.System{pt.ideal, pt.cc, pt.scoma, pt.rn} {
 			got := h.KeyFor(NewJob(name, sys)).String()
 			want := JobKey{App: key, Sys: sysKey(sys), Seed: h.Seed, Scale: h.Scale}.String()
@@ -272,8 +273,8 @@ func TestMemoStoresOnlyContent(t *testing.T) {
 	data := recordCatalog(t, "fft", scale)
 	corrupt := data[:len(data)-16]
 	for i := 0; i < 2; i++ {
-		if _, err := TraceSource(corrupt); err == nil {
-			t.Errorf("call %d: TraceSource accepted a truncated trace", i)
+		if _, err := New(scale).Load(KindTrace, corrupt, "", "", config.System{}); err == nil {
+			t.Errorf("call %d: Load accepted a truncated trace", i)
 		}
 		if _, _, err := New(scale).Sweep(corrupt, AxisThreshold, memoThresholds); err == nil {
 			t.Errorf("call %d: threshold sweep accepted a truncated trace", i)
@@ -295,14 +296,7 @@ func TestMemoStoresOnlyContent(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := buf.Bytes()
-	a, err := TraceSource(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := TraceSource(other)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := load(t, New(scale), KindTrace, data), load(t, New(scale), KindTrace, other)
 	if a.Name() != b.Name() || a.Key() == b.Key() {
 		t.Errorf("captures %q and %q keyed %s and %s; want one name, two keys", a.Name(), b.Name(), a.Key(), b.Key())
 	}

@@ -149,16 +149,25 @@ func replayThresholds(data []byte, sys config.System, o runOptions) (*Result, er
 // (Replay, the snapshot/resume CLI, and fork sweeps all share this
 // construction, which is what makes their machines state-compatible).
 func NewTraceMachine(h tracefile.Header, sys config.System, opts ...machine.Option) (*machine.Machine, config.System, error) {
-	if h.Nodes < 1 || h.CPUs%h.Nodes != 0 {
-		return nil, sys, fmt.Errorf("harness: trace has %d CPUs on %d nodes (not evenly divided)", h.CPUs, h.Nodes)
+	sys, err := traceSystem(sys, h)
+	if err != nil {
+		return nil, sys, err
 	}
-	sys.Geometry = h.Geometry
-	sys.Nodes = h.Nodes
-	sys.CPUsPerNode = h.CPUs / h.Nodes
 	if err := sys.Validate(); err != nil {
 		return nil, sys, err
 	}
 	all := append([]machine.Option{machine.WithHomes(h.HomeFunc()), machine.WithPages(h.SharedPages)}, opts...)
 	m, err := machine.New(sys, all...)
 	return m, sys, err
+}
+
+// traceSystem sizes sys to a recorded trace's machine: the node and CPU
+// counts and the geometry come from the header. No machine replays a
+// trace whose nodes do not divide its CPUs, so that is an error.
+func traceSystem(sys config.System, hdr tracefile.Header) (config.System, error) {
+	if hdr.Nodes < 1 || hdr.CPUs%hdr.Nodes != 0 {
+		return sys, fmt.Errorf("harness: trace %s has %d CPUs on %d nodes (not evenly divided)", hdr.Name, hdr.CPUs, hdr.Nodes)
+	}
+	sys.Nodes, sys.CPUsPerNode, sys.Geometry = hdr.Nodes, hdr.CPUs/hdr.Nodes, hdr.Geometry
+	return sys, nil
 }

@@ -289,13 +289,7 @@ func TestSerialPrefetchSimulatesEveryJob(t *testing.T) {
 // sources out, including one that shadows a catalog name.
 func TestBuildsShareAndDrop(t *testing.T) {
 	h := New(0.05)
-	src, err := SpecSource([]byte(strings.Replace(testSpec, `"src-test"`, `"fft"`, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Register(src); err != nil {
-		t.Fatal(err)
-	}
+	load(t, h, KindSpec, []byte(strings.Replace(testSpec, `"src-test"`, `"fft"`, 1)))
 	cc, sc := config.Base(config.CCNUMA), config.Base(config.SCOMA)
 	jobs := []Job{NewJob("lu", cc), NewJob("lu", sc), NewJob("fft", cc)}
 	b := h.newBuilds(jobs)

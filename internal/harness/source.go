@@ -2,12 +2,14 @@ package harness
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 
+	"rnuma/internal/config"
 	"rnuma/internal/spec"
 	"rnuma/internal/trace"
 	"rnuma/internal/tracefile"
@@ -15,29 +17,151 @@ import (
 	"rnuma/internal/workloads"
 )
 
-// Source supplies a workload from outside the built-in catalog: a
-// declarative spec file or a recorded trace. Registered sources join the
-// harness's application namespace, so every figure, plan, and CLI flag
-// that takes an application name takes a source name too.
+// Source is a workload from outside the built-in catalog: a recorded
+// trace, a declarative spec or a traffic scenario, loaded from its bytes
+// (Load). Registered sources join the harness's application namespace,
+// so every figure, plan, and CLI flag that takes an application name
+// takes a source name too.
 type Source interface {
 	// Name is the application name the source registers under.
 	Name() string
 	// Key identifies the source's *content* for the memo cache: two
-	// files with the same name but different bytes must not share
+	// inputs with the same name but different bytes must not share
 	// simulations, and re-registering identical content is a no-op.
 	Key() string
-	// Load builds (or opens) the workload for one simulation. It is
-	// called once per memoized job, so trace sources may hand out
-	// consume-once streams.
+	// Load builds the workload for one simulation. It is called once per
+	// memoized job, so sources may hand out consume-once streams.
 	Load(cfg workloads.Config) (*workloads.Workload, error)
 }
 
-// Register adds a source to the harness's application namespace.
-// Registered names take precedence over the built-in catalog (replaying a
-// recorded "barnes" trace shadows the generator of the same name for
-// that harness). Re-registering the same content is a no-op; a name
-// collision with different content is an error.
-func (h *Harness) Register(src Source) error {
+// Input kinds.
+const (
+	KindTrace   = "trace"   // a recorded tracefile encoding
+	KindSpec    = "spec"    // a declarative workload spec (JSON)
+	KindTraffic = "traffic" // a multi-tenant traffic scenario (JSON)
+)
+
+// Input is what Inspect reads of an input's bytes.
+type Input struct {
+	Kind, Name string           // Name is the embedded workload or scenario name
+	Header     tracefile.Header // a trace's recorded header; zero otherwise
+}
+
+// Inspect checks data as one input of the given kind, reading only what
+// names it: a trace's header, or a spec's or scenario's JSON. Kind ""
+// sniffs: tracefile encodings are binary, and of the two JSON kinds only
+// traffic scenarios have a top-level "clients" key.
+func Inspect(kind string, data []byte) (Input, error) {
+	in := Input{Kind: kind}
+	if kind == "" {
+		in.Kind = sniffKind(data)
+	}
+	switch in.Kind {
+	case KindTrace:
+		d, err := tracefile.NewReader(bytes.NewReader(data))
+		if err != nil {
+			return in, fmt.Errorf("harness: bad trace: %w", err)
+		}
+		in.Header = d.Header()
+		in.Name = in.Header.Name
+	case KindSpec:
+		s, err := spec.Parse(data)
+		if err != nil {
+			return in, fmt.Errorf("harness: bad spec: %w", err)
+		}
+		in.Name = s.Name
+	case KindTraffic:
+		s, err := traffic.Parse(data)
+		if err != nil {
+			return in, fmt.Errorf("harness: bad traffic scenario: %w", err)
+		}
+		in.Name = s.Name
+	default:
+		return in, fmt.Errorf("harness: unknown input kind %q (want trace, spec, or traffic)", kind)
+	}
+	return in, nil
+}
+
+// System sizes sys for the input: a trace replays only on its recorded
+// machine shape and geometry (traceSystem); a spec or a scenario is
+// built for sys.
+func (in Input) System(sys config.System) (config.System, error) {
+	if in.Kind != KindTrace {
+		return sys, nil
+	}
+	return traceSystem(sys, in.Header)
+}
+
+// sniffKind guesses an input's kind. The "clients" key is checked by
+// decoding the object, because a substring test would mis-sniff any spec
+// that merely mentions clients in a name or value.
+func sniffKind(data []byte) string {
+	trimmed := bytes.TrimLeft(data, " \t\r\n")
+	if len(trimmed) == 0 || trimmed[0] != '{' {
+		return KindTrace
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(trimmed, &top); err == nil {
+		if _, ok := top["clients"]; ok {
+			return KindTraffic
+		}
+	}
+	return KindSpec
+}
+
+// Load builds a source from an input's bytes and registers it under
+// name ("" keeps the embedded name); kind "" sniffs it, as Inspect does.
+// A trace is keyed by its canonical content hash, so its v1 and v2
+// encodings and a cut+cat recomposition share simulations; bytes already
+// keyed in this process reuse their key from the trace memo, and the
+// trace is decoded at most once, charged to h's decode budget (past the
+// budget it streams from data). A spec is keyed by its bytes' hash. A
+// traffic scenario is compiled once, for sys's machine shape at h's
+// scale and seed, with relative phase paths resolved against baseDir
+// ("" means the working directory); it is keyed by its compiled
+// streams' canonical hash plus its bytes' hash, since the attribution
+// split shapes per-client results. Specs and traces ignore sys.
+// Re-loading content already registered under the name returns the
+// registered source; different content under it is an error.
+func (h *Harness) Load(kind string, data []byte, name, baseDir string, sys config.System) (Source, error) {
+	if kind == "" {
+		kind = sniffKind(data)
+	}
+	var src Source
+	switch kind {
+	case KindTrace:
+		v, err := openCapture(data, &h.decodes)
+		if err != nil {
+			return nil, err
+		}
+		v.name = cmp.Or(name, v.hdr.Name)
+		src = v
+	case KindSpec:
+		s, err := spec.Parse(data)
+		if err != nil {
+			return nil, err
+		}
+		sum := sha256.Sum256(data)
+		src = &specSource{s: s, name: cmp.Or(name, s.Name), key: fmt.Sprintf("spec:%s:%x", s.Name, sum[:8])}
+	case KindTraffic:
+		t, err := compileTraffic(data, name, baseDir, h.workloadConfig(sys))
+		if err != nil {
+			return nil, err
+		}
+		src = t
+	default:
+		return nil, fmt.Errorf("harness: unknown input kind %q (want trace, spec, or traffic)", kind)
+	}
+	return h.register(src)
+}
+
+// register adds a source to the harness's application namespace and
+// returns the registered source. Registered names take precedence over
+// the built-in catalog (replaying a recorded "barnes" trace shadows the
+// generator of the same name for that harness). Registering content
+// already registered under the name keeps the first source (and any
+// decode it holds); different content under the name is an error.
+func (h *Harness) register(src Source) (Source, error) {
 	h.srcMu.Lock()
 	defer h.srcMu.Unlock()
 	if h.sources == nil {
@@ -45,15 +169,12 @@ func (h *Harness) Register(src Source) error {
 	}
 	if old, ok := h.sources[src.Name()]; ok {
 		if old.Key() != src.Key() {
-			return fmt.Errorf("harness: source %q already registered with different content", src.Name())
+			return nil, fmt.Errorf("harness: source %q already registered with different content", src.Name())
 		}
-		return nil // keep the source (and any decode) already registered
+		return old, nil
 	}
 	h.sources[src.Name()] = src
-	if v := variantOf(src); v != nil {
-		v.adopt(&h.decodes)
-	}
-	return nil
+	return src, nil
 }
 
 // source looks up a registered source by application name.
@@ -63,128 +184,37 @@ func (h *Harness) source(name string) Source {
 	return h.sources[name]
 }
 
-// Sources lists the registered source names in no particular order.
-func (h *Harness) Sources() []string {
-	h.srcMu.Lock()
-	defer h.srcMu.Unlock()
-	out := make([]string, 0, len(h.sources))
-	for name := range h.sources {
-		out = append(out, name)
+// ScenarioOf returns a traffic source's compiled scenario, or nil for
+// any other source.
+func ScenarioOf(src Source) *traffic.Scenario {
+	if t, ok := src.(*trafficSource); ok {
+		return t.sc
 	}
-	return out
+	return nil
 }
-
-// jobKey is the canonical string form of KeyFor (kept for tests and
-// log lines; stores index by the same string via JobKey.String).
-func (h *Harness) jobKey(j Job) string {
-	return h.KeyFor(j).String()
-}
-
-// ---------------------------------------------------------------------
 
 // specSource builds workloads from a parsed declarative spec.
 type specSource struct {
-	s   *spec.Spec
-	key string
+	s         *spec.Spec
+	name, key string
 }
 
-// SpecSource wraps an in-memory spec document (CLI paths that already
-// read the bytes, e.g. stdin).
-func SpecSource(data []byte) (Source, error) {
-	s, err := spec.Parse(data)
-	if err != nil {
-		return nil, err
-	}
-	sum := sha256.Sum256(data)
-	return &specSource{s: s, key: fmt.Sprintf("spec:%s:%x", s.Name, sum[:8])}, nil
-}
-
-// SpecFileSource loads a spec file as a workload source; the memo key is
-// derived from the file's content hash.
-func SpecFileSource(path string) (Source, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	src, err := SpecSource(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return src, nil
-}
-
-func (s *specSource) Name() string { return s.s.Name }
+func (s *specSource) Name() string { return s.name }
 func (s *specSource) Key() string  { return s.key }
 func (s *specSource) Load(cfg workloads.Config) (*workloads.Workload, error) {
 	return s.s.Build(cfg)
 }
 
-// ---------------------------------------------------------------------
-
-// traceSource replays a recorded trace: a file, opened per Load and
-// streamed, never materialized, or an in-memory trace — a caller's
-// capture, or a sweep variant read from the capture (see variant).
-type traceSource struct {
-	path string   // file-backed source ("" when in memory)
-	v    *variant // the trace's key and header; in memory, the trace itself
+// trafficSource serves a compiled multi-tenant traffic scenario, handing
+// out fresh streams per Load.
+type trafficSource struct {
+	sc        *traffic.Scenario
+	name, key string
 }
 
-// TraceFileSource opens a recorded trace as a workload source. The memo
-// key is derived from tracefile.CanonicalHash — the decoded reference
-// streams, not the bytes on disk — so a v1 trace, its v2 recompression,
-// and a cut+cat recomposition of the same capture all share simulations;
-// replay validates that the simulated machine matches the recorded
-// geometry and CPU count. Opening hashes the file in one streaming
-// decode, so a truncated or corrupt trace is rejected here rather than
-// mid-run, and every Load streams the file again: a file-backed trace is
-// never materialized, whatever its size.
-func TraceFileSource(path string) (Source, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	defer f.Close()
-	sum, hdr, err := tracefile.CanonicalHash(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &traceSource{path: path, v: &variant{key: traceKey(sum, hdr.Name), hdr: hdr}}, nil
-}
-
-// TraceSource wraps an in-memory trace encoding as a workload source —
-// the transform pipeline's natural endpoint, where a retargeted or
-// dilated trace goes straight into the harness without a temp file. The
-// memo key follows the canonical content hash, like TraceFileSource;
-// bytes already hashed in this process reuse their key from the trace
-// memo instead of decoding again. The trace is decoded at most once: for
-// its key on a memo miss, or else on the first Load. The harness it is
-// registered with holds the decode against its budget.
-func TraceSource(data []byte) (Source, error) {
-	v, err := openCapture(data, nil)
-	if err != nil {
-		return nil, err
-	}
-	return v.source(), nil
-}
-
-// ---------------------------------------------------------------------
-
-// TrafficScenarioSource serves a compiled multi-tenant traffic scenario
-// (the concrete Source so callers can reach the compiled Scenario). The
-// scenario is compiled once at registration (for one machine shape) and
-// handed out as fresh streams per Load.
-type TrafficScenarioSource struct {
-	sc  *traffic.Scenario
-	key string
-}
-
-// TrafficSource compiles an in-memory traffic spec for the given machine
-// configuration and wraps the scenario as a workload source. The memo key
-// combines the compiled streams' canonical hash (so two specs compiling
-// to the same scenario share simulations, like trace sources) with the
-// spec content hash (the attribution split is not part of the encoded
-// streams, but it does shape per-client results).
-func TrafficSource(data []byte, baseDir string, cfg workloads.Config) (*TrafficScenarioSource, error) {
+// compileTraffic compiles a traffic scenario's bytes for cfg and keys
+// the result, named name ("" keeps the scenario's own).
+func compileTraffic(data []byte, name, baseDir string, cfg workloads.Config) (*trafficSource, error) {
 	s, err := traffic.Parse(data)
 	if err != nil {
 		return nil, err
@@ -199,77 +229,19 @@ func TrafficSource(data []byte, baseDir string, cfg workloads.Config) (*TrafficS
 		return nil, fmt.Errorf("harness: %w", err)
 	}
 	specSum := sha256.Sum256(data)
-	return &TrafficScenarioSource{
-		sc:  sc,
-		key: fmt.Sprintf("traffic:%s:%x:%x", sc.Name, sum[:8], specSum[:8]),
-	}, nil
+	return &trafficSource{sc: sc, name: cmp.Or(name, sc.Name), key: fmt.Sprintf("traffic:%s:%x:%x", sc.Name, sum[:8], specSum[:8])}, nil
 }
 
-func (t *TrafficScenarioSource) Name() string { return t.sc.Name }
-func (t *TrafficScenarioSource) Key() string  { return t.key }
+func (t *trafficSource) Name() string { return t.name }
+func (t *trafficSource) Key() string  { return t.key }
 
-// Scenario exposes the compiled scenario (CLIs reuse the compilation for
-// reporting and export).
-func (t *TrafficScenarioSource) Scenario() *traffic.Scenario { return t.sc }
-
-func (t *TrafficScenarioSource) Load(cfg workloads.Config) (*workloads.Workload, error) {
+func (t *trafficSource) Load(cfg workloads.Config) (*workloads.Workload, error) {
 	want := t.sc.Cfg
 	if cfg.Geometry != want.Geometry || cfg.Nodes != want.Nodes || cfg.CPUsPerNode != want.CPUsPerNode {
 		return nil, fmt.Errorf("harness: traffic scenario %q compiled for %dx%d %v, machine wants %dx%d %v",
-			t.sc.Name, want.Nodes, want.CPUsPerNode, want.Geometry, cfg.Nodes, cfg.CPUsPerNode, cfg.Geometry)
+			t.name, want.Nodes, want.CPUsPerNode, want.Geometry, cfg.Nodes, cfg.CPUsPerNode, cfg.Geometry)
 	}
 	return t.sc.Workload(), nil
-}
-
-func (t *traceSource) Name() string { return t.v.hdr.Name }
-func (t *traceSource) Key() string  { return t.v.key }
-
-// what names the source in errors.
-func (t *traceSource) what() string {
-	if t.path != "" {
-		return t.path
-	}
-	return "(in-memory) " + t.v.hdr.Name
-}
-
-func (t *traceSource) Load(cfg workloads.Config) (*workloads.Workload, error) {
-	hdr := t.v.hdr
-	if cfg.Geometry != hdr.Geometry {
-		return nil, fmt.Errorf("harness: trace %s recorded with %v, machine uses %v", t.what(), hdr.Geometry, cfg.Geometry)
-	}
-	if cpus := cfg.Nodes * cfg.CPUsPerNode; cpus != hdr.CPUs || cfg.Nodes != hdr.Nodes {
-		return nil, fmt.Errorf("harness: trace %s recorded on %d nodes/%d cpus, machine has %d/%d",
-			t.what(), hdr.Nodes, hdr.CPUs, cfg.Nodes, cpus)
-	}
-	if t.path == "" {
-		tr, err := t.v.trace()
-		if err != nil {
-			return nil, err
-		}
-		w, err := tr.open()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", t.what(), err)
-		}
-		return w, nil
-	}
-	f, err := os.Open(t.path)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	d, err := tracefile.NewReader(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%s: %w", t.path, err)
-	}
-	w := d.Workload()
-	w.Check = func() error {
-		cerr := d.Err()
-		if err := f.Close(); cerr == nil && err != nil {
-			cerr = err
-		}
-		return cerr
-	}
-	return w, nil
 }
 
 // ---------------------------------------------------------------------
@@ -363,7 +335,7 @@ func traceKey(sum [sha256.Size]byte, name string) string {
 // maxDecodedRecords caps the trace references one harness holds decoded,
 // at 12 bytes each 96 MiB. The largest full-scale catalog capture, moldyn,
 // is 2,238,080 records. A trace that would pass the cap streams from its
-// bytes on every replay instead, as file-backed traces always do.
+// bytes on every replay instead.
 const maxDecodedRecords = 1 << 23
 
 // decodeBudget counts the decoded trace references a harness holds. Its
@@ -539,16 +511,19 @@ func (s *mapStream) NextBatch(max int) []trace.Ref {
 
 func (s *mapStream) SeekRecord(n int64) error { return s.src.SeekRecord(n) }
 
-// variant is one in-memory trace a job reads: a caller's capture, or a
-// sweep transform of one. A capture holds its bytes and decodes them at
-// most once, for its key on a memo miss or for the first simulation,
-// fork trunk or variant that reads it; the decode is held while its
-// variants exist. A transform's variant is never encoded or decoded: it
-// is its capture's records read through the transforms' pure forms (a
-// grid's X map, then its Y map), keyed by the canonical hash of those
-// mapped records, which is the key its encoding would have.
+// variant is one in-memory trace a job reads, and the Source it
+// registers as: a caller's capture, or a sweep transform of one. A
+// capture holds its bytes and decodes them at most once, charged to the
+// budget of the harness that built it, for its key on a memo miss or for
+// the first simulation, fork trunk or variant that reads it; the decode
+// is held while its variants exist. A transform's variant is never
+// encoded or decoded: it is its capture's records read through the
+// transforms' pure forms (a grid's X map, then its Y map), keyed by the
+// canonical hash of those mapped records, which is the key its encoding
+// would have.
 type variant struct {
 	d    derivation
+	name string           // the registered name ("" until registered)
 	key  string           // the content key
 	hdr  tracefile.Header // homes included
 	data []byte           // a capture's bytes
@@ -556,15 +531,14 @@ type variant struct {
 	maps []tracefile.Map  // a transform's pure forms, in order
 
 	mu     sync.Mutex
-	budget *decodeBudget // a capture's: the owning harness's, nil until registered
+	budget *decodeBudget // a capture's: its harness's
 	tr     *replayTrace  // nil until read
 	err    error         // sticky read error
 }
 
 // openCapture resolves a caller's input trace: its key and header come
 // from the memo, or else from decoding and hashing it now. b is the
-// budget the decode is charged to: the harness's for a sweep or grid,
-// nil for a TraceSource, which its harness adopts on registration.
+// budget of the harness the decode is charged to.
 func openCapture(data []byte, b *decodeBudget) (*variant, error) {
 	v := &variant{d: derivation{input: sha256.Sum256(data)}, data: data, budget: b}
 	v.in = v
@@ -586,16 +560,17 @@ func openCapture(data []byte, b *decodeBudget) (*variant, error) {
 }
 
 // then returns the variant that applies one more transform to v's
-// capture: m is its pure form over v's header (pointOf). Its key is
-// unresolved until registerVariant.
+// capture, named by its header: m is its pure form over v's header
+// (pointOf). Its key is unresolved until registerVariant.
 func (v *variant) then(axis Axis, val SweepValue, m *tracefile.Map) *variant {
-	return &variant{d: v.d.then(axis, val), hdr: m.Header, in: v.in, maps: append(v.maps[:len(v.maps):len(v.maps)], *m)}
+	return &variant{d: v.d.then(axis, val), name: m.Header.Name, hdr: m.Header, in: v.in,
+		maps: append(v.maps[:len(v.maps):len(v.maps)], *m)}
 }
 
-// registerVariant learns a transform's key and registers the variant
-// under its embedded name. On a memo hit nothing is read (trace maps and
-// checks the variant when a simulation or fork trunk first reads it); on
-// a miss it is mapped and hashed now, and its key memoized.
+// registerVariant learns a transform's key and registers the variant. On
+// a memo hit nothing is read (trace maps and checks the variant when a
+// simulation or fork trunk first reads it); on a miss it is mapped and
+// hashed now, and its key memoized.
 func (h *Harness) registerVariant(v *variant) error {
 	if info, ok := memoGet(v.d); ok {
 		v.key = info.key
@@ -607,7 +582,8 @@ func (h *Harness) registerVariant(v *variant) error {
 		v.tr, v.key = tr, key
 		memoPut(v.d, traceInfo{key: key})
 	}
-	return h.Register(v.source())
+	_, err := h.register(v)
+	return err
 }
 
 // view reads the capture through the variant's maps and hashes the
@@ -647,35 +623,27 @@ func (v *variant) trace() (*replayTrace, error) {
 	return v.tr, v.err
 }
 
-// adopt makes a harness's budget the owner of a capture that has none
-// (a TraceSource's): a decode already made is charged to it, or dropped
-// when it does not fit, and the capture then streams.
-func (v *variant) adopt(b *decodeBudget) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.in != v || v.budget != nil {
-		return
-	}
-	v.budget = b
-	if v.tr != nil && v.tr.w != nil && !b.reserve(v.tr.held) {
-		v.tr = &replayTrace{hdr: v.tr.hdr, data: v.data}
-	}
-}
+func (v *variant) Name() string { return v.name }
+func (v *variant) Key() string  { return v.key }
 
-// variantOf returns the trace behind an in-memory trace source, or nil
-// for any other source.
-func variantOf(src Source) *variant {
-	for {
-		switch s := src.(type) {
-		case *renamedSource:
-			src = s.Source
-		case *traceSource:
-			return s.v
-		default:
-			return nil
-		}
+// Load replays the trace on a machine of its recorded shape and
+// geometry.
+func (v *variant) Load(cfg workloads.Config) (*workloads.Workload, error) {
+	hdr := v.hdr
+	if cfg.Geometry != hdr.Geometry {
+		return nil, fmt.Errorf("harness: trace %s recorded with %v, machine uses %v", v.name, hdr.Geometry, cfg.Geometry)
 	}
+	if cpus := cfg.Nodes * cfg.CPUsPerNode; cpus != hdr.CPUs || cfg.Nodes != hdr.Nodes {
+		return nil, fmt.Errorf("harness: trace %s recorded on %d nodes/%d cpus, machine has %d/%d",
+			v.name, hdr.Nodes, hdr.CPUs, cfg.Nodes, cpus)
+	}
+	tr, err := v.trace()
+	if err != nil {
+		return nil, err
+	}
+	w, err := tr.open()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", v.name, err)
+	}
+	return w, nil
 }
-
-// source wraps the variant as a workload source under its embedded name.
-func (v *variant) source() Source { return &traceSource{v: v} }

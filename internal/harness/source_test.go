@@ -27,25 +27,25 @@ const testSpec = `{
   ]}]
 }`
 
-func TestSpecSourceThroughHarness(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "w.json")
-	if err := os.WriteFile(path, []byte(testSpec), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	src, err := SpecFileSource(path)
+// load registers an input with h through the loader, for the base
+// machine.
+func load(t *testing.T, h *Harness, kind string, data []byte) Source {
+	t.Helper()
+	src, err := h.Load(kind, data, "", "", config.Base(config.RNUMA))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return src
+}
+
+func TestSpecSourceThroughHarness(t *testing.T) {
+	h := New(0.1)
+	src := load(t, h, KindSpec, []byte(testSpec))
 	if src.Name() != "src-test" {
 		t.Fatalf("source name = %q", src.Name())
 	}
 	if !strings.HasPrefix(src.Key(), "spec:src-test:") {
 		t.Fatalf("source key %q not content-derived", src.Key())
-	}
-	h := New(0.1)
-	if err := h.Register(src); err != nil {
-		t.Fatal(err)
 	}
 	run, err := h.Run("src-test", config.Base(config.RNUMA))
 	if err != nil {
@@ -55,59 +55,70 @@ func TestSpecSourceThroughHarness(t *testing.T) {
 		t.Error("spec workload simulated zero references")
 	}
 	// The memo key must follow content, not the (app, sys) name pair.
-	if key := h.jobKey(NewJob("src-test", config.Base(config.RNUMA))); !strings.Contains(key, "spec:src-test:") {
+	if key := h.KeyFor(NewJob("src-test", config.Base(config.RNUMA))).String(); !strings.Contains(key, "spec:src-test:") {
 		t.Errorf("job key %q not derived from the source key", key)
 	}
 }
 
+// TestRegisterConflicts: loading identical content again returns the
+// registered source, under its embedded name or any other; different
+// content under a registered name is an error.
 func TestRegisterConflicts(t *testing.T) {
 	h := New(0.1)
-	a, err := SpecSource([]byte(testSpec))
-	if err != nil {
-		t.Fatal(err)
+	a := load(t, h, KindSpec, []byte(testSpec))
+	if b := load(t, h, KindSpec, []byte(testSpec)); b != a {
+		t.Errorf("identical re-load returned %p, want the registered %p", b, a)
 	}
-	if err := h.Register(a); err != nil {
-		t.Fatal(err)
+	other := []byte(strings.Replace(testSpec, `"gap": 10`, `"gap": 11`, 1))
+	if _, err := h.Load(KindSpec, other, "", "", config.System{}); err == nil {
+		t.Error("conflicting load accepted")
 	}
-	// Identical content re-registers cleanly.
-	b, _ := SpecSource([]byte(testSpec))
-	if err := h.Register(b); err != nil {
-		t.Errorf("identical re-register: %v", err)
+	renamed, err := h.Load(KindSpec, other, "src-test@2", "", config.System{})
+	if err != nil || renamed.Name() != "src-test@2" {
+		t.Fatalf("load under a new name: %v, %v", renamed, err)
 	}
-	// Same name, different content: rejected.
-	c, _ := SpecSource([]byte(strings.Replace(testSpec, `"gap": 10`, `"gap": 11`, 1)))
-	if err := h.Register(c); err == nil {
-		t.Error("conflicting register accepted")
+	if h.source("src-test") != a || h.source("src-test@2") != renamed {
+		t.Error("lookups do not return the registered sources")
 	}
-	if got := h.Sources(); len(got) != 1 || got[0] != "src-test" {
-		t.Errorf("sources = %v", got)
+	if _, err := h.Load("", []byte(testSpec), "", "", config.System{}); err != nil {
+		t.Errorf("sniffed re-load: %v", err)
+	}
+	if _, err := h.Load("bogus", []byte(testSpec), "", "", config.System{}); err == nil {
+		t.Error("unknown kind accepted")
 	}
 }
 
 func TestTraceSourceShapeMismatch(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.trace")
 	cfg := workloads.Config{Nodes: 4, CPUsPerNode: 2, Geometry: workloads.DefaultConfig().Geometry, Scale: 0.05}
 	app, _ := workloads.ByName("fft")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := tracefile.WriteWorkload(f, app.Build(cfg), cfg); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	src, err := TraceFileSource(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if _, _, err := tracefile.WriteWorkload(&buf, app.Build(cfg), cfg); err != nil {
 		t.Fatal(err)
 	}
 	h := New(0.05)
-	if err := h.Register(src); err != nil {
-		t.Fatal(err)
-	}
+	src := load(t, h, KindTrace, buf.Bytes())
 	// The base system is 8x4; the trace was recorded on 4x2.
 	if _, err := h.Run(src.Name(), config.Base(config.RNUMA)); err == nil {
 		t.Error("shape mismatch not rejected")
+	}
+}
+
+// TestSniffKind pins the input sniffer: binary → trace, JSON with a
+// top-level "clients" key → traffic, and any other JSON object → spec,
+// even when "clients" appears in a name or value.
+func TestSniffKind(t *testing.T) {
+	for _, tc := range []struct {
+		data string
+		want string
+	}{
+		{"\x00binary", KindTrace},
+		{"  {\"clients\": []}", KindTraffic},
+		{`{"name": "clients", "note": "drives many clients"}`, KindSpec},
+		{`{"name": "halo"}`, KindSpec},
+	} {
+		if got := sniffKind([]byte(tc.data)); got != tc.want {
+			t.Errorf("sniffKind(%q) = %s, want %s", tc.data, got, tc.want)
+		}
 	}
 }
 
@@ -124,37 +135,10 @@ func TestRecordReplayIdentity(t *testing.T) {
 		systems = systems[:1]
 	}
 	const scale = 0.05
-	dir := t.TempDir()
-
 	live := New(scale)
 	replay := New(scale)
-	base := config.Base(config.RNUMA)
-	cfg := workloads.Config{
-		Nodes:       base.Nodes,
-		CPUsPerNode: base.CPUsPerNode,
-		Geometry:    base.Geometry,
-		Scale:       scale,
-	}
 	for _, name := range apps {
-		app, _ := workloads.ByName(name)
-		path := filepath.Join(dir, name+".trace")
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := tracefile.WriteWorkload(f, app.Build(cfg), cfg); err != nil {
-			t.Fatalf("%s: record: %v", name, err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		src, err := TraceFileSource(path)
-		if err != nil {
-			t.Fatalf("%s: open: %v", name, err)
-		}
-		if err := replay.Register(src); err != nil {
-			t.Fatalf("%s: register: %v", name, err)
-		}
+		src := load(t, replay, KindTrace, recordCatalog(t, name, scale))
 		for _, sys := range systems {
 			want, err := live.Run(name, sys)
 			if err != nil {
@@ -216,15 +200,13 @@ func TestDifferentialIdentity(t *testing.T) {
 		for transport, path := range map[string]string{
 			"v1": v1Path, "v2": v2Path, "cut+cat": catPath,
 		} {
-			src, err := TraceFileSource(path)
+			data, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("%s/%s: open: %v", name, transport, err)
+				t.Fatalf("%s/%s: %v", name, transport, err)
 			}
-			keys[transport] = src.Key()
 			replay := New(scale)
-			if err := replay.Register(src); err != nil {
-				t.Fatalf("%s/%s: register: %v", name, transport, err)
-			}
+			src := load(t, replay, KindTrace, data)
+			keys[transport] = src.Key()
 			got, err := replay.Run(src.Name(), sys)
 			if err != nil {
 				t.Fatalf("%s/%s: replay: %v", name, transport, err)
@@ -353,15 +335,15 @@ func writeTrafficScenario(t *testing.T) string {
 	return path
 }
 
-// compileScenario is TrafficSource over a scenario file: its phase paths
-// resolve against the file's directory.
-func compileScenario(t *testing.T, path string, cfg workloads.Config) *TrafficScenarioSource {
+// compileScenario loads a scenario file into h for the base machine:
+// its phase paths resolve against the file's directory.
+func compileScenario(t *testing.T, h *Harness, path string) Source {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := TrafficSource(data, filepath.Dir(path), cfg)
+	src, err := h.Load(KindTraffic, data, "", filepath.Dir(path), config.Base(config.RNUMA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,16 +354,14 @@ func compileScenario(t *testing.T, path string, cfg workloads.Config) *TrafficSc
 // compiled streams without encoding them, yet each example scenario keys
 // exactly as hashing its encoding does.
 func TestTrafficKeyMatchesEncoding(t *testing.T) {
-	cfg := workloads.DefaultConfig()
-	cfg.Scale = 0.05
 	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
 	if err != nil || len(paths) != 2 {
 		t.Fatalf("example scenarios %v (%v), want two", paths, err)
 	}
 	for _, path := range paths {
-		src := compileScenario(t, path, cfg)
+		src := compileScenario(t, New(0.05), path)
 		var buf bytes.Buffer
-		sc := src.Scenario()
+		sc := ScenarioOf(src)
 		if _, _, err := tracefile.WriteWorkload(&buf, sc.Workload(), sc.Cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -402,9 +382,8 @@ func TestTrafficKeyMatchesEncoding(t *testing.T) {
 
 func TestTrafficSourceThroughHarness(t *testing.T) {
 	path := writeTrafficScenario(t)
-	cfg := workloads.DefaultConfig()
-	cfg.Scale = 0.05
-	src := compileScenario(t, path, cfg)
+	h := New(0.05)
+	src := compileScenario(t, h, path)
 	if src.Name() != "mix-test" {
 		t.Fatalf("source name = %q", src.Name())
 	}
@@ -413,20 +392,16 @@ func TestTrafficSourceThroughHarness(t *testing.T) {
 	}
 	// The key is a pure function of the spec + shape: an independent
 	// compilation of the same file must memoize identically.
-	if src2 := compileScenario(t, path, cfg); src.Key() != src2.Key() {
+	if src2 := compileScenario(t, New(0.05), path); src.Key() != src2.Key() {
 		t.Errorf("two compilations of one scenario produced keys %q vs %q", src.Key(), src2.Key())
 	}
 	// A scenario compiled for one shape refuses to load on another.
-	bad := cfg
+	bad := h.workloadConfig(config.Base(config.RNUMA))
 	bad.Nodes = 4
 	if _, err := src.Load(bad); err == nil {
 		t.Error("Load accepted a machine shape the scenario was not compiled for")
 	}
 
-	h := New(0.05)
-	if err := h.Register(src); err != nil {
-		t.Fatal(err)
-	}
 	run, err := h.Run("mix-test", config.Base(config.RNUMA))
 	if err != nil {
 		t.Fatal(err)
@@ -445,20 +420,15 @@ func TestTrafficSourceThroughHarness(t *testing.T) {
 // a serial harness.
 func TestTrafficParallelMatchesSerial(t *testing.T) {
 	path := writeTrafficScenario(t)
-	cfg := workloads.DefaultConfig()
-	cfg.Scale = 0.05
 	systems := []config.System{
 		config.Base(config.CCNUMA), config.Base(config.SCOMA),
 		config.Base(config.RNUMA), config.Ideal(),
 	}
 	collect := func(workers int) []*stats.Run {
-		src := compileScenario(t, path, cfg)
 		h := New(0.05)
 		h.Workers = workers
 		h.Telemetry = telemetry.Config{Window: 4096}
-		if err := h.Register(src); err != nil {
-			t.Fatal(err)
-		}
+		src := compileScenario(t, h, path)
 		h.Prefetch(NewPlan().AddRuns([]string{src.Name()}, systems...))
 		runs := make([]*stats.Run, len(systems))
 		for i, sys := range systems {
@@ -481,20 +451,23 @@ func TestTrafficParallelMatchesSerial(t *testing.T) {
 }
 
 func TestTrafficSourceErrors(t *testing.T) {
-	cfg := workloads.DefaultConfig()
-	cfg.Scale = 0.05
-	if _, err := TrafficSource([]byte(`{"name":`), "", cfg); err == nil {
-		t.Error("TrafficSource accepted truncated JSON")
+	h := New(0.05)
+	sys := config.Base(config.RNUMA)
+	if _, err := h.Load(KindTraffic, []byte(`{"name":`), "", "", sys); err == nil {
+		t.Error("Load accepted a truncated traffic scenario")
 	}
 	// A parseable scenario whose phase file does not exist fails at
-	// compile time, not at simulation time.
+	// load time, not at simulation time.
 	missing := `{"name": "m", "clients": [{"name": "a", "rate_fraction": 1,
 		"arrival": {"process": "poisson"}, "phases": [{"spec": "absent.json"}]}]}`
-	if _, err := TrafficSource([]byte(missing), t.TempDir(), cfg); err == nil {
-		t.Error("TrafficSource accepted a scenario with a missing phase file")
+	if _, err := h.Load(KindTraffic, []byte(missing), "", t.TempDir(), sys); err == nil {
+		t.Error("Load accepted a scenario with a missing phase file")
 	}
-	src := compileScenario(t, writeTrafficScenario(t), cfg)
-	if sc := src.Scenario(); sc == nil || sc.Name != src.Name() {
-		t.Errorf("Scenario() = %+v, want the compiled scenario named %q", sc, src.Name())
+	src := compileScenario(t, h, writeTrafficScenario(t))
+	if sc := ScenarioOf(src); sc == nil || sc.Name != src.Name() {
+		t.Errorf("ScenarioOf = %+v, want the compiled scenario named %q", sc, src.Name())
+	}
+	if sc := ScenarioOf(load(t, h, KindSpec, []byte(testSpec))); sc != nil {
+		t.Errorf("ScenarioOf a spec = %+v, want nil", sc)
 	}
 }

@@ -158,7 +158,7 @@ func (panicSource) Load(workloads.Config) (*workloads.Workload, error) {
 // instead of blocking forever, and the panic still reaches the caller.
 func TestRunJobPanicResolvesClaim(t *testing.T) {
 	h := New(0.05)
-	if err := h.Register(panicSource{}); err != nil {
+	if _, err := h.register(panicSource{}); err != nil {
 		t.Fatal(err)
 	}
 	sys := config.Base(config.RNUMA)
@@ -388,8 +388,9 @@ func TestReplayOptions(t *testing.T) {
 	}
 }
 
-// TestRenamedSource: a rename changes the registration name but not the
-// content key, so renamed registrations of one capture share results.
+// TestRenamedSource: loading under a name changes the registration name
+// but not the content key, so renamed registrations of one capture share
+// results.
 func TestRenamedSource(t *testing.T) {
 	app, _ := workloads.ByName("fft")
 	cfg := workloads.DefaultConfig()
@@ -398,24 +399,17 @@ func TestRenamedSource(t *testing.T) {
 	if _, _, err := tracefile.WriteWorkload(&buf, app.Build(cfg), cfg); err != nil {
 		t.Fatal(err)
 	}
-	src, err := TraceSource(buf.Bytes())
+	h := New(0.05)
+	src := load(t, h, KindTrace, buf.Bytes())
+	renamed, err := h.Load(KindTrace, buf.Bytes(), "fft@cafe1234", "", config.System{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	renamed := RenamedSource(src, "fft@cafe1234")
 	if renamed.Name() != "fft@cafe1234" {
 		t.Errorf("Name() = %q", renamed.Name())
 	}
 	if renamed.Key() != src.Key() {
 		t.Errorf("rename changed the content key: %q vs %q", renamed.Key(), src.Key())
-	}
-
-	h := New(0.05)
-	if err := h.Register(src); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Register(renamed); err != nil {
-		t.Fatal(err)
 	}
 	sys := config.Base(config.RNUMA)
 	r1, err := h.Run(src.Name(), sys)

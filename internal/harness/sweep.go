@@ -188,17 +188,6 @@ func humanBytes(n int) string {
 	return fmt.Sprintf("%dB", n)
 }
 
-// sweepSystem shapes a base configuration to one sweep point: the
-// machine shape and geometry come from the (possibly transformed) trace
-// header, and the label lands in the name for progress logs.
-func sweepSystem(sys config.System, hdr tracefile.Header, label string) config.System {
-	sys.Nodes = hdr.Nodes
-	sys.CPUsPerNode = hdr.CPUs / hdr.Nodes
-	sys.Geometry = hdr.Geometry
-	sys.Name = fmt.Sprintf("%s %s", sys.Name, label)
-	return sys
-}
-
 // sweepPoint is one resolved point of a sweep: the registered source
 // name plus the four systems to replay it under.
 type sweepPoint struct {
@@ -208,18 +197,32 @@ type sweepPoint struct {
 	ideal, cc, scoma, rn config.System
 }
 
-// newSweepPoint sizes a point's four systems to its trace's header; a
-// threshold-axis value also sets R-NUMA's relocation threshold.
-func newSweepPoint(app string, hdr tracefile.Header, axis Axis, v SweepValue, label string) sweepPoint {
+// newSweepPoint sizes a point's four systems to its trace's header, the
+// label landing in their names for progress logs; a threshold-axis value
+// also sets R-NUMA's relocation threshold. A header no machine can
+// replay fails (traceSystem).
+func newSweepPoint(app string, hdr tracefile.Header, axis Axis, v SweepValue, label string) (sweepPoint, error) {
 	pt := sweepPoint{value: v, label: label, app: app}
-	pt.ideal = sweepSystem(config.Ideal(), hdr, label)
-	pt.cc = sweepSystem(config.Base(config.CCNUMA), hdr, label)
-	pt.scoma = sweepSystem(config.Base(config.SCOMA), hdr, label)
-	pt.rn = sweepSystem(config.Base(config.RNUMA), hdr, label)
+	for _, s := range []struct {
+		into *config.System
+		sys  config.System
+	}{
+		{&pt.ideal, config.Ideal()},
+		{&pt.cc, config.Base(config.CCNUMA)},
+		{&pt.scoma, config.Base(config.SCOMA)},
+		{&pt.rn, config.Base(config.RNUMA)},
+	} {
+		sys, err := traceSystem(s.sys, hdr)
+		if err != nil {
+			return pt, err
+		}
+		sys.Name += " " + label
+		*s.into = sys
+	}
 	if axis == AxisThreshold {
 		pt.rn.Threshold = int(v.Num)
 	}
-	return pt
+	return pt, nil
 }
 
 // pointOf validates one axis value against the header of the trace it
@@ -269,9 +272,11 @@ func pointOf(hdr tracefile.Header, axis Axis, v SweepValue) (string, *tracefile.
 
 // CheckPoints validates a sweep's values along axis, or with valuesB a
 // grid's cells (the axis transform first, then axisB's), against a
-// capture's header alone. It runs the check Sweep and SweepGrid run on
-// every point before reading a record (pointOf), so a value it accepts
-// they accept too. The daemon checks each request with it at submission.
+// capture's header alone: each point's transform, and the machine its
+// replayed header needs. It runs the checks Sweep and SweepGrid run on
+// every point before reading a record (pointOf, newSweepPoint), so a
+// value it accepts they accept too. The daemon checks each request with
+// it at submission.
 func CheckPoints(hdr tracefile.Header, axis Axis, values []SweepValue, axisB Axis, valuesB []SweepValue) error {
 	for _, x := range values {
 		_, m, err := pointOf(hdr, axis, x)
@@ -282,10 +287,13 @@ func CheckPoints(hdr tracefile.Header, axis Axis, values []SweepValue, axisB Axi
 		if m != nil {
 			xh = m.Header
 		}
-		for _, y := range valuesB {
-			if _, _, err := pointOf(xh, axisB, y); err != nil {
-				return err
-			}
+		if len(valuesB) == 0 {
+			_, err = traceSystem(config.System{}, xh)
+		} else { // the cells along x are a sweep of the x variant
+			err = CheckPoints(xh, axisB, valuesB, axisB, nil)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -316,10 +324,9 @@ func (h *Harness) Sweep(data []byte, axis Axis, values []SweepValue) ([]AxisPoin
 	// The threshold axis replays the capture unchanged; register it once
 	// under an axis-tagged name so it cannot collide with a same-named
 	// catalog generator or an untransformed -traces row.
-	shared := ""
 	if axis == AxisThreshold {
-		shared = fmt.Sprintf("%s@%s", hdr.Name, axis)
-		if err := h.Register(RenamedSource(in.source(), shared)); err != nil {
+		in.name = fmt.Sprintf("%s@%s", hdr.Name, axis)
+		if _, err := h.register(in); err != nil {
 			return nil, "", err
 		}
 	}
@@ -331,15 +338,17 @@ func (h *Harness) Sweep(data []byte, axis Axis, values []SweepValue) ([]AxisPoin
 		if err != nil {
 			return nil, "", err
 		}
-		app, vh := shared, hdr
+		pv := in
 		if m != nil {
-			pv := in.then(axis, v, m)
+			pv = in.then(axis, v, m)
 			if err := h.registerVariant(pv); err != nil {
 				return nil, "", err
 			}
-			app, vh = pv.hdr.Name, pv.hdr
 		}
-		pt := newSweepPoint(app, vh, axis, v, label)
+		pt, err := newSweepPoint(pv.name, pv.hdr, axis, v, label)
+		if err != nil {
+			return nil, "", err
+		}
 		plan.AddRuns([]string{pt.app}, pt.ideal, pt.cc, pt.scoma, pt.rn)
 		pts = append(pts, pt)
 	}
@@ -363,22 +372,4 @@ func (h *Harness) Sweep(data []byte, axis Axis, values []SweepValue) ([]AxisPoin
 		out = append(out, c.point(axis, p.value, p.label))
 	}
 	return out, hdr.Name, nil
-}
-
-// renamedSource registers an existing source under a different
-// application name (the content key is unchanged, so identical content
-// still shares simulations).
-type renamedSource struct {
-	Source
-	name string
-}
-
-func (r *renamedSource) Name() string { return r.name }
-
-// RenamedSource wraps a source under a different application name. The
-// content key is unchanged, so identical content still shares
-// simulations through the store; the server uses it to disambiguate
-// uploads whose embedded names collide.
-func RenamedSource(src Source, name string) Source {
-	return &renamedSource{Source: src, name: name}
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"rnuma/internal/addr"
 	"rnuma/internal/config"
 	"rnuma/internal/tracefile"
 	"rnuma/internal/workloads"
@@ -58,19 +60,14 @@ func wrapped(t *testing.T, data []byte, hdr tracefile.Header, axis Axis, v Sweep
 	return buf.Bytes()
 }
 
-// retargetSource wraps a retargeted copy of an in-memory trace as a
-// source, the way the sweep engine builds its points.
-func retargetSource(t *testing.T, data []byte, spec tracefile.RetargetSpec) Source {
+// retargetSource loads a retargeted copy of an in-memory trace into h.
+func retargetSource(t *testing.T, h *Harness, data []byte, spec tracefile.RetargetSpec) Source {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := tracefile.Retarget(&buf, bytes.NewReader(data), spec); err != nil {
 		t.Fatalf("retarget: %v", err)
 	}
-	src, err := TraceSource(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return src
+	return load(t, h, KindTrace, buf.Bytes())
 }
 
 // TestRetargetIdentityReplaysIdentically is the transform layer's
@@ -88,22 +85,18 @@ func TestRetargetIdentityReplaysIdentically(t *testing.T) {
 	for _, name := range apps {
 		data := recordCatalog(t, name, scale)
 
-		orig, err := TraceSource(data)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		re := retargetSource(t, data, tracefile.RetargetSpec{}) // identity, shape kept
+		// Each replay runs in a harness of its own, so neither reads the
+		// other's stored result.
+		hOrig, hRe := New(scale), New(scale)
+		orig := load(t, hOrig, KindTrace, data)
+		re := retargetSource(t, hRe, data, tracefile.RetargetSpec{}) // identity, shape kept
 		if orig.Key() != re.Key() {
 			t.Errorf("%s: identity retarget changed the memo key: %s vs %s", name, orig.Key(), re.Key())
 		}
 
 		runs := make([]interface{}, 0, 2)
-		for _, src := range []Source{orig, re} {
-			h := New(scale)
-			if err := h.Register(src); err != nil {
-				t.Fatalf("%s: register: %v", name, err)
-			}
-			run, err := h.Run(src.Name(), sys)
+		for _, h := range []*Harness{hOrig, hRe} {
+			run, err := h.Run(name, sys)
 			if err != nil {
 				t.Fatalf("%s: run: %v", name, err)
 			}
@@ -331,17 +324,14 @@ func TestParseAxisAndValues(t *testing.T) {
 // TestRetargetedTraceSource: a trace retargeted in memory replays on
 // the new shape and refuses the recorded one.
 func TestRetargetedTraceSource(t *testing.T) {
-	src := retargetSource(t, recordCatalog(t, "fft", 0.02), tracefile.RetargetSpec{
+	h := New(0.02)
+	src := retargetSource(t, h, recordCatalog(t, "fft", 0.02), tracefile.RetargetSpec{
 		Nodes:  4,
 		Policy: tracefile.RoundRobin(),
 		Name:   "fft@4n",
 	})
 	if src.Name() != "fft@4n" {
 		t.Errorf("name = %q", src.Name())
-	}
-	h := New(0.02)
-	if err := h.Register(src); err != nil {
-		t.Fatal(err)
 	}
 	sys := config.Base(config.RNUMA)
 	sys.Nodes, sys.CPUsPerNode = 4, 8
@@ -356,5 +346,39 @@ func TestRetargetedTraceSource(t *testing.T) {
 	// machine must be rejected at load time.
 	if _, err := h.Run(src.Name(), config.Base(config.RNUMA)); err == nil {
 		t.Error("8-node replay of a 4-node retarget accepted")
+	}
+}
+
+// TestCheckPointsUndividedShape: on a capture whose 3 nodes do not
+// divide its 32 CPUs, every sweep point and grid cell that replays the
+// capture on its recorded nodes fails, naming the shape, and nodes
+// points that retarget it to a dividing shape pass, alone or as either
+// axis of a grid.
+func TestCheckPointsUndividedShape(t *testing.T) {
+	hdr := tracefile.Header{Name: "odd", Geometry: addr.Default, CPUs: 32, Nodes: 3, SharedPages: 6,
+		Homes: []addr.NodeID{0, 1, 2, 0, 1, 2}}
+	one := func(n int) []SweepValue { return []SweepValue{IntValue(n)} }
+	for _, tc := range []struct {
+		name      string
+		axis      Axis
+		values    []SweepValue
+		axisB     Axis
+		valuesB   []SweepValue
+		undivided bool
+	}{
+		{"threshold", AxisThreshold, one(16), 0, nil, true},
+		{"dilate", AxisDilate, one(2), 0, nil, true},
+		{"block", AxisBlockSize, one(64), 0, nil, true},
+		{"page", AxisPageSize, one(8192), 0, nil, true},
+		{"dilate x threshold", AxisDilate, one(2), AxisThreshold, one(16), true},
+		{"threshold x block", AxisThreshold, one(16), AxisBlockSize, one(64), true},
+		{"nodes", AxisNodes, []SweepValue{IntValue(4), IntValue(8)}, 0, nil, false},
+		{"dilate x nodes", AxisDilate, one(2), AxisNodes, one(4), false},
+		{"nodes x threshold", AxisNodes, one(4), AxisThreshold, one(16), false},
+	} {
+		err := CheckPoints(hdr, tc.axis, tc.values, tc.axisB, tc.valuesB)
+		if got := err != nil && strings.Contains(err.Error(), "32 CPUs on 3 nodes"); got != tc.undivided || (!tc.undivided && err != nil) {
+			t.Errorf("%s: %v, want undivided %v", tc.name, err, tc.undivided)
+		}
 	}
 }

@@ -1,23 +1,13 @@
 package serve
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 
-	"rnuma/internal/spec"
-	"rnuma/internal/tracefile"
-	"rnuma/internal/traffic"
-)
-
-// Artifact kinds.
-const (
-	KindTrace   = "trace"   // a recorded tracefile encoding
-	KindSpec    = "spec"    // a declarative workload spec (JSON)
-	KindTraffic = "traffic" // a multi-tenant traffic scenario (JSON)
+	"rnuma/internal/config"
+	"rnuma/internal/harness"
 )
 
 // maxUpload bounds one artifact upload (traces compress well; 256 MB is
@@ -42,58 +32,55 @@ type Artifact struct {
 	CPUs  int `json:"cpus,omitempty"`
 
 	data    []byte
-	hdr     tracefile.Header // valid when Kind == KindTrace
-	label   string           // names the input in replay report headers
-	baseDir string           // resolves a traffic scenario's relative phase paths
+	in      harness.Input // what the harness read of data
+	label   string        // names the input in replay report headers
+	baseDir string        // resolves a traffic scenario's relative phase paths
 }
 
-// NewArtifact validates data as one artifact of the given kind. Kind ""
-// sniffs: tracefile encodings are tried first (they have a magic
-// header), then traffic (distinguished by its top-level "clients" key),
-// then spec. label names the input in replay report headers ("" means
-// the ID's first 12 hex digits, the daemon's form; the CLIs pass the
-// file path), and baseDir anchors a traffic scenario's relative phase
-// paths ("" means the working directory).
+// NewArtifact validates data as one artifact of the given kind, which ""
+// sniffs (harness.Inspect). label names the input in replay report
+// headers ("" means the ID's first 12 hex digits, the daemon's form; the
+// CLIs pass the file path), and baseDir anchors a traffic scenario's
+// relative phase paths ("" means the working directory).
 func NewArtifact(kind string, data []byte, label, baseDir string) (*Artifact, error) {
+	in, err := harness.Inspect(kind, data)
+	if err != nil {
+		return nil, err
+	}
 	a := &Artifact{
 		ID:      fmt.Sprintf("%x", sha256.Sum256(data)),
-		Kind:    kind,
+		Kind:    in.Kind,
+		Name:    in.Name,
 		Size:    len(data),
+		Nodes:   in.Header.Nodes,
+		CPUs:    in.Header.CPUs,
 		data:    data,
+		in:      in,
 		label:   label,
 		baseDir: baseDir,
 	}
 	if a.label == "" {
 		a.label = a.ID[:12]
 	}
-	if a.Kind == "" {
-		a.Kind = sniffKind(data)
-	}
-	switch a.Kind {
-	case KindTrace:
-		d, err := tracefile.NewReader(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("serve: bad trace: %w", err)
-		}
-		a.hdr = d.Header()
-		a.Name = a.hdr.Name
-		a.Nodes, a.CPUs = a.hdr.Nodes, a.hdr.CPUs
-	case KindSpec:
-		sp, err := spec.Parse(data)
-		if err != nil {
-			return nil, fmt.Errorf("serve: bad spec: %w", err)
-		}
-		a.Name = sp.Name
-	case KindTraffic:
-		tr, err := traffic.Parse(data)
-		if err != nil {
-			return nil, fmt.Errorf("serve: bad traffic scenario: %w", err)
-		}
-		a.Name = tr.Name
-	default:
-		return nil, fmt.Errorf("serve: unknown artifact kind %q (want trace, spec, or traffic)", kind)
-	}
 	return a, nil
+}
+
+// load registers the artifact with h for a run on sys, returning its
+// source and the system it runs on: a trace replays on its recorded
+// machine, registered as "<name>@<id8>" because its embedded name alone
+// could collide with a differing second upload's, e.g. in a diffstats
+// job.
+func (a *Artifact) load(h *harness.Harness, sys config.System) (harness.Source, config.System, error) {
+	sys, err := a.in.System(sys)
+	if err != nil {
+		return nil, sys, err
+	}
+	name := ""
+	if a.Kind == harness.KindTrace {
+		name = fmt.Sprintf("%s@%s", a.Name, a.ID[:8])
+	}
+	src, err := h.Load(a.Kind, a.data, name, a.baseDir, sys)
+	return src, sys, err
 }
 
 // AddArtifact validates and registers one artifact; uploading identical
@@ -113,25 +100,6 @@ func (s *Server) AddArtifact(kind string, data []byte) (a *Artifact, created boo
 	s.artifacts[a.ID] = a
 	s.logf("artifact %s: %s %q (%d bytes)", a.ID[:12], a.Kind, a.Name, a.Size)
 	return a, true, nil
-}
-
-// sniffKind guesses an upload's kind: tracefiles are non-JSON binary
-// encodings, and of the two JSON kinds only traffic scenarios have a
-// top-level "clients" key — checked by decoding the object, because a
-// substring test would mis-sniff any spec that merely mentions clients
-// in a name or value.
-func sniffKind(data []byte) string {
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	if len(trimmed) == 0 || trimmed[0] != '{' {
-		return KindTrace
-	}
-	var top map[string]json.RawMessage
-	if err := json.Unmarshal(trimmed, &top); err == nil {
-		if _, ok := top["clients"]; ok {
-			return KindTraffic
-		}
-	}
-	return KindSpec
 }
 
 // artifact resolves an ID, unique ID prefix, or unique name.

@@ -199,7 +199,8 @@ func (e *valueError) Unwrap() error { return e.err }
 
 // resolve turns a request into an executable Job before it occupies a
 // job slot: artifact references must resolve (400 when they don't), and
-// systems, axis values, figures, applications and points must be valid (422).
+// systems, axis values, figures, applications, points and the machine a
+// trace needs must be valid (422).
 func (s *Server) resolve(req JobRequest) (Job, error) {
 	job := Job{Type: req.Type, Normalize: req.Normalize, KneeBound: req.KneeBound}
 	var err error
@@ -208,8 +209,10 @@ func (s *Server) resolve(req JobRequest) (Job, error) {
 		if job.Artifact, err = s.artifact(req.Artifact); err != nil {
 			return job, err
 		}
-		job.System, err = systemFor(req.System, req.Threshold)
-		return job, err
+		if job.System, err = systemFor(req.System, req.Threshold); err != nil {
+			return job, err
+		}
+		return job, checkSystem(job.Artifact, job.System)
 	case "sweep":
 		if job.Artifact, err = s.traceArtifact(req.Artifact, req.Type); err != nil {
 			return job, err
@@ -253,9 +256,14 @@ func (s *Server) resolve(req JobRequest) (Job, error) {
 		}
 		job.SystemB = job.System
 		if req.SystemB != "" {
-			job.SystemB, err = systemFor(req.SystemB, req.Threshold)
+			if job.SystemB, err = systemFor(req.SystemB, req.Threshold); err != nil {
+				return job, err
+			}
 		}
-		return job, err
+		if err := checkSystem(job.Artifact, job.System); err != nil {
+			return job, err
+		}
+		return job, checkSystem(job.ArtifactB, job.SystemB)
 	case "experiments":
 		job.Figures, job.Apps = req.Figures, req.Apps
 		if len(job.Figures) == 0 {
@@ -285,7 +293,7 @@ func (s *Server) traceArtifact(ref, jobType string) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	if a.Kind != KindTrace {
+	if a.Kind != harness.KindTrace {
 		return nil, &valueError{fmt.Errorf("serve: %s needs a trace artifact, %s is a %s", jobType, a.ID[:12], a.Kind)}
 	}
 	return a, nil
@@ -293,7 +301,16 @@ func (s *Server) traceArtifact(ref, jobType string) (*Artifact, error) {
 
 // checkPoints rejects a sweep point or grid cell the job's trace fails.
 func checkPoints(job Job) error {
-	if err := harness.CheckPoints(job.Artifact.hdr, job.Axis, job.Values, job.AxisB, job.ValuesB); err != nil {
+	if err := harness.CheckPoints(job.Artifact.in.Header, job.Axis, job.Values, job.AxisB, job.ValuesB); err != nil {
+		return &valueError{err}
+	}
+	return nil
+}
+
+// checkSystem rejects an input no machine sized from sys can run: a
+// trace whose nodes do not divide its CPUs.
+func checkSystem(a *Artifact, sys config.System) error {
+	if _, err := a.in.System(sys); err != nil {
 		return &valueError{err}
 	}
 	return nil

@@ -9,8 +9,6 @@ import (
 	"rnuma/internal/harness"
 	"rnuma/internal/report"
 	"rnuma/internal/stats"
-	"rnuma/internal/tracefile"
-	"rnuma/internal/workloads"
 )
 
 // This file executes jobs. Execute is the one code path that runs and
@@ -98,33 +96,6 @@ func (s *Server) execute(js *jobState) (text string, doc any, sims int64, err er
 	return buf.String(), doc, h.Simulations(), err
 }
 
-// shapeToTrace sizes a system to a recorded trace's machine shape, the
-// same merge Replay's NewTraceMachine performs.
-func shapeToTrace(sys config.System, hdr tracefile.Header) (config.System, error) {
-	if hdr.Nodes < 1 || hdr.CPUs%hdr.Nodes != 0 {
-		return sys, fmt.Errorf("serve: trace has %d CPUs on %d nodes (not evenly divided)", hdr.CPUs, hdr.Nodes)
-	}
-	sys.Nodes = hdr.Nodes
-	sys.CPUsPerNode = hdr.CPUs / hdr.Nodes
-	sys.Geometry = hdr.Geometry
-	return sys, nil
-}
-
-// registerTrace wraps a trace artifact as a harness source under a
-// content-qualified name (the embedded workload name alone could collide
-// with a differing second upload, e.g. in a diffstats job).
-func registerTrace(h *harness.Harness, a *Artifact) (app string, err error) {
-	src, err := harness.TraceSource(a.data)
-	if err != nil {
-		return "", err
-	}
-	named := harness.RenamedSource(src, fmt.Sprintf("%s@%s", a.Name, a.ID[:8]))
-	if err := h.Register(named); err != nil {
-		return "", err
-	}
-	return named.Name(), nil
-}
-
 // normalizedLine appends the ideal-baseline normalization line.
 func normalizedLine(h *harness.Harness, w io.Writer, app string, sys config.System, run *stats.Run) (*stats.Run, error) {
 	if sys.BlockCacheBytes == config.InfiniteBlockCache {
@@ -146,49 +117,21 @@ func normalizedLine(h *harness.Harness, w io.Writer, app string, sys config.Syst
 // per-client table (traffic inputs), the timeline (probed harnesses),
 // and the normalized line.
 func runReplay(h *harness.Harness, w io.Writer, job Job) (any, error) {
-	a, sys := job.Artifact, job.System
-	var app, title string
+	a := job.Artifact
+	src, sys, err := a.load(h, job.System)
+	if err != nil {
+		return nil, err
+	}
+	app, title := src.Name(), src.Name()
 	switch a.Kind {
-	case KindTrace:
-		var err error
-		if sys, err = shapeToTrace(sys, a.hdr); err != nil {
-			return nil, err
-		}
-		if app, err = registerTrace(h, a); err != nil {
-			return nil, err
-		}
+	case harness.KindTrace:
 		title = a.label
-		fmt.Fprintf(w, "trace: %s (workload %s, %d nodes x %d CPUs)\n", a.label, a.hdr.Name, sys.Nodes, sys.CPUsPerNode)
-	case KindSpec:
-		src, err := harness.SpecSource(a.data)
-		if err != nil {
-			return nil, err
-		}
-		if err := h.Register(src); err != nil {
-			return nil, err
-		}
-		app, title = src.Name(), src.Name()
+		fmt.Fprintf(w, "trace: %s (workload %s, %d nodes x %d CPUs)\n", a.label, a.Name, sys.Nodes, sys.CPUsPerNode)
+	case harness.KindSpec:
 		fmt.Fprintf(w, "spec: %s (%d nodes x %d CPUs)\n", app, sys.Nodes, sys.CPUsPerNode)
-	case KindTraffic:
-		cfg := workloads.Config{
-			Nodes:       sys.Nodes,
-			CPUsPerNode: sys.CPUsPerNode,
-			Geometry:    sys.Geometry,
-			Scale:       h.Scale,
-			Seed:        h.Seed,
-		}
-		src, err := harness.TrafficSource(a.data, a.baseDir, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := h.Register(src); err != nil {
-			return nil, err
-		}
-		app, title = src.Name(), src.Name()
+	case harness.KindTraffic:
 		fmt.Fprintf(w, "traffic: %s (%d clients, %d nodes x %d CPUs)\n",
-			app, len(src.Scenario().Clients), sys.Nodes, sys.CPUsPerNode)
-	default:
-		return nil, fmt.Errorf("serve: artifact %s has unknown kind %q", a.label, a.Kind)
+			app, len(harness.ScenarioOf(src).Clients), sys.Nodes, sys.CPUsPerNode)
 	}
 	run, err := h.Run(app, sys)
 	if err != nil {
@@ -213,22 +156,15 @@ func runReplay(h *harness.Harness, w io.Writer, job Job) (any, error) {
 }
 
 func runDiffstats(h *harness.Harness, w io.Writer, job Job) (any, error) {
-	sysA, err := shapeToTrace(job.System, job.Artifact.hdr)
+	srcA, sysA, err := job.Artifact.load(h, job.System)
 	if err != nil {
 		return nil, err
 	}
-	sysB, err := shapeToTrace(job.SystemB, job.ArtifactB.hdr)
+	srcB, sysB, err := job.ArtifactB.load(h, job.SystemB)
 	if err != nil {
 		return nil, err
 	}
-	appA, err := registerTrace(h, job.Artifact)
-	if err != nil {
-		return nil, err
-	}
-	appB, err := registerTrace(h, job.ArtifactB)
-	if err != nil {
-		return nil, err
-	}
+	appA, appB := srcA.Name(), srcB.Name()
 	runA, err := h.Run(appA, sysA)
 	if err != nil {
 		return nil, err

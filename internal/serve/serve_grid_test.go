@@ -1,13 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"rnuma/internal/harness"
 	"rnuma/internal/report"
+	"rnuma/internal/tracefile"
+	"rnuma/internal/workloads"
 )
 
 // TestGridJob drives a grid job end to end: cold submission simulates,
@@ -16,7 +21,7 @@ import (
 // byte-identical report.
 func TestGridJob(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	a := upload(t, ts, KindTrace, recordTraceScaled(t, "fft", 0.02))
+	a := upload(t, ts, harness.KindTrace, recordTraceScaled(t, "fft", 0.02))
 
 	req := JobRequest{
 		Type:     "grid",
@@ -80,23 +85,26 @@ func TestGridJob(t *testing.T) {
 // applications, inputs of the wrong kind — or whose sweep points or grid
 // cells the trace rejects answer 422 naming the offending token, while
 // structurally incomplete requests stay 400.
+// postJob submits a raw job body and returns the status code and the
+// error message, if any.
+func postJob(t *testing.T, ts *httptest.Server, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var msg struct {
+		Error string `json:"error"`
+	}
+	json.NewDecoder(resp.Body).Decode(&msg) //nolint:errcheck // error bodies only
+	return resp.StatusCode, msg.Error
+}
+
 func TestSubmitValueErrors(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	a := upload(t, ts, KindTrace, recordTraceScaled(t, "fft", 0.02))
+	a := upload(t, ts, harness.KindTrace, recordTraceScaled(t, "fft", 0.02))
 	spec := upload(t, ts, "", mustRead(t, "../../examples/specs/halo.json"))
-
-	post := func(body string) (int, string) {
-		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var msg struct {
-			Error string `json:"error"`
-		}
-		json.NewDecoder(resp.Body).Decode(&msg) //nolint:errcheck // error bodies only
-		return resp.StatusCode, msg.Error
-	}
 
 	for _, tc := range []struct {
 		name, body string
@@ -124,12 +132,81 @@ func TestSubmitValueErrors(t *testing.T) {
 		{"experiments unknown figure", `{"type":"experiments","figures":["6","12"]}`, 422, `"12"`},
 		{"experiments unknown app", `{"type":"experiments","apps":["fft","doom"]}`, 422, `"doom"`},
 	} {
-		code, msg := post(tc.body)
+		code, msg := postJob(t, ts, tc.body)
 		if code != tc.code {
 			t.Errorf("%s: %d (%s), want %d", tc.name, code, msg, tc.code)
 		}
 		if !strings.Contains(msg, tc.token) {
 			t.Errorf("%s: error %q does not name %s", tc.name, msg, tc.token)
+		}
+	}
+}
+
+// undividedCapture records fft at scale 0.02 under a header that puts
+// its 32 CPUs on 3 nodes: the header validates, but no machine replays
+// the capture as recorded.
+func undividedCapture(t *testing.T) []byte {
+	t.Helper()
+	app, _ := workloads.ByName("fft")
+	cfg := workloads.DefaultConfig()
+	cfg.Scale = 0.02
+	wl := app.Build(cfg)
+	hdr := tracefile.WorkloadHeader(wl, cfg)
+	hdr.Name, hdr.Nodes = "odd", 3
+	for i, home := range hdr.Homes {
+		hdr.Homes[i] = home % 3
+	}
+	var buf bytes.Buffer
+	tw, err := tracefile.NewWriter(&buf, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cpu, s := range wl.Streams {
+		for r, ok := s.Next(); ok; r, ok = s.Next() {
+			if err := tw.Append(cpu, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestUndividedShapeRejectedAtSubmit: a capture whose 3 nodes do not
+// divide its 32 CPUs uploads, but a replay or diffstats of it, and any
+// sweep point or grid cell that replays it on its recorded nodes, answer
+// 422 at submit; nodes points retarget it to a dividing shape and run.
+func TestUndividedShapeRejectedAtSubmit(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	odd := upload(t, ts, harness.KindTrace, undividedCapture(t))
+	if odd.Nodes != 3 || odd.CPUs != 32 {
+		t.Fatalf("uploaded %d nodes / %d cpus, want 3 / 32", odd.Nodes, odd.CPUs)
+	}
+	fft := upload(t, ts, harness.KindTrace, recordTraceScaled(t, "fft", 0.02))
+	for _, tc := range []struct{ name, body string }{
+		{"replay", `{"type":"replay","artifact":"%[1]s"}`},
+		{"diffstats", `{"type":"diffstats","artifact":"%[1]s","artifactB":"%[2]s"}`},
+		{"diffstats second side", `{"type":"diffstats","artifact":"%[2]s","artifactB":"%[1]s"}`},
+		{"threshold sweep", `{"type":"sweep","artifact":"%[1]s","axis":"threshold","values":"16,64"}`},
+		{"dilate sweep", `{"type":"sweep","artifact":"%[1]s","axis":"dilate","values":"1,2"}`},
+		{"page sweep", `{"type":"sweep","artifact":"%[1]s","axis":"page","values":"8192"}`},
+		{"dilate x threshold grid", `{"type":"grid","artifact":"%[1]s","axis":"dilate","values":"2","axisB":"threshold","valuesB":"16"}`},
+		{"threshold x block grid", `{"type":"grid","artifact":"%[1]s","axis":"threshold","values":"16","axisB":"block","valuesB":"64"}`},
+	} {
+		code, msg := postJob(t, ts, fmt.Sprintf(tc.body, odd.ID, fft.ID))
+		if code != http.StatusUnprocessableEntity || !strings.Contains(msg, "32 CPUs on 3 nodes") {
+			t.Errorf("%s: %d %q, want 422 naming the shape", tc.name, code, msg)
+		}
+	}
+	for _, req := range []JobRequest{
+		{Type: "sweep", Artifact: odd.ID, Axis: "nodes", Values: "4,8"},
+		{Type: "grid", Artifact: odd.ID, Axis: "dilate", Values: "2", AxisB: "nodes", ValuesB: "4"},
+	} {
+		info := submit(t, ts, req)
+		if got := waitJob(t, ts, info.ID); got.Status != StatusDone {
+			t.Errorf("%s %s x %s over the undivided capture: %s %s", req.Type, req.Axis, req.AxisB, got.Status, got.Error)
 		}
 	}
 }

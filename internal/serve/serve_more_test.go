@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"rnuma/internal/addr"
+	"rnuma/internal/harness"
 	"rnuma/internal/tracefile"
 	"rnuma/internal/workloads"
 )
@@ -29,7 +30,7 @@ func TestListingAndStoreEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := upload(t, ts, "", specData)
-	if spec.Kind != KindSpec {
+	if spec.Kind != harness.KindSpec {
 		t.Errorf("spec sniffed as %s", spec.Kind)
 	}
 	scenario, err := os.ReadFile("../../examples/scenarios/steady-mix.json")
@@ -37,7 +38,7 @@ func TestListingAndStoreEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	traffic := upload(t, ts, "", scenario)
-	if traffic.Kind != KindTraffic {
+	if traffic.Kind != harness.KindTraffic {
 		t.Errorf("scenario sniffed as %s", traffic.Kind)
 	}
 
@@ -132,42 +133,23 @@ type harnessStats struct {
 	DiskHits int64 `json:"diskHits"`
 }
 
-// TestSniffKind pins the artifact sniffer: binary → trace, JSON with a
-// top-level "clients" key → traffic, and any other JSON object → spec,
-// even when "clients" appears in a name or value.
-func TestSniffKind(t *testing.T) {
-	for _, tc := range []struct {
-		data string
-		want string
-	}{
-		{"\x00binary", KindTrace},
-		{"  {\"clients\": []}", KindTraffic},
-		{`{"name": "clients", "note": "drives many clients"}`, KindSpec},
-		{`{"name": "halo"}`, KindSpec},
-	} {
-		if got := sniffKind([]byte(tc.data)); got != tc.want {
-			t.Errorf("sniffKind(%q) = %s, want %s", tc.data, got, tc.want)
-		}
-	}
-}
-
 // TestArtifactResolution pins the ref rules: exact ID, unique >=8-char
 // prefix, unique name — and ambiguity as an error, never a guess.
 func TestArtifactResolution(t *testing.T) {
 	s := New(Options{Scale: testScale})
 	trace1 := recordTrace(t, "fft")
-	a1, created, err := s.AddArtifact(KindTrace, trace1)
+	a1, created, err := s.AddArtifact(harness.KindTrace, trace1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !created {
 		t.Fatal("first upload not reported as created")
 	}
-	if _, created, err := s.AddArtifact(KindTrace, trace1); err != nil || created {
+	if _, created, err := s.AddArtifact(harness.KindTrace, trace1); err != nil || created {
 		t.Errorf("duplicate upload: created=%v err=%v, want existing entry", created, err)
 	}
 	// A second capture of the same workload: same name, different bytes.
-	a2, _, err := s.AddArtifact(KindTrace, recordTraceScaled(t, "fft", 1.0))
+	a2, _, err := s.AddArtifact(harness.KindTrace, recordTraceScaled(t, "fft", 1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +254,7 @@ func TestSpecAndTrafficReplay(t *testing.T) {
   ]
 }`, specPath)
 	art := upload(t, ts, "", []byte(scenario))
-	if art.Kind != KindTraffic {
+	if art.Kind != harness.KindTraffic {
 		t.Fatalf("scenario sniffed as %s", art.Kind)
 	}
 	info = submit(t, ts, JobRequest{Type: "replay", Artifact: art.ID})

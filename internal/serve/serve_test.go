@@ -134,12 +134,12 @@ func TestUploadDedup(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	data := recordTrace(t, "fft")
 
-	a1 := upload(t, ts, KindTrace, data)
-	if a1.Kind != KindTrace || a1.Name != "fft" || a1.Nodes != 8 {
+	a1 := upload(t, ts, harness.KindTrace, data)
+	if a1.Kind != harness.KindTrace || a1.Name != "fft" || a1.Nodes != 8 {
 		t.Fatalf("artifact = %+v", a1)
 	}
 	a2 := upload(t, ts, "", data) // sniffed
-	if a2.ID != a1.ID || a2.Kind != KindTrace {
+	if a2.ID != a1.ID || a2.Kind != harness.KindTrace {
 		t.Errorf("re-upload: got %s/%s, want same artifact %s", a2.ID, a2.Kind, a1.ID)
 	}
 
@@ -159,7 +159,7 @@ func TestUploadDedup(t *testing.T) {
 // a byte-identical report.
 func TestReplayMemoization(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	a := upload(t, ts, KindTrace, recordTrace(t, "fft"))
+	a := upload(t, ts, harness.KindTrace, recordTrace(t, "fft"))
 
 	req := JobRequest{Type: "replay", Artifact: a.ID, System: "rnuma", Normalize: true}
 	j1 := waitJob(t, ts, submit(t, ts, req).ID)
@@ -209,7 +209,7 @@ func TestReplayMemoization(t *testing.T) {
 // resubmission — is byte-identical.
 func TestConcurrentSweepsSingleflight(t *testing.T) {
 	s, ts := newTestServer(t, Options{MaxJobs: 8})
-	a := upload(t, ts, KindTrace, recordTrace(t, "fft"))
+	a := upload(t, ts, harness.KindTrace, recordTrace(t, "fft"))
 	req := JobRequest{Type: "sweep", Artifact: a.ID, Axis: "nodes", Values: "4,8"}
 
 	const n = 4
@@ -273,7 +273,7 @@ func TestDiskStoreRestartAcrossServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts1 := newTestServer(t, Options{Store: ds1})
-	a1 := upload(t, ts1, KindTrace, data)
+	a1 := upload(t, ts1, harness.KindTrace, data)
 	j1 := waitJob(t, ts1, submit(t, ts1, req(a1.ID)).ID)
 	if j1.Status != StatusDone || j1.Simulations == 0 {
 		t.Fatalf("cold job: %+v", j1)
@@ -285,7 +285,7 @@ func TestDiskStoreRestartAcrossServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts2 := newTestServer(t, Options{Store: ds2})
-	a2 := upload(t, ts2, KindTrace, data)
+	a2 := upload(t, ts2, harness.KindTrace, data)
 	j2 := waitJob(t, ts2, submit(t, ts2, req(a2.ID)).ID)
 	if j2.Status != StatusDone {
 		t.Fatalf("warm job: %+v", j2)
@@ -305,7 +305,7 @@ func TestDiskStoreRestartAcrossServers(t *testing.T) {
 // system reports identity.
 func TestDiffstatsIdentical(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	a := upload(t, ts, KindTrace, recordTrace(t, "fft"))
+	a := upload(t, ts, harness.KindTrace, recordTrace(t, "fft"))
 	j := waitJob(t, ts, submit(t, ts, JobRequest{
 		Type: "diffstats", Artifact: a.ID, ArtifactB: a.ID, System: "rnuma",
 	}).ID)
@@ -331,7 +331,7 @@ func TestDiffstatsIdentical(t *testing.T) {
 // results the text renderers print.
 func TestJSONReports(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	a := upload(t, ts, KindTrace, recordTrace(t, "fft"))
+	a := upload(t, ts, harness.KindTrace, recordTrace(t, "fft"))
 
 	jr := waitJob(t, ts, submit(t, ts, JobRequest{Type: "replay", Artifact: a.ID, System: "rnuma"}).ID)
 	code, body := fetchReport(t, ts, jr.ID, "json")
@@ -395,7 +395,7 @@ func TestAPIErrors(t *testing.T) {
 	if code := post(`{"type":"replay","artifact":"nope"}`); code != http.StatusBadRequest {
 		t.Errorf("unknown artifact: %d, want 400", code)
 	}
-	a := upload(t, ts, KindTrace, recordTrace(t, "fft"))
+	a := upload(t, ts, harness.KindTrace, recordTrace(t, "fft"))
 	if code := post(fmt.Sprintf(`{"type":"sweep","artifact":"%s"}`, a.ID)); code != http.StatusBadRequest {
 		t.Errorf("sweep without axis: %d, want 400", code)
 	}
@@ -418,7 +418,7 @@ func TestAPIErrors(t *testing.T) {
 	// parses but whose records are cut short): the job records the error
 	// and its report answers 422.
 	data := recordTrace(t, "fft")
-	cut := upload(t, ts, KindTrace, data[:len(data)*2/3])
+	cut := upload(t, ts, harness.KindTrace, data[:len(data)*2/3])
 	j = waitJob(t, ts, submit(t, ts, JobRequest{Type: "sweep", Artifact: cut.ID, Axis: "nodes", Values: "4"}).ID)
 	if j.Status != StatusFailed || j.Error == "" {
 		t.Errorf("sweep of a truncated capture: %+v, want failed", j)

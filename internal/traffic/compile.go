@@ -3,6 +3,7 @@ package traffic
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -137,28 +138,63 @@ func compileClient(c Client, specSeed int64, meanGap float64, cfg workloads.Conf
 	return cl, nil
 }
 
+// maxPhaseBytes bounds a phase file, as the daemon bounds an upload: a
+// scenario's phase paths resolve on the host that compiles it, whoever
+// wrote the scenario.
+var maxPhaseBytes int64 = 256 << 20
+
+// readPhase reads a phase file, checking before it reads that the file
+// is regular and within maxPhaseBytes: a device such as /dev/zero never
+// ends, and a FIFO blocks its reader.
+func readPhase(path string) ([]byte, error) {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return nil, fmt.Errorf("traffic: %w", err)
+	}
+	if !fi.Mode().IsRegular() {
+		return nil, fmt.Errorf("traffic: phase file %s is not a regular file", path)
+	}
+	tooBig := fmt.Errorf("traffic: phase file %s is past the %d-byte bound", path, maxPhaseBytes)
+	if fi.Size() > maxPhaseBytes {
+		return nil, tooBig
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("traffic: %w", err)
+	}
+	defer f.Close()
+	data, err := io.ReadAll(io.LimitReader(f, maxPhaseBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("traffic: %w", err)
+	}
+	if int64(len(data)) > maxPhaseBytes { // it grew since the check
+		return nil, tooBig
+	}
+	return data, nil
+}
+
 // buildPhase materializes one phase reference: a workload spec built for
 // the config, or a captured trace validated against it.
 func buildPhase(ph PhaseRef, cfg workloads.Config, baseDir string) (*workloads.Workload, error) {
-	resolve := func(p string) string {
-		if filepath.IsAbs(p) || baseDir == "" {
-			return p
-		}
-		return filepath.Join(baseDir, p)
+	path := ph.Spec
+	if path == "" {
+		path = ph.Trace
+	}
+	if !filepath.IsAbs(path) && baseDir != "" {
+		path = filepath.Join(baseDir, path)
+	}
+	// Read the whole file up front: a trace's streams decode lazily, long
+	// after this frame is gone.
+	data, err := readPhase(path)
+	if err != nil {
+		return nil, err
 	}
 	if ph.Spec != "" {
-		ws, err := spec.Load(resolve(ph.Spec))
+		ws, err := spec.Parse(data)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 		return ws.Build(cfg)
-	}
-	path := resolve(ph.Trace)
-	// Read the whole trace up front: the returned workload's streams decode
-	// lazily, long after this frame (and any deferred Close) is gone.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("traffic: %w", err)
 	}
 	d, err := tracefile.NewReader(bytes.NewReader(data))
 	if err != nil {

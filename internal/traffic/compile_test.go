@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -423,6 +424,52 @@ func TestCompileErrors(t *testing.T) {
 	abs := clientWith(PhaseRef{Spec: filepath.Join(dir, "mini.json")})
 	if _, err := Compile(abs, cfg, "/nowhere"); err != nil {
 		t.Errorf("absolute phase path: %v", err)
+	}
+}
+
+// TestPhaseFileBound: a phase file is read only if it is a regular file
+// within maxPhaseBytes, checked before any byte is read, for spec and
+// trace phases alike; a file at the bound still compiles. An oversize
+// file is sparse, so the test writes no data.
+func TestPhaseFileBound(t *testing.T) {
+	dir := writeMini(t)
+	cfg := testCfg()
+	mini, err := os.Stat(filepath.Join(dir, "mini.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(old int64) { maxPhaseBytes = old }(maxPhaseBytes)
+	maxPhaseBytes = mini.Size()
+	big := filepath.Join(dir, "big")
+	f, err := os.Create(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(maxPhaseBytes + 1); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	compile := func(ph PhaseRef) error {
+		_, err := Compile(&Spec{Name: "b", Clients: []Client{{
+			Name: "a", RateFraction: 1, Arrival: Arrival{Process: "poisson"}, Phases: []PhaseRef{ph},
+		}}}, cfg, dir)
+		return err
+	}
+	if err := compile(PhaseRef{Spec: "mini.json"}); err != nil {
+		t.Errorf("a phase file at the bound: %v", err)
+	}
+	bound := fmt.Sprintf("%d-byte bound", maxPhaseBytes)
+	for _, ph := range []PhaseRef{{Spec: "big"}, {Trace: "big"}} {
+		if err := compile(ph); err == nil || !strings.Contains(err.Error(), bound) {
+			t.Errorf("%+v past the bound: %v, want an error naming the %s", ph, err, bound)
+		}
+	}
+	for _, path := range []string{dir, os.DevNull} {
+		for _, ph := range []PhaseRef{{Spec: path}, {Trace: path}} {
+			if err := compile(ph); err == nil || !strings.Contains(err.Error(), "not a regular file") {
+				t.Errorf("%+v: %v, want a non-regular-file error", ph, err)
+			}
+		}
 	}
 }
 
