@@ -117,10 +117,12 @@
 // simulations, which replay its read-only reference slices through
 // cursors of their own. Each
 // simulation owns a fresh Machine whose hot state (page homes, sharing
-// flags, page tables, refetch counters, the directory's block index)
-// lives in dense page- and block-indexed slices, keeping map hashing off
-// the per-reference path (the ideal baseline's infinite block cache aside)
-// and mutable state off the shared heap; its event queue is a tournament
+// flags, page tables, refetch counters, the directory's block index, the
+// ideal baseline's infinite block cache) lives in dense page- and
+// block-indexed slices, keeping map hashing off the per-reference path and
+// mutable state off the shared heap, and its page-cache frames are created
+// on first use, so memory follows the pages a run caches rather than the
+// configured capacity; its event queue is a tournament
 // tree with one fixed leaf per CPU, whose root key names the next CPU to
 // run. Each CPU reads its references in place from a buffer the machine
 // owns, refilled a batch at a time by one copy from the CPU's stream.

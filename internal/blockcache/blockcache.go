@@ -15,9 +15,9 @@ package blockcache
 
 import (
 	"fmt"
-	"sort"
 
 	"rnuma/internal/addr"
+	"rnuma/internal/dense"
 )
 
 // State is the node-level state of a cached remote block.
@@ -55,24 +55,33 @@ type Entry struct {
 }
 
 // Cache is the direct-mapped block cache (or the infinite baseline cache).
+//
+// The infinite cache keeps its entries in a pool found through a dense
+// block-indexed table, as the directory keeps its entries: a lookup
+// hashes nothing, and an entry stays with its block once created, so a
+// refill after an invalidation reuses it and a fill allocates nothing at
+// steady state. Pool position 0 holds an entry no block is resident in,
+// where a block without an entry of its own looks: both caches then find
+// a block the same way, and the lookups stay within the inliner's budget.
 type Cache struct {
-	frames   []Entry
+	frames   []Entry // the direct-mapped frames, or the infinite cache's pool
+	index    []int32 // infinite cache: block -> pool position; 0 = none
 	mask     uint32
 	infinite bool
-	inf      map[addr.BlockNum]*Entry
 
 	hits   int64
 	misses int64
 }
 
-// New builds a block cache with the given number of frames; frames < 0
-// builds the infinite cache.
+// New builds a block cache with the given number of frames, which the
+// direct-mapped index needs to be a power of two; frames < 0 builds the
+// infinite cache.
 func New(frames int) *Cache {
 	if frames < 0 {
-		return &Cache{infinite: true, inf: make(map[addr.BlockNum]*Entry)}
+		return &Cache{frames: make([]Entry, 1), infinite: true}
 	}
-	if frames < 1 {
-		frames = 1
+	if frames < 1 || frames&(frames-1) != 0 {
+		panic(fmt.Sprintf("blockcache: %d frames is not a power of two", frames))
 	}
 	return &Cache{frames: make([]Entry, frames), mask: uint32(frames - 1)}
 }
@@ -81,24 +90,36 @@ func New(frames int) *Cache {
 func (c *Cache) Infinite() bool { return c.infinite }
 
 // Frames returns the frame count (0 for the infinite cache).
-func (c *Cache) Frames() int { return len(c.frames) }
+func (c *Cache) Frames() int {
+	if c.infinite {
+		return 0
+	}
+	return len(c.frames)
+}
 
-func (c *Cache) frameFor(b addr.BlockNum) *Entry {
-	return &c.frames[uint32(b)&c.mask]
+// slot returns the position in frames that holds the block when it is
+// resident: its direct-mapped frame, or its pool entry (0 if none).
+func (c *Cache) slot(b addr.BlockNum) int {
+	if !c.infinite {
+		return int(uint32(b) & c.mask)
+	}
+	if int(b) < len(c.index) {
+		return int(c.index[b])
+	}
+	return 0
+}
+
+// find returns the block's entry if it is resident, else nil.
+func (c *Cache) find(b addr.BlockNum) *Entry {
+	if e := &c.frames[c.slot(b)]; e.State != Invalid && e.Block == b {
+		return e
+	}
+	return nil
 }
 
 // Lookup returns the entry for the block if resident.
 func (c *Cache) Lookup(b addr.BlockNum) (Entry, bool) {
-	if c.infinite {
-		if e, ok := c.inf[b]; ok {
-			c.hits++
-			return *e, true
-		}
-		c.misses++
-		return Entry{}, false
-	}
-	e := c.frameFor(b)
-	if e.State != Invalid && e.Block == b {
+	if e := c.find(b); e != nil {
 		c.hits++
 		return *e, true
 	}
@@ -111,11 +132,14 @@ func (c *Cache) Fill(b addr.BlockNum, st State, dirty bool, ver uint32) (victim 
 	if st == Invalid {
 		panic("blockcache: fill with Invalid state")
 	}
-	if c.infinite {
-		c.inf[b] = &Entry{Block: b, State: st, Dirty: dirty, Version: ver}
-		return Entry{}, false
+	i := c.slot(b)
+	if c.infinite && i == 0 {
+		c.index = dense.Grow(c.index, int(b)+1)
+		i = len(c.frames)
+		c.index[b] = int32(i)
+		c.frames = append(c.frames, Entry{})
 	}
-	e := c.frameFor(b)
+	e := &c.frames[i]
 	if e.State != Invalid && e.Block != b {
 		victim, evicted = *e, true
 	}
@@ -127,15 +151,7 @@ func (c *Cache) Fill(b addr.BlockNum, st State, dirty bool, ver uint32) (victim 
 // a processor-cache writeback, or an upgrade). It reports whether the block
 // was resident.
 func (c *Cache) Update(b addr.BlockNum, st State, dirty bool, ver uint32) bool {
-	if c.infinite {
-		if e, ok := c.inf[b]; ok {
-			e.State, e.Dirty, e.Version = st, dirty, ver
-			return true
-		}
-		return false
-	}
-	e := c.frameFor(b)
-	if e.State != Invalid && e.Block == b {
+	if e := c.find(b); e != nil {
 		e.State, e.Dirty, e.Version = st, dirty, ver
 		return true
 	}
@@ -144,16 +160,7 @@ func (c *Cache) Update(b addr.BlockNum, st State, dirty bool, ver uint32) bool {
 
 // Invalidate removes the block if resident, returning its prior content.
 func (c *Cache) Invalidate(b addr.BlockNum) (Entry, bool) {
-	if c.infinite {
-		if e, ok := c.inf[b]; ok {
-			old := *e
-			delete(c.inf, b)
-			return old, true
-		}
-		return Entry{}, false
-	}
-	e := c.frameFor(b)
-	if e.State != Invalid && e.Block == b {
+	if e := c.find(b); e != nil {
 		old := *e
 		e.State = Invalid
 		return old, true
@@ -167,14 +174,7 @@ func (c *Cache) Invalidate(b addr.BlockNum) (Entry, bool) {
 // have held data newer than this cache's frame, and after the downgrade
 // this frame is an authoritative clean copy.
 func (c *Cache) Downgrade(b addr.BlockNum, version uint32) {
-	if c.infinite {
-		if e, ok := c.inf[b]; ok {
-			e.State, e.Dirty, e.Version = ReadOnly, false, version
-		}
-		return
-	}
-	e := c.frameFor(b)
-	if e.State != Invalid && e.Block == b {
+	if e := c.find(b); e != nil {
 		e.State, e.Dirty, e.Version = ReadOnly, false, version
 	}
 }
@@ -187,11 +187,12 @@ func (c *Cache) PageEntries(g addr.Geometry, p addr.PageNum) []Entry {
 }
 
 // AppendPageEntries is PageEntries appending into a caller-supplied
-// buffer, so relocation can reuse scratch storage.
+// buffer, so relocation can reuse scratch storage. The infinite cache
+// visits only the page's blocks, in block order.
 func (c *Cache) AppendPageEntries(g addr.Geometry, p addr.PageNum, dst []Entry) []Entry {
 	if c.infinite {
-		for b, e := range c.inf {
-			if g.PageOf(b) == p {
+		for off := 0; off < g.BlocksPerPage(); off++ {
+			if e := c.find(g.BlockOf(p, off)); e != nil {
 				dst = append(dst, *e)
 			}
 		}
@@ -209,11 +210,8 @@ func (c *Cache) AppendPageEntries(g addr.Geometry, p addr.PageNum, dst []Entry) 
 // InvalidatePage removes all resident blocks of the page.
 func (c *Cache) InvalidatePage(g addr.Geometry, p addr.PageNum) {
 	if c.infinite {
-		for b, e := range c.inf {
-			if g.PageOf(b) == p {
-				_ = e
-				delete(c.inf, b)
-			}
+		for off := 0; off < g.BlocksPerPage(); off++ {
+			c.Invalidate(g.BlockOf(p, off))
 		}
 		return
 	}
@@ -235,11 +233,11 @@ func (c *Cache) Misses() int64 { return c.misses }
 // sorted by block number, so snapshot bytes are deterministic.
 func (c *Cache) State() (entries []Entry, hits, misses int64) {
 	if c.infinite {
-		entries = make([]Entry, 0, len(c.inf))
-		for _, e := range c.inf {
-			entries = append(entries, *e)
+		for _, i := range c.index {
+			if e := c.frames[i]; e.State != Invalid {
+				entries = append(entries, e)
+			}
 		}
-		sort.Slice(entries, func(i, j int) bool { return entries[i].Block < entries[j].Block })
 		return entries, c.hits, c.misses
 	}
 	entries = make([]Entry, len(c.frames))
@@ -248,21 +246,24 @@ func (c *Cache) State() (entries []Entry, hits, misses int64) {
 }
 
 // SetState replaces the cache's contents and statistics (snapshot
-// restore).
+// restore). An infinite-cache snapshot may name blocks only below
+// addr.MaxSegmentBlocks, the bound on the index it grows.
 func (c *Cache) SetState(entries []Entry, hits, misses int64) error {
 	if c.infinite {
-		inf := make(map[addr.BlockNum]*Entry, len(entries))
+		clear(c.index)
+		c.frames = c.frames[:1]
 		for _, e := range entries {
 			if e.State == Invalid {
 				return fmt.Errorf("blockcache: invalid entry for block %d in infinite-cache snapshot", e.Block)
 			}
-			if _, dup := inf[e.Block]; dup {
+			if e.Block >= addr.MaxSegmentBlocks {
+				return fmt.Errorf("blockcache: block %d past the %d-block segment bound", e.Block, addr.MaxSegmentBlocks)
+			}
+			if c.find(e.Block) != nil {
 				return fmt.Errorf("blockcache: duplicate entry for block %d", e.Block)
 			}
-			ec := e
-			inf[e.Block] = &ec
+			c.Fill(e.Block, e.State, e.Dirty, e.Version)
 		}
-		c.inf = inf
 		c.hits, c.misses = hits, misses
 		return nil
 	}

@@ -1,6 +1,8 @@
 package blockcache
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"rnuma/internal/addr"
@@ -169,5 +171,71 @@ func TestStats(t *testing.T) {
 	c.Lookup(addr.BlockNum(1))
 	if c.Hits() != 1 || c.Misses() != 1 {
 		t.Errorf("hits/misses = %d/%d", c.Hits(), c.Misses())
+	}
+}
+
+// TestInfiniteDenseIndex: the infinite cache's entries stay with their
+// blocks, so refilling invalidated blocks allocates nothing; its page
+// walks return a page's resident blocks in block order; State() lists
+// resident entries sorted by block and round-trips through SetState,
+// which refuses a block past the segment bound.
+func TestInfiniteDenseIndex(t *testing.T) {
+	g := addr.Default
+	c := New(-1)
+	blocks := []addr.BlockNum{g.BlockOf(3, 7), g.BlockOf(3, 2), g.BlockOf(1, 5), g.BlockOf(3, 0)}
+	for i, b := range blocks {
+		c.Fill(b, ReadOnly, false, uint32(i))
+	}
+	size := len(c.frames)
+	if n := testing.AllocsPerRun(100, func() {
+		for _, b := range blocks {
+			c.Invalidate(b)
+			c.Fill(b, ReadWrite, true, 9)
+		}
+	}); n != 0 || len(c.frames) != size {
+		t.Errorf("refilling invalidated blocks allocates %.1f times and grows the pool from %d to %d entries", n, size, len(c.frames))
+	}
+	var got []addr.BlockNum
+	for _, e := range c.PageEntries(g, 3) {
+		got = append(got, e.Block)
+	}
+	if want := []addr.BlockNum{g.BlockOf(3, 0), g.BlockOf(3, 2), g.BlockOf(3, 7)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("page 3 entries %v, want %v", got, want)
+	}
+	c.Invalidate(g.BlockOf(3, 2))
+	entries, _, _ := c.State()
+	got = got[:0]
+	for _, e := range entries {
+		got = append(got, e.Block)
+	}
+	if want := []addr.BlockNum{g.BlockOf(1, 5), g.BlockOf(3, 0), g.BlockOf(3, 7)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("State() blocks %v, want %v", got, want)
+	}
+	r := New(-1)
+	if err := r.SetState(entries, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if back, _, _ := r.State(); !reflect.DeepEqual(back, entries) {
+		t.Errorf("round trip %v, want %v", back, entries)
+	}
+	far := []Entry{{Block: addr.MaxSegmentBlocks, State: ReadOnly}}
+	if err := r.SetState(far, 0, 0); err == nil || !strings.Contains(err.Error(), "segment bound") {
+		t.Errorf("a block past the segment bound: %v", err)
+	}
+}
+
+// TestNewRejectsUnmodeledFrameCounts: the direct-mapped index masks the
+// block number, so New refuses a frame count that is not a power of two
+// rather than model a cache with unreachable frames.
+func TestNewRejectsUnmodeledFrameCounts(t *testing.T) {
+	for _, frames := range []int{0, 3, 96} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d) built a direct-mapped cache", frames)
+				}
+			}()
+			New(frames)
+		}()
 	}
 }

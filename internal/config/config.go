@@ -259,11 +259,37 @@ func (s System) Validate() error {
 	default:
 		return fmt.Errorf("config: unknown protocol %d", s.Protocol)
 	}
-	if s.BlockCacheBytes > 0 && s.BlockCacheBytes%s.Geometry.BlockBytes() != 0 {
-		return fmt.Errorf("config: block cache %d B not a multiple of the block size", s.BlockCacheBytes)
+	if err := s.checkBlockCache(); err != nil {
+		return err
 	}
 	if s.PageCacheBytes > 0 && s.PageCacheBytes%s.Geometry.PageBytes() != 0 {
 		return fmt.Errorf("config: page cache %d B not a multiple of the page size", s.PageCacheBytes)
+	}
+	return nil
+}
+
+// checkBlockCache rejects a block cache the direct-mapped index cannot
+// model: a size that is not a power-of-two number of blocks (its frame
+// index masks the block number), a negative size other than
+// InfiniteBlockCache, or more frames than addr.MaxSegmentBlocks, which no
+// segment's remote blocks can fill.
+func (s System) checkBlockCache() error {
+	n := s.BlockCacheBytes
+	switch {
+	case n == 0 || n == InfiniteBlockCache:
+		return nil
+	case n < 0:
+		return fmt.Errorf("config: block cache size %d B is negative (only %d, the infinite cache, is)", n, InfiniteBlockCache)
+	case n%s.Geometry.BlockBytes() != 0:
+		return fmt.Errorf("config: block cache %d B not a multiple of the block size", n)
+	}
+	frames := n / s.Geometry.BlockBytes()
+	if frames&(frames-1) != 0 {
+		return fmt.Errorf("config: block cache %d B holds %d blocks, not a power of two", n, frames)
+	}
+	if frames > addr.MaxSegmentBlocks {
+		return fmt.Errorf("config: block cache %d B holds %d blocks, past the %d-block segment bound",
+			n, frames, addr.MaxSegmentBlocks)
 	}
 	return nil
 }

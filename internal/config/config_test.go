@@ -1,6 +1,7 @@
 package config
 
 import (
+	"strings"
 	"testing"
 
 	"rnuma/internal/addr"
@@ -148,6 +149,41 @@ func TestValidateRejections(t *testing.T) {
 	sc.PageCacheBytes = 100
 	if err := sc.Validate(); err == nil {
 		t.Error("S-COMA with sub-page page cache should be invalid")
+	}
+}
+
+// TestValidateBlockCacheSizes: the block cache is direct-mapped and
+// indexed by masking the block number, so only a power-of-two number of
+// blocks models it; a rejected size is named in the error.
+func TestValidateBlockCacheSizes(t *testing.T) {
+	blk := addr.Default.BlockBytes()
+	for _, tc := range []struct {
+		bytes int
+		want  string // "" accepts; otherwise a substring of the error
+	}{
+		{InfiniteBlockCache, ""},
+		{blk, ""},
+		{128, ""},
+		{32 << 10, ""},
+		{addr.MaxSegmentBlocks * blk, ""},
+		{96, "96 B holds 3 blocks, not a power of two"},
+		{100, "100 B not a multiple of the block size"},
+		{3 << 10, "3072 B holds 96 blocks, not a power of two"},
+		{-2, "block cache size -2 B is negative"},
+		{-4096, "block cache size -4096 B is negative"},
+		{2 * addr.MaxSegmentBlocks * blk, "past the 16777216-block segment bound"},
+	} {
+		for _, p := range []Protocol{CCNUMA, RNUMA} {
+			s := Base(p)
+			s.BlockCacheBytes = tc.bytes
+			err := s.Validate()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("%v with a %d-B block cache: %v", p, tc.bytes, err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("%v with a %d-B block cache: error %v, want one containing %q", p, tc.bytes, err, tc.want)
+			}
+		}
 	}
 }
 

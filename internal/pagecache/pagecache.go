@@ -8,6 +8,7 @@ package pagecache
 
 import (
 	"fmt"
+	"slices"
 
 	"rnuma/internal/addr"
 )
@@ -110,18 +111,34 @@ type BlockVersion struct {
 }
 
 // Cache is the page cache plus its frame/page translation tables.
+//
+// Frames are created on first use, so a run builds only as many frames as
+// the most pages it caches at one time, however large the configured
+// capacity. Allocate hands
+// out the most recently evicted frame first, then the lowest never-used
+// index: the order a free stack holding every frame, highest index at the
+// bottom, would give. New frames carve their block storage from chunks of
+// frameChunk frames, the first reserved by New, so creating a frame rarely
+// allocates and storage exceeds what the created frames use by less than
+// a chunk.
 type Cache struct {
-	frames        []Frame
+	frames        []Frame // created frames; [len(frames), capacity) are never used
+	capacity      int
 	byPage        map[addr.PageNum]int
-	free          []int
+	free          []int // evicted frames, the most recently evicted last
 	blocksPerPage int
 	policy        Policy
+	spare         Frame // block storage reserved for frames not yet created
+	unused        Frame // what FrameAt answers for a never-used index
 
 	hits         int64
 	misses       int64
 	allocations  int64
 	replacements int64
 }
+
+// frameChunk is how many frames' block storage the cache reserves at once.
+const frameChunk = 16
 
 // New builds a page cache with the given number of page frames and the
 // paper's LRM replacement policy.
@@ -130,32 +147,17 @@ func New(frames, blocksPerPage int) *Cache {
 }
 
 // NewWithPolicy builds a page cache with an explicit replacement policy.
-// Every frame's tag/dirty/version arrays are carved out of flat backing
-// slices up front, so Allocate never allocates: frame turnover sits on the
-// simulator's page-operation path.
+// It creates no frame: each is created when Allocate first needs it, and
+// a reused frame is reset in place, so frame turnover on the simulator's
+// page-operation path never allocates.
 func NewWithPolicy(frames, blocksPerPage int, p Policy) *Cache {
 	c := &Cache{
-		frames:        make([]Frame, frames),
-		byPage:        make(map[addr.PageNum]int, frames),
-		free:          make([]int, 0, frames),
+		capacity:      frames,
+		byPage:        make(map[addr.PageNum]int, min(frames, frameChunk)),
 		blocksPerPage: blocksPerPage,
 		policy:        p,
 	}
-	tags := make([]TagState, frames*blocksPerPage)
-	dirty := make([]bool, frames*blocksPerPage)
-	versions := make([]uint32, frames*blocksPerPage)
-	wasValid := make([]bool, frames*blocksPerPage)
-	for i := range c.frames {
-		f := &c.frames[i]
-		lo, hi := i*blocksPerPage, (i+1)*blocksPerPage
-		f.Tags = tags[lo:hi:hi]
-		f.Dirty = dirty[lo:hi:hi]
-		f.Versions = versions[lo:hi:hi]
-		f.wasValid = wasValid[lo:hi:hi]
-	}
-	for i := frames - 1; i >= 0; i-- {
-		c.free = append(c.free, i)
-	}
+	c.reserve()
 	return c
 }
 
@@ -163,10 +165,10 @@ func NewWithPolicy(frames, blocksPerPage int, p Policy) *Cache {
 func (c *Cache) Policy() Policy { return c.policy }
 
 // Frames returns the frame count.
-func (c *Cache) Frames() int { return len(c.frames) }
+func (c *Cache) Frames() int { return c.capacity }
 
 // FreeFrames returns how many frames are unallocated.
-func (c *Cache) FreeFrames() int { return len(c.free) }
+func (c *Cache) FreeFrames() int { return len(c.free) + c.capacity - len(c.frames) }
 
 // InUse returns how many frames hold pages.
 func (c *Cache) InUse() int { return len(c.frames) - len(c.free) }
@@ -178,8 +180,19 @@ func (c *Cache) FrameOf(p addr.PageNum) (int, bool) {
 	return idx, ok
 }
 
-// FrameAt returns the frame at an index for inspection.
-func (c *Cache) FrameAt(idx int) *Frame { return &c.frames[idx] }
+// FrameAt returns the frame at an index for inspection; a never-used
+// index answers a free, empty frame. The pointer is valid until the next
+// Allocate.
+func (c *Cache) FrameAt(idx int) *Frame {
+	if idx < len(c.frames) {
+		return &c.frames[idx]
+	}
+	if idx >= c.capacity {
+		panic(fmt.Sprintf("pagecache: frame %d out of range [0,%d)", idx, c.capacity))
+	}
+	c.unused = Frame{}
+	return &c.unused
+}
 
 // PickVictim returns the least-recently-missed in-use frame. It does not
 // evict; the caller flushes the victim's dirty blocks first and then calls
@@ -202,7 +215,7 @@ func (c *Cache) PickVictim() (int, bool) {
 // Evict releases a frame, returning the page it held. The caller must have
 // flushed dirty blocks already.
 func (c *Cache) Evict(idx int) addr.PageNum {
-	f := &c.frames[idx]
+	f := c.FrameAt(idx)
 	if !f.InUse {
 		panic("pagecache: evicting free frame")
 	}
@@ -218,21 +231,24 @@ func (c *Cache) Evict(idx int) addr.PageNum {
 // Allocate assigns a free frame to the page (the caller must ensure one is
 // free, evicting first if necessary) and initializes all tags to invalid.
 func (c *Cache) Allocate(p addr.PageNum, now int64) int {
-	if len(c.free) == 0 {
+	if c.FreeFrames() == 0 {
 		panic("pagecache: allocate with no free frames")
 	}
 	if _, dup := c.byPage[p]; dup {
 		panic("pagecache: page already mapped")
 	}
-	idx := c.free[len(c.free)-1]
-	c.free = c.free[:len(c.free)-1]
-	f := &c.frames[idx]
-	for i := 0; i < c.blocksPerPage; i++ {
-		f.Tags[i] = TagInvalid
-		f.Dirty[i] = false
-		f.Versions[i] = 0
-		f.wasValid[i] = false
+	var idx int
+	if n := len(c.free); n > 0 {
+		idx = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		idx = c.create()
 	}
+	f := &c.frames[idx]
+	clear(f.Tags)
+	clear(f.Dirty)
+	clear(f.Versions)
+	clear(f.wasValid)
 	f.Page = p
 	f.InUse = true
 	f.LastMiss = now
@@ -241,6 +257,36 @@ func (c *Cache) Allocate(p addr.PageNum, now int64) int {
 	c.byPage[p] = idx
 	c.allocations++
 	return idx
+}
+
+// create makes the lowest never-used frame and returns its index.
+func (c *Cache) create() int {
+	if len(c.spare.Tags) == 0 {
+		c.reserve()
+	}
+	n, s := c.blocksPerPage, &c.spare
+	c.frames = append(c.frames, Frame{
+		Tags:     s.Tags[:n:n],
+		Dirty:    s.Dirty[:n:n],
+		Versions: s.Versions[:n:n],
+		wasValid: s.wasValid[:n:n],
+	})
+	s.Tags, s.Dirty, s.Versions, s.wasValid = s.Tags[n:], s.Dirty[n:], s.Versions[n:], s.wasValid[n:]
+	return len(c.frames) - 1
+}
+
+// reserve sets aside block storage, and room in the frame table, for the
+// next frameChunk frames (fewer near the capacity).
+func (c *Cache) reserve() {
+	n := min(c.capacity-len(c.frames), frameChunk)
+	m := n * c.blocksPerPage
+	c.spare = Frame{
+		Tags:     make([]TagState, m),
+		Dirty:    make([]bool, m),
+		Versions: make([]uint32, m),
+		wasValid: make([]bool, m),
+	}
+	c.frames = slices.Grow(c.frames, n)
 }
 
 // Tag returns the fine-grain tag for a block offset in a frame.
@@ -333,6 +379,12 @@ type FrameState struct {
 	WasValid   []bool
 }
 
+// neverUsed reports whether a free frame's state is still zero, as a
+// frame no page has held is.
+func (fs *FrameState) neverUsed() bool {
+	return fs.Page == 0 && fs.LastMiss == 0 && fs.MissStreak == 0
+}
+
 // State is the page cache's complete state in exported form. Free lists
 // frame indices in stack order; its order decides which frame the next
 // Allocate picks, so restores must preserve it exactly.
@@ -343,16 +395,21 @@ type State struct {
 	Hits, Misses, Allocations, Replacements int64
 }
 
-// State returns a deep copy of the cache's state (snapshot support).
+// State returns a deep copy of the cache's state (snapshot support). It
+// covers the whole capacity: a never-used frame is a zero FrameState, and
+// the never-used frames sit at the bottom of Free, highest index first.
 func (c *Cache) State() State {
 	s := State{
-		Frames:       make([]FrameState, len(c.frames)),
-		Free:         append([]int(nil), c.free...),
+		Frames:       make([]FrameState, c.capacity),
 		Hits:         c.hits,
 		Misses:       c.misses,
 		Allocations:  c.allocations,
 		Replacements: c.replacements,
 	}
+	for i := c.capacity - 1; i >= len(c.frames); i-- {
+		s.Free = append(s.Free, i)
+	}
+	s.Free = append(s.Free, c.free...)
 	for i := range c.frames {
 		f := &c.frames[i]
 		fs := &s.Frames[i]
@@ -370,16 +427,19 @@ func (c *Cache) State() State {
 // SetState replaces the cache's state (snapshot restore), validating the
 // snapshot's shape against this cache's frame count and page size. The
 // per-frame valid/dirty tallies are recomputed from the restored tags.
+// Only the frames below the free stack's never-used tail are created: the
+// bottom run capacity-1, capacity-2, ... of frames whose state is still
+// zero, which Allocate reaches last and in ascending order.
 func (c *Cache) SetState(s State) error {
-	if len(s.Frames) != len(c.frames) {
-		return fmt.Errorf("pagecache: snapshot has %d frames, cache has %d", len(s.Frames), len(c.frames))
+	if len(s.Frames) != c.capacity {
+		return fmt.Errorf("pagecache: snapshot has %d frames, cache has %d", len(s.Frames), c.capacity)
 	}
-	if len(s.Free) > len(c.frames) {
-		return fmt.Errorf("pagecache: snapshot frees %d of %d frames", len(s.Free), len(c.frames))
+	if len(s.Free) > c.capacity {
+		return fmt.Errorf("pagecache: snapshot frees %d of %d frames", len(s.Free), c.capacity)
 	}
-	onFree := make([]bool, len(c.frames))
+	onFree := make([]bool, c.capacity)
 	for _, idx := range s.Free {
-		if idx < 0 || idx >= len(c.frames) {
+		if idx < 0 || idx >= c.capacity {
 			return fmt.Errorf("pagecache: free index %d out of range", idx)
 		}
 		if onFree[idx] {
@@ -390,7 +450,7 @@ func (c *Cache) SetState(s State) error {
 		}
 		onFree[idx] = true
 	}
-	byPage := make(map[addr.PageNum]int, len(c.frames))
+	byPage := make(map[addr.PageNum]int)
 	for i := range s.Frames {
 		fs := &s.Frames[i]
 		if !fs.InUse {
@@ -409,11 +469,15 @@ func (c *Cache) SetState(s State) error {
 		}
 		byPage[fs.Page] = i
 	}
-	for i := range c.frames {
-		f := &c.frames[i]
-		fs := &s.Frames[i]
+	tail := 0
+	for tail < len(s.Free) && s.Free[tail] == c.capacity-1-tail && s.Frames[s.Free[tail]].neverUsed() {
+		tail++
+	}
+	c.frames = c.frames[:0]
+	for i := range s.Frames[:c.capacity-tail] {
+		c.create()
+		f, fs := &c.frames[i], &s.Frames[i]
 		f.Page, f.InUse, f.LastMiss, f.MissStreak = fs.Page, fs.InUse, fs.LastMiss, fs.MissStreak
-		f.valid, f.dirty = 0, 0
 		if !fs.InUse {
 			continue
 		}
@@ -430,7 +494,7 @@ func (c *Cache) SetState(s State) error {
 			}
 		}
 	}
-	c.free = append(c.free[:0], s.Free...)
+	c.free = append(c.free[:0], s.Free[tail:]...)
 	c.byPage = byPage
 	c.hits, c.misses, c.allocations, c.replacements = s.Hits, s.Misses, s.Allocations, s.Replacements
 	return nil

@@ -1,7 +1,10 @@
 package pagecache
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -319,5 +322,140 @@ func TestLRMAllocationFree(t *testing.T) {
 		now++
 	}); n != 0 {
 		t.Errorf("steady-state LRM replacement allocates %.1f times", n)
+	}
+}
+
+// drive applies operation i of a fixed pseudo-random sequence to c:
+// allocations (replacing the LRM victim when the cache is full),
+// demotion-style evictions of a random in-use frame, block updates,
+// invalidations and LRM touches. The choice depends only on i and on the
+// cache's state, so caches in equal states take equal steps. It returns
+// the frame an allocation picked, or -1.
+func drive(c *Cache, i int) int {
+	x := uint64(i+1) * 0x9e3779b97f4a7c15
+	next := func(n int) int {
+		x ^= x >> 31
+		x *= 0xbf58476d1ce4e5b9
+		x ^= x >> 29
+		return int(x % uint64(n))
+	}
+	now := int64(10 * i)
+	var inUse []int
+	for idx := 0; idx < c.Frames(); idx++ {
+		if c.FrameAt(idx).InUse {
+			inUse = append(inUse, idx)
+		}
+	}
+	op := next(10)
+	if len(inUse) == 0 || op < 3 {
+		p := addr.PageNum(next(40))
+		if _, mapped := c.FrameOf(p); mapped {
+			return -1
+		}
+		if c.FreeFrames() == 0 {
+			v, _ := c.PickVictim()
+			c.Evict(v)
+		}
+		return c.Allocate(p, now)
+	}
+	idx, off := inUse[next(len(inUse))], next(c.blocksPerPage)
+	switch op {
+	case 3:
+		c.Evict(idx)
+	case 4, 5:
+		c.SetBlock(idx, off, TagState(1+next(2)), next(2) == 0, uint32(next(1000)))
+	case 6:
+		c.InvalidateBlock(idx, off)
+	case 7:
+		c.TouchMiss(idx, now)
+	case 8:
+		c.TouchHit(idx, now)
+	default:
+		c.NoteCoherenceMiss(idx)
+	}
+	return -1
+}
+
+func stateDigest(s State) string {
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", s))))[:16]
+}
+
+// TestLazyFramesMatchEagerCache pins frame creation on first use against
+// the cache that built every frame up front: over a sequence with
+// evictions, allocations pick the frames the eager free stack picked
+// (the most recently evicted first, then the lowest never-used index),
+// and State() at each checkpoint is the eager cache's, never-used frames
+// included (the order and digests were recorded from that cache). A cache
+// restored at a checkpoint creates only the frames below the free
+// stack's never-used tail and then continues with the same allocations
+// and the same states.
+func TestLazyFramesMatchEagerCache(t *testing.T) {
+	const frames, ops = 12, 400
+	wantOrder := []int{0, 1, 2, 3, 4, 5, 4, 2, 2, 1, 6, 7, 8, 9, 10, 2, 11, 6, 0, 4, 2, 5, 3, 1, 7, 0, 4, 9, 8, 11, 7, 10, 4, 6, 8, 3, 10, 0, 9, 2, 1, 6, 5, 11, 8, 1, 3, 5, 10, 9, 2, 0, 7, 6, 11, 8, 1, 3, 5, 10, 9, 4, 2, 0, 0, 2, 7, 6, 11, 3, 9, 8, 11, 5, 1, 4, 4, 7, 10, 6, 0, 7, 3, 11, 1, 2, 5, 1, 5, 9, 3}
+	wantDigest := map[int]string{
+		5:   "4ef8fa996ba69bb2",
+		30:  "ea24b2518aed6081",
+		150: "0cc54f677e2b1c6d",
+		ops: "f016351209053b42",
+	}
+	c := New(frames, 8)
+	if len(c.frames) != 0 {
+		t.Fatalf("a fresh cache created %d frames", len(c.frames))
+	}
+	var order []int
+	snaps := map[int]State{}
+	for i := 0; i < ops; i++ {
+		for _, at := range []int{5, 30, 150} {
+			if i == at {
+				snaps[at] = c.State()
+			}
+		}
+		if idx := drive(c, i); idx >= 0 {
+			order = append(order, idx)
+		}
+	}
+	if !reflect.DeepEqual(order, wantOrder) {
+		t.Errorf("allocation order\n got %v\nwant %v", order, wantOrder)
+	}
+	final := c.State()
+	for at, s := range snaps {
+		if got, want := stateDigest(s), wantDigest[at]; got != want {
+			t.Errorf("state after %d ops: digest %s, the eager cache's %s", at, got, want)
+		}
+	}
+	if got, want := stateDigest(final), wantDigest[ops]; got != want {
+		t.Errorf("final state: digest %s, the eager cache's %s", got, want)
+	}
+
+	for at, s := range snaps {
+		r := New(frames, 8)
+		if err := r.SetState(s); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.State(); !reflect.DeepEqual(got, s) {
+			t.Errorf("restore at %d ops: State() round trip differs", at)
+		}
+		created := frames
+		for j, idx := range s.Free {
+			if fs := s.Frames[idx]; idx != frames-1-j || fs.Page != 0 || fs.LastMiss != 0 || fs.MissStreak != 0 {
+				break
+			}
+			created--
+		}
+		if len(r.frames) != created {
+			t.Errorf("restore at %d ops created %d frames, the original had %d", at, len(r.frames), created)
+		}
+		var resumed []int
+		for i := at; i < ops; i++ {
+			if idx := drive(r, i); idx >= 0 {
+				resumed = append(resumed, idx)
+			}
+		}
+		if tail := order[len(order)-len(resumed):]; !reflect.DeepEqual(resumed, tail) {
+			t.Errorf("restored at %d ops: allocations\n got %v\nwant %v", at, resumed, tail)
+		}
+		if !reflect.DeepEqual(r.State(), final) {
+			t.Errorf("restored at %d ops: final state differs", at)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"rnuma/internal/config"
 	"rnuma/internal/harness"
+	"rnuma/internal/traffic"
 	"rnuma/internal/workloads"
 )
 
@@ -212,7 +213,10 @@ func (s *Server) resolve(req JobRequest) (Job, error) {
 		if job.System, err = systemFor(req.System, req.Threshold); err != nil {
 			return job, err
 		}
-		return job, checkSystem(job.Artifact, job.System)
+		if err := checkSystem(job.Artifact, job.System); err != nil {
+			return job, err
+		}
+		return job, checkPhases(job.Artifact)
 	case "sweep":
 		if job.Artifact, err = s.traceArtifact(req.Artifact, req.Type); err != nil {
 			return job, err
@@ -311,6 +315,23 @@ func checkPoints(job Job) error {
 // trace whose nodes do not divide its CPUs.
 func checkSystem(a *Artifact, sys config.System) error {
 	if _, err := a.in.System(sys); err != nil {
+		return &valueError{err}
+	}
+	return nil
+}
+
+// checkPhases rejects a traffic scenario whose phase files the job could
+// not read (missing, not regular, or past the phase bound), resolving each
+// path against the artifact's base directory as the job does.
+func checkPhases(a *Artifact) error {
+	if a.Kind != harness.KindTraffic {
+		return nil
+	}
+	s, err := traffic.Parse(a.data)
+	if err == nil {
+		err = s.CheckPhases(a.baseDir)
+	}
+	if err != nil {
 		return &valueError{err}
 	}
 	return nil

@@ -267,6 +267,35 @@ func TestSpecAndTrafficReplay(t *testing.T) {
 	}
 }
 
+// TestPhaseFilesCheckedAtSubmit: a replay of an uploaded traffic scenario
+// whose phase file the job could not read, missing or a directory,
+// answers 422 naming the file instead of failing inside the job. The
+// committed example scenarios answer 202 from a daemon whose working
+// directory their relative phase paths resolve against.
+func TestPhaseFilesCheckedAtSubmit(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	dir := t.TempDir()
+	for _, tc := range []struct{ name, phase, want string }{
+		{"gone", filepath.Join(dir, "absent.json"), "no such file"},
+		{"dir", dir, "not a regular file"},
+	} {
+		a := upload(t, ts, "", []byte(fmt.Sprintf(`{"name": %q, "clients": [{"name": "a", "rate_fraction": 1.0,
+  "arrival": {"process": "poisson"}, "phases": [{"spec": %q}]}]}`, tc.name, tc.phase)))
+		code, msg := postJob(t, ts, fmt.Sprintf(`{"type":"replay","artifact":"%s"}`, a.ID))
+		if code != http.StatusUnprocessableEntity || !strings.Contains(msg, tc.phase) || !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: %d %q, want 422 naming %s (%s)", tc.name, code, msg, tc.phase, tc.want)
+		}
+	}
+	t.Chdir("../../examples/scenarios")
+	for _, file := range []string{"steady-mix.json", "burst-collision.json"} {
+		a := upload(t, ts, "", mustRead(t, file))
+		info := submit(t, ts, JobRequest{Type: "replay", Artifact: a.ID})
+		if got := waitJob(t, ts, info.ID); got.Status != StatusDone {
+			t.Errorf("%s: %s %s", file, got.Status, got.Error)
+		}
+	}
+}
+
 // TestExperimentsJobs drives the figure job type: explicit figures and
 // the figure-6 default (unknown figures answer 422 at submission, see
 // TestSubmitValueErrors).

@@ -143,20 +143,60 @@ func compileClient(c Client, specSeed int64, meanGap float64, cfg workloads.Conf
 // wrote the scenario.
 var maxPhaseBytes int64 = 256 << 20
 
-// readPhase reads a phase file, checking before it reads that the file
-// is regular and within maxPhaseBytes: a device such as /dev/zero never
+// CheckPhases reports the first phase file Compile would refuse to read,
+// with its path resolved against baseDir as Compile resolves it: one that
+// is missing, not a regular file, or past maxPhaseBytes. It reads no
+// file, so a phase file that exists but does not parse still fails in
+// Compile.
+func (s *Spec) CheckPhases(baseDir string) error {
+	for _, c := range s.Clients {
+		for pi, ph := range c.Phases {
+			if err := statPhase(ph.path(baseDir)); err != nil {
+				return fmt.Errorf("traffic %q: client %q: phase %d: %w", s.Name, c.Name, pi, err)
+			}
+		}
+	}
+	return nil
+}
+
+// path resolves a phase's file against baseDir (the traffic spec's
+// directory).
+func (ph PhaseRef) path(baseDir string) string {
+	path := ph.Spec
+	if path == "" {
+		path = ph.Trace
+	}
+	if !filepath.IsAbs(path) && baseDir != "" {
+		path = filepath.Join(baseDir, path)
+	}
+	return path
+}
+
+// statPhase checks, before anything is read, that a phase file is
+// regular and within maxPhaseBytes: a device such as /dev/zero never
 // ends, and a FIFO blocks its reader.
-func readPhase(path string) ([]byte, error) {
+func statPhase(path string) error {
 	fi, err := os.Stat(path)
 	if err != nil {
-		return nil, fmt.Errorf("traffic: %w", err)
+		return fmt.Errorf("traffic: %w", err)
 	}
 	if !fi.Mode().IsRegular() {
-		return nil, fmt.Errorf("traffic: phase file %s is not a regular file", path)
+		return fmt.Errorf("traffic: phase file %s is not a regular file", path)
 	}
-	tooBig := fmt.Errorf("traffic: phase file %s is past the %d-byte bound", path, maxPhaseBytes)
 	if fi.Size() > maxPhaseBytes {
-		return nil, tooBig
+		return tooBig(path)
+	}
+	return nil
+}
+
+func tooBig(path string) error {
+	return fmt.Errorf("traffic: phase file %s is past the %d-byte bound", path, maxPhaseBytes)
+}
+
+// readPhase reads a phase file that statPhase accepts.
+func readPhase(path string) ([]byte, error) {
+	if err := statPhase(path); err != nil {
+		return nil, err
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -168,7 +208,7 @@ func readPhase(path string) ([]byte, error) {
 		return nil, fmt.Errorf("traffic: %w", err)
 	}
 	if int64(len(data)) > maxPhaseBytes { // it grew since the check
-		return nil, tooBig
+		return nil, tooBig(path)
 	}
 	return data, nil
 }
@@ -176,13 +216,7 @@ func readPhase(path string) ([]byte, error) {
 // buildPhase materializes one phase reference: a workload spec built for
 // the config, or a captured trace validated against it.
 func buildPhase(ph PhaseRef, cfg workloads.Config, baseDir string) (*workloads.Workload, error) {
-	path := ph.Spec
-	if path == "" {
-		path = ph.Trace
-	}
-	if !filepath.IsAbs(path) && baseDir != "" {
-		path = filepath.Join(baseDir, path)
-	}
+	path := ph.path(baseDir)
 	// Read the whole file up front: a trace's streams decode lazily, long
 	// after this frame is gone.
 	data, err := readPhase(path)

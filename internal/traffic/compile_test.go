@@ -473,6 +473,44 @@ func TestPhaseFileBound(t *testing.T) {
 	}
 }
 
+// TestCheckPhases: CheckPhases refuses, without reading, every phase
+// file Compile would refuse to read (missing, not regular, past the
+// bound), names the client, phase and file, and resolves relative paths
+// against the base directory as Compile does.
+func TestCheckPhases(t *testing.T) {
+	dir := writeMini(t)
+	defer func(old int64) { maxPhaseBytes = old }(maxPhaseBytes)
+	maxPhaseBytes = 16
+	spec := func(phases ...PhaseRef) *Spec {
+		return &Spec{Name: "s", Clients: []Client{
+			{Name: "ok", RateFraction: 1, Arrival: Arrival{Process: "poisson"}, Phases: []PhaseRef{{Spec: "small.json"}}},
+			{Name: "b", RateFraction: 1, Arrival: Arrival{Process: "poisson"}, Phases: phases},
+		}}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "small.json"), []byte("not even json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := spec(PhaseRef{Trace: "small.json"}).CheckPhases(dir); err != nil {
+		t.Errorf("readable phase files: %v", err)
+	}
+	for _, tc := range []struct {
+		ph   PhaseRef
+		want string
+	}{
+		{PhaseRef{Spec: "absent.json"}, filepath.Join(dir, "absent.json") + ": no such file"},
+		{PhaseRef{Trace: dir}, dir + " is not a regular file"},
+		{PhaseRef{Spec: "mini.json"}, filepath.Join(dir, "mini.json") + " is past the 16-byte bound"},
+	} {
+		err := spec(PhaseRef{Spec: "small.json"}, tc.ph).CheckPhases(dir)
+		if err == nil || !strings.Contains(err.Error(), `client "b": phase 1: `) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: %v, want an error naming client b, phase 1 and %q", tc.ph, err, tc.want)
+		}
+	}
+	if err := spec().CheckPhases("/nowhere"); err == nil {
+		t.Error("relative phase paths did not resolve against the base directory")
+	}
+}
+
 func TestCompileDegenerateStreams(t *testing.T) {
 	dir := writeMini(t)
 	cfg := testCfg()
