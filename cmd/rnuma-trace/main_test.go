@@ -9,6 +9,7 @@ import (
 
 	"rnuma/internal/addr"
 	"rnuma/internal/tracefile"
+	"rnuma/internal/tracefile/snapfile"
 )
 
 // runCLI drives one in-process invocation of the command, returning the
@@ -46,6 +47,7 @@ func TestUsageExitCodes(t *testing.T) {
 		{"help", []string{"-h"}, 0},
 		{"bad-flag", []string{"info", "-nonsense"}, 2},
 		{"record-unknown-app", []string{"record", "-app", "nope", "-o", "-"}, 1},
+		{"record-phaseshift", []string{"record", "-app", "phaseshift", "-o", "-"}, 1},
 		{"info-no-file", []string{"info"}, 1},
 		{"replay-extra-positionals", []string{"replay", "a.trace", "b.trace"}, 2},
 		{"diff-one-file", []string{"diff", "a.trace"}, 1},
@@ -419,6 +421,55 @@ func TestSnapshotResumeCLI(t *testing.T) {
 	}
 	if code, _, _ := runCLI(t, nil, "resume", tracePath, "-snap", filepath.Join(dir, "absent.rnss")); code != 1 {
 		t.Errorf("resume with a missing checkpoint exited %d, want 1", code)
+	}
+}
+
+// TestSnapshotSizedByUse: a checkpoint lists the page-cache frames a run
+// created, not the configured capacity, so checkpoints under a 40-MiB and
+// a 1-GiB page cache differ by a few bytes at most, and both resume to
+// the uninterrupted run. S-COMA fills frames on every remote fault;
+// R-NUMA fills none on fft, which never refetches.
+func TestSnapshotSizedByUse(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "fft.trace")
+	if err := os.WriteFile(tracePath, record(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	body := func(s string) string { return s[strings.Index(s, "\n")+1:] }
+	for _, proto := range []string{"scoma", "rnuma"} {
+		code, full, stderr := runCLI(t, nil, "replay", tracePath, "-protocol", proto, "-pc", "41943040")
+		if code != 0 {
+			t.Fatalf("%s replay exited %d: %s", proto, code, stderr)
+		}
+		var sizes []int64
+		for _, pc := range []string{"41943040", "1073741824"} {
+			snapPath := filepath.Join(dir, proto+pc+".rnss")
+			if code, _, stderr := runCLI(t, nil, "snapshot", tracePath, "-refs", "15000", "-protocol", proto, "-pc", pc, "-o", snapPath); code != 0 {
+				t.Fatalf("%s snapshot -pc %s exited %d: %s", proto, pc, code, stderr)
+			}
+			fi, err := os.Stat(snapPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes = append(sizes, fi.Size())
+			snap, err := snapfile.ReadFile(snapPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if frames := len(snap.Nodes[0].PageCache.Frames); (proto == "scoma") != (frames > 0) {
+				t.Errorf("%s -pc %s: node 0's checkpoint lists %d page-cache frames", proto, pc, frames)
+			}
+			code, resumed, stderr := runCLI(t, nil, "resume", tracePath, "-snap", snapPath)
+			if code != 0 {
+				t.Fatalf("%s resume -pc %s exited %d: %s", proto, pc, code, stderr)
+			}
+			if body(resumed) != body(full) {
+				t.Errorf("%s -pc %s: resumed stats differ from the uninterrupted replay:\n--- replay\n%s--- resume\n%s", proto, pc, body(full), body(resumed))
+			}
+		}
+		if d := sizes[1] - sizes[0]; d < -8 || d > 8 {
+			t.Errorf("%s checkpoints under 40-MiB and 1-GiB page caches are %d and %d bytes", proto, sizes[0], sizes[1])
+		}
 	}
 }
 

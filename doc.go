@@ -44,7 +44,8 @@
 //   - internal/tracefile/snapfile — the RNSS checkpoint file format for
 //     machine snapshots (versioned gob payload, CRC-32C, strict
 //     truncation/corruption rejection) behind rnuma-trace snapshot and
-//     resume
+//     resume; a checkpoint lists the page-cache frames a run created, so
+//     its size does not follow the configured capacity
 //   - internal/stats — the per-run counter set, plus Diff: the
 //     per-counter delta table (absolute + relative + refetch-map
 //     digest) between two runs that rnuma-trace diffstats and
@@ -109,7 +110,10 @@
 // by Harness.Workers (default GOMAXPROCS; the tools expose it as
 // -parallel). Results land in a pluggable singleflight store
 // (Harness.Store — in-memory by default, persisted across processes by
-// NewDiskStore), so concurrent
+// NewDiskStore) under a key that covers the workload's content, the
+// whole config.System but its display name, and the harness seed and
+// scale, so the ablations (naive counting, LRU replacement,
+// round-robin homes) are ordinary systems, and concurrent
 // requests for one configuration simulate exactly once and figure assembly
 // — always serial — produces output byte-identical to a serial run. The
 // pool, at one worker too, takes a plan's jobs grouped by application and

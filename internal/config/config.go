@@ -146,15 +146,12 @@ type System struct {
 	// before the OS relocates the page to the page cache).
 	Threshold int
 
-	// DemotionThreshold, when positive, enables the reverse-adaptation
-	// extension: an S-COMA page that takes this many consecutive remote
-	// (coherence) misses without a single page-cache hit is demoted back
-	// to CC-NUMA, freeing its frame. The paper's base design realizes the
-	// "reuse page becomes communication page" direction only through LRM
-	// replacement; explicit demotion reclaims frames from communication
-	// pages that keep missing (and so keep looking fresh to LRM). Zero
-	// disables demotion (the paper's design).
-	DemotionThreshold int
+	// NaiveCounting feeds the R-NUMA counters on every remote fetch,
+	// coherence misses included, instead of on capacity and conflict
+	// refetches only: the counting ablation of Section 3.1, under which
+	// communication pages cross the threshold and are pointlessly
+	// relocated. False is the paper's design.
+	NaiveCounting bool
 
 	// PageReplacement selects the page-cache replacement policy: the
 	// paper's Least Recently Missed, or conventional LRU for the
@@ -162,7 +159,9 @@ type System struct {
 	PageReplacement pagecache.Policy
 
 	// FirstTouch enables the first-touch page migration directive of
-	// Section 2.1: the first node to request a page becomes its home.
+	// Section 2.1: the first node to request a page becomes its home
+	// (harness runs take each page's home from the workload, the node
+	// that touches it first). Without it, pages are homed round-robin.
 	FirstTouch bool
 }
 

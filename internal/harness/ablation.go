@@ -2,7 +2,6 @@ package harness
 
 import (
 	"rnuma/internal/config"
-	"rnuma/internal/machine"
 	"rnuma/internal/pagecache"
 	"rnuma/internal/stats"
 )
@@ -10,17 +9,15 @@ import (
 // This file implements the ablation studies: each isolates one design
 // decision the paper's results rest on.
 
-// ablationJob builds a tagged job carrying extra machine options; the tag
-// keys it separately in the memo cache. The round-robin placement ablation
-// omits the workload's home map so the machine falls back to round-robin.
-func ablationJob(appName string, sys config.System, tag string, opts ...machine.Option) Job {
-	return Job{App: appName, Sys: sys, Tag: tag, opts: opts, skipHomes: tag == "roundrobin"}
-}
-
-// runWith executes an application with extra machine options through the
-// scheduler's singleflight cache.
-func (h *Harness) runWith(appName string, sys config.System, tag string, opts ...machine.Option) (*stats.Run, error) {
-	return h.runJob(ablationJob(appName, sys, tag, opts...))
+// runPair runs one application on two systems, planning both runs
+// before the first so that they can run concurrently.
+func (h *Harness) runPair(appName string, a, b config.System) (ra, rb *stats.Run, err error) {
+	h.Prefetch(NewPlan().AddRuns([]string{appName}, a, b))
+	if ra, err = h.Run(appName, a); err != nil {
+		return nil, nil, err
+	}
+	rb, err = h.Run(appName, b)
+	return ra, rb, err
 }
 
 // CountingAblation compares R-NUMA with the paper's refetch-only counters
@@ -44,13 +41,10 @@ func (h *Harness) AblationCounting(appName string) (*CountingAblation, error) {
 	sys := config.Base(config.RNUMA)
 	sys.Threshold = 6
 	sys.Name = "R-NUMA T=6"
-	h.Prefetch(NewPlan().Add(NewJob(appName, sys),
-		ablationJob(appName, sys, "naive-counting", machine.WithNaiveCounting())))
-	base, err := h.Run(appName, sys)
-	if err != nil {
-		return nil, err
-	}
-	naive, err := h.runWith(appName, sys, "naive-counting", machine.WithNaiveCounting())
+	naiveSys := sys
+	naiveSys.NaiveCounting = true
+	naiveSys.Name = "R-NUMA T=6 naive counting"
+	base, naive, err := h.runPair(appName, sys, naiveSys)
 	if err != nil {
 		return nil, err
 	}
@@ -61,42 +55,6 @@ func (h *Harness) AblationCounting(appName string) (*CountingAblation, error) {
 		SlowdownPct:      100 * (float64(naive.ExecCycles)/float64(base.ExecCycles) - 1),
 		ExtraRelocations: naive.Relocations - base.Relocations,
 		ExtraReplace:     naive.Replacements - base.Replacements,
-	}, nil
-}
-
-// DemotionAblation compares the paper's base R-NUMA (reverse adaptation
-// only via LRM replacement) against the explicit-demotion extension on the
-// phase-shift workload.
-type DemotionAblation struct {
-	Base, Demoting *stats.Run
-	SpeedupPct     float64 // execution time saved by demotion
-	Demotions      int64
-}
-
-// AblationDemotion exercises the reverse-adaptation extension: after a
-// reuse set degenerates into a communication set, its page-cache frames
-// keep looking "recently missed" to LRM (coherence misses refresh them),
-// squeezing the new reuse set. Demotion reclaims those frames.
-func (h *Harness) AblationDemotion() (*DemotionAblation, error) {
-	sys := config.Base(config.RNUMA)
-	dsys := sys
-	dsys.DemotionThreshold = 8
-	dsys.Name = "R-NUMA +demotion"
-	h.Prefetch(NewPlan().Add(NewJob("phaseshift", sys),
-		ablationJob("phaseshift", dsys, "demotion")))
-	base, err := h.Run("phaseshift", sys)
-	if err != nil {
-		return nil, err
-	}
-	demoting, err := h.runWith("phaseshift", dsys, "demotion")
-	if err != nil {
-		return nil, err
-	}
-	return &DemotionAblation{
-		Base:       base,
-		Demoting:   demoting,
-		SpeedupPct: 100 * (1 - float64(demoting.ExecCycles)/float64(base.ExecCycles)),
-		Demotions:  demoting.Demotions,
 	}, nil
 }
 
@@ -119,12 +77,7 @@ func (h *Harness) AblationReplacementPolicy(appName string) (*PolicyAblation, er
 	lruSys := sys
 	lruSys.PageReplacement = pagecache.LRU
 	lruSys.Name = "S-COMA LRU"
-	h.Prefetch(NewPlan().Add(NewJob(appName, sys), ablationJob(appName, lruSys, "lru")))
-	lrm, err := h.Run(appName, sys)
-	if err != nil {
-		return nil, err
-	}
-	lru, err := h.runWith(appName, lruSys, "lru")
+	lrm, lru, err := h.runPair(appName, sys, lruSys)
 	if err != nil {
 		return nil, err
 	}
@@ -155,12 +108,7 @@ func (h *Harness) AblationPlacement(appName string) (*PlacementAblation, error) 
 	rrSys := sys
 	rrSys.FirstTouch = false // machine falls back to round-robin homes
 	rrSys.Name = "CC-NUMA round-robin placement"
-	h.Prefetch(NewPlan().Add(NewJob(appName, sys), ablationJob(appName, rrSys, "roundrobin")))
-	ft, err := h.Run(appName, sys)
-	if err != nil {
-		return nil, err
-	}
-	rr, err := h.runWith(appName, rrSys, "roundrobin")
+	ft, rr, err := h.runPair(appName, sys, rrSys)
 	if err != nil {
 		return nil, err
 	}

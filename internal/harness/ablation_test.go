@@ -64,29 +64,6 @@ func TestAblationPlacement(t *testing.T) {
 	}
 }
 
-// TestAblationDemotion: the reverse-adaptation extension reclaims frames
-// from pages that degenerated into communication pages, speeding the
-// phase-shift workload and firing demotions.
-func TestAblationDemotion(t *testing.T) {
-	skipShapeInShort(t)
-	h := testHarness()
-	res, err := h.AblationDemotion()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Demotions == 0 {
-		t.Fatal("no demotions fired; the extension is inert")
-	}
-	// At the reduced test scale demotion fires late (few phase-2
-	// iterations remain to profit); full scale shows ~6%% (EXPERIMENTS.md).
-	if res.SpeedupPct < 0.2 {
-		t.Errorf("demotion speedup = %.1f%%; reclaiming stale frames should help", res.SpeedupPct)
-	}
-	if res.Base.Demotions != 0 {
-		t.Error("the base design must not demote")
-	}
-}
-
 // TestAblationReplacementPolicy: LRU protects reuse pages from streaming
 // traffic on raytrace-like mixes; LRM is the paper's hardware-cheap
 // choice. The ablation must run both and report a finite effect.

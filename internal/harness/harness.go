@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -103,17 +104,51 @@ func (h *Harness) logf(format string, args ...any) {
 	h.logMu.Unlock()
 }
 
+// sysKey renders a whole system configuration but its Name. The machine
+// shape, geometry, cache sizes and threshold — what figures and sweeps
+// vary — come first in a fixed format; every other field adds a suffix
+// only where it differs from config.Base's (the paper's costs add none,
+// the Figure 9 SOFT costs "-soft"), so the key of every system built
+// from Base by those first fields never moves.
 func sysKey(s config.System) string {
-	soft := ""
-	if s.Costs.SoftTrap != config.BaseCosts().SoftTrap {
-		soft = "-soft"
+	b := append(make([]byte, 0, 64), s.Protocol.String()...)
+	num := func(tag string, v int64) {
+		b = append(b, tag...)
+		b = strconv.AppendInt(b, v, 10)
 	}
-	// The machine shape and geometry are part of the identity: sweeps run
-	// the same protocol at several sizes and block/page geometries and
-	// must not share cache slots.
-	return fmt.Sprintf("%v-g%d.%d-n%d-c%d-bc%d-pc%d-T%d%s",
-		s.Protocol, s.Geometry.BlockShift, s.Geometry.PageShift,
-		s.Nodes, s.CPUsPerNode, s.BlockCacheBytes, s.PageCacheBytes, s.Threshold, soft)
+	num("-g", int64(s.Geometry.BlockShift))
+	num(".", int64(s.Geometry.PageShift))
+	num("-n", int64(s.Nodes))
+	num("-c", int64(s.CPUsPerNode))
+	num("-bc", int64(s.BlockCacheBytes))
+	num("-pc", int64(s.PageCacheBytes))
+	num("-T", int64(s.Threshold))
+	switch c := s.Costs; c {
+	case config.BaseCosts():
+	case config.SoftCosts():
+		b = append(b, "-soft"...)
+	default:
+		b = append(b, "-costs"...)
+		for _, v := range [...]int64{c.SRAMAccess, c.DRAMAccess, c.LocalFill, c.RemoteFetch,
+			c.SoftTrap, c.TLBShootdown, c.PageOpFixed, c.PageOpPerBlock, c.ThreeHopExtra, c.InvalExtra,
+			c.BusOccupancy, c.NIOccupancy, c.RADOccupancy, c.NetLatency, c.L1HitCycles} {
+			num(".", v)
+		}
+	}
+	base := config.Base(s.Protocol)
+	if s.L1Bytes != base.L1Bytes {
+		num("-l1", int64(s.L1Bytes))
+	}
+	if s.PageReplacement != base.PageReplacement {
+		b = append(b, "-"+s.PageReplacement.String()...)
+	}
+	if s.FirstTouch != base.FirstTouch {
+		b = append(b, "-rr"...) // round-robin homes
+	}
+	if s.NaiveCounting != base.NaiveCounting {
+		b = append(b, "-naive"...)
+	}
+	return string(b)
 }
 
 // Run executes (with memoization) one application under one system.
@@ -193,12 +228,12 @@ func (h *Harness) simulate(j Job, b *builds) (*stats.Run, error) {
 		}
 		w = b.workload(app, cfg)
 	}
-	opts := make([]machine.Option, 0, len(j.opts)+3)
-	opts = append(opts, j.opts...)
-	if !j.skipHomes {
+	opts := []machine.Option{machine.WithPages(w.SharedPages)}
+	if j.Sys.FirstTouch {
+		// The workload's homes are where first touch places each page;
+		// without the directive the machine falls back to round-robin.
 		opts = append(opts, machine.WithHomes(w.Homes))
 	}
-	opts = append(opts, machine.WithPages(w.SharedPages))
 	if h.Telemetry.Enabled() {
 		opts = append(opts, machine.WithTelemetry(h.Telemetry))
 	}
@@ -209,11 +244,7 @@ func (h *Harness) simulate(j Job, b *builds) (*stats.Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	if j.Tag != "" {
-		h.logf("running %-9s on %-40s [%s]", j.App, j.Sys.Name, j.Tag)
-	} else {
-		h.logf("running %-9s on %-40s", j.App, j.Sys.Name)
-	}
+	h.logf("running %-9s on %-40s", j.App, j.Sys.Name)
 	run, err := m.Run(w.Streams)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -434,5 +435,79 @@ func TestSysKeyDistinguishesConfigs(t *testing.T) {
 	}
 	if !strings.Contains(sysKey(a), "R-NUMA") {
 		t.Errorf("key %q should name the protocol", sysKey(a))
+	}
+}
+
+// TestSysKeyCoversSystem: every field of a system but its Name reaches
+// the key. Each leaf field (those inside Geometry and Costs included) is
+// perturbed in turn by reflection, and every perturbed system must key
+// apart from the base and from every other perturbation. The literal
+// keys of the systems the figures and ablations run must never move:
+// -store-dir records and the JobKey fixture are filed under them.
+func TestSysKeyCoversSystem(t *testing.T) {
+	f7, f9 := fig7Systems(), fig9Systems()
+	t6 := config.Base(config.RNUMA) // the counting ablation's base
+	t6.Threshold = 6
+	for _, tc := range []struct {
+		sys  config.System
+		want string
+	}{
+		{config.Base(config.CCNUMA), "CC-NUMA-g5.12-n8-c4-bc32768-pc0-T64"},
+		{config.Base(config.SCOMA), "S-COMA-g5.12-n8-c4-bc0-pc327680-T64"},
+		{config.Base(config.RNUMA), "R-NUMA-g5.12-n8-c4-bc128-pc327680-T64"},
+		{config.Ideal(), "CC-NUMA-g5.12-n8-c4-bc-1-pc0-T64"},
+		{f7.cc1k, "CC-NUMA-g5.12-n8-c4-bc1024-pc0-T64"},
+		{f7.r32k, "R-NUMA-g5.12-n8-c4-bc32768-pc327680-T64"},
+		{f7.r40m, "R-NUMA-g5.12-n8-c4-bc128-pc41943040-T64"},
+		{fig8System(16), "R-NUMA-g5.12-n8-c4-bc128-pc327680-T16"},
+		{fig8System(256), "R-NUMA-g5.12-n8-c4-bc128-pc327680-T256"},
+		{fig8System(1024), "R-NUMA-g5.12-n8-c4-bc128-pc327680-T1024"},
+		{f9.scSoft, "S-COMA-g5.12-n8-c4-bc0-pc327680-T64-soft"},
+		{f9.rnSoft, "R-NUMA-g5.12-n8-c4-bc128-pc327680-T64-soft"},
+		{t6, "R-NUMA-g5.12-n8-c4-bc128-pc327680-T6"},
+	} {
+		if got := sysKey(tc.sys); got != tc.want {
+			t.Errorf("%s: key %q, want %q", tc.sys.Name, got, tc.want)
+		}
+	}
+
+	base := config.Base(config.RNUMA)
+	keys := map[string]string{sysKey(base): "the base system"}
+	n := 0 // leaf fields perturbed
+	var perturb func(v reflect.Value, path string)
+	perturb = func(v reflect.Value, path string) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if name := v.Type().Field(i).Name; path != "" || name != "Name" {
+					perturb(v.Field(i), path+"."+name)
+				}
+			}
+			return
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+			defer v.SetInt(v.Int() - 1)
+		case reflect.Uint:
+			v.SetUint(v.Uint() + 1)
+			defer v.SetUint(v.Uint() - 1)
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+			defer v.SetBool(!v.Bool())
+		default:
+			t.Fatalf("System%s: no perturbation for a %s field", path, v.Kind())
+		}
+		k := sysKey(base)
+		if other, dup := keys[k]; dup {
+			t.Errorf("changing System%s keys %q, as %s does", path, k, other)
+		}
+		keys[k] = "changing System" + path
+		n++
+	}
+	perturb(reflect.ValueOf(&base).Elem(), "")
+	if n < 20 {
+		t.Errorf("only %d fields perturbed", n)
+	}
+	if sysKey(base) != sysKey(config.Base(config.RNUMA)) {
+		t.Error("the perturbations were not undone")
 	}
 }

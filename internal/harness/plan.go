@@ -9,40 +9,26 @@ import (
 	"time"
 
 	"rnuma/internal/config"
-	"rnuma/internal/machine"
 	"rnuma/internal/stats"
 	"rnuma/internal/workloads"
 )
 
 // Job identifies one simulation: an application under a system
-// configuration, optionally tagged with ablation machine options. Jobs are
-// the unit the scheduler deduplicates and fans out; two jobs with the same
-// Key share one simulation through the memo cache.
+// configuration. Jobs are the unit the scheduler deduplicates and fans
+// out; two jobs with the same Key share one simulation through the memo
+// cache.
 type Job struct {
 	App string
 	Sys config.System
-
-	// Tag distinguishes ablation variants that share (App, Sys) but run
-	// with different machine options; empty for plain runs.
-	Tag string
-
-	opts      []machine.Option
-	skipHomes bool // round-robin ablation: omit the workload's home map
 }
 
-// NewJob builds a plain (untagged) job.
+// NewJob builds a job.
 func NewJob(app string, sys config.System) Job {
 	return Job{App: app, Sys: sys}
 }
 
 // Key is the job's memo-cache identity.
-func (j Job) Key() string {
-	k := j.App + "|" + sysKey(j.Sys)
-	if j.Tag != "" {
-		k += "|" + j.Tag
-	}
-	return k
-}
+func (j Job) Key() string { return j.App + "|" + sysKey(j.Sys) }
 
 // Plan is a deduplicated set of jobs: each figure/table declares its
 // (application, system) pairs into a plan, and shared configurations (for

@@ -13,10 +13,10 @@ import (
 
 // This file is the one-shot execution surface: replaying a recorded
 // trace exactly once, outside the memoizing store (callers that replay each input once have nothing to memoize).
-// One variadic-option family — WithTelemetry, WithThresholds,
-// WithMachineOptions — replaced the old ReplayTrace /
-// ReplayTraceFile / ThresholdForkRuns / ThresholdForkRunsProbe
-// entry points and their probe/no-probe duplicate signatures.
+// One variadic-option family — WithTelemetry, WithThresholds — replaced
+// the old ReplayTrace / ReplayTraceFile / ThresholdForkRuns /
+// ThresholdForkRunsProbe entry points and their probe/no-probe duplicate
+// signatures.
 
 // RunOption configures a one-shot Replay.
 type RunOption func(*runOptions)
@@ -24,7 +24,6 @@ type RunOption func(*runOptions)
 type runOptions struct {
 	tcfg       telemetry.Config
 	thresholds []int
-	mopts      []machine.Option
 }
 
 func buildRunOptions(opts []RunOption) runOptions {
@@ -33,17 +32,6 @@ func buildRunOptions(opts []RunOption) runOptions {
 		fn(&o)
 	}
 	return o
-}
-
-// machineOptions resolves the machine options a run implies: the
-// caller's raw options after the probe (matching the old entry points,
-// which appended explicit options last).
-func (o runOptions) machineOptions() []machine.Option {
-	var out []machine.Option
-	if o.tcfg.Enabled() {
-		out = append(out, machine.WithTelemetry(o.tcfg))
-	}
-	return append(out, o.mopts...)
 }
 
 // WithTelemetry attaches a sampling probe to the run: the resulting
@@ -61,12 +49,6 @@ func WithTelemetry(cfg telemetry.Config) RunOption {
 // the trunk and every fork replay fresh cursors over that decode.
 func WithThresholds(thresholds ...int) RunOption {
 	return func(o *runOptions) { o.thresholds = append(o.thresholds, thresholds...) }
-}
-
-// WithMachineOptions appends raw machine options (ablations like
-// machine.WithoutRelocation) after the option-derived ones.
-func WithMachineOptions(opts ...machine.Option) RunOption {
-	return func(o *runOptions) { o.mopts = append(o.mopts, opts...) }
 }
 
 // Result is one one-shot execution's output.
@@ -102,7 +84,7 @@ func Replay(r io.Reader, sys config.System, opts ...RunOption) (*Result, error) 
 		return nil, err
 	}
 	hdr := d.Header()
-	m, _, err := NewTraceMachine(hdr, sys, o.machineOptions()...)
+	m, _, err := NewTraceMachine(hdr, sys, machine.WithTelemetry(o.tcfg))
 	if err != nil {
 		return nil, err
 	}
@@ -120,9 +102,6 @@ func Replay(r io.Reader, sys config.System, opts ...RunOption) (*Result, error) 
 // trunk-and-fork engine over one decode of the input, which the trunk
 // and every fork replay (an input past the decode cap streams instead).
 func replayThresholds(data []byte, sys config.System, o runOptions) (*Result, error) {
-	if len(o.mopts) > 0 {
-		return nil, fmt.Errorf("harness: WithMachineOptions cannot combine with WithThresholds (forked machines snapshot only probe state)")
-	}
 	tr, err := decodeTrace(data, nil)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
@@ -144,10 +123,11 @@ func replayThresholds(data []byte, sys config.System, o runOptions) (*Result, er
 
 // NewTraceMachine builds a machine for a recorded trace: the protocol,
 // cache sizes, threshold, and costs come from sys, while the node/CPU
-// counts, geometry, segment size, and page placement come from the trace
-// header. Returns the merged configuration alongside the machine
-// (Replay, the snapshot/resume CLI, and fork sweeps all share this
-// construction, which is what makes their machines state-compatible).
+// counts, geometry, segment size, and page placement (under
+// sys.FirstTouch, as for a harness job) come from the trace header.
+// Returns the merged configuration alongside the machine (Replay, the
+// snapshot/resume CLI, and fork sweeps all share this construction,
+// which is what makes their machines state-compatible).
 func NewTraceMachine(h tracefile.Header, sys config.System, opts ...machine.Option) (*machine.Machine, config.System, error) {
 	sys, err := traceSystem(sys, h)
 	if err != nil {
@@ -156,7 +136,10 @@ func NewTraceMachine(h tracefile.Header, sys config.System, opts ...machine.Opti
 	if err := sys.Validate(); err != nil {
 		return nil, sys, err
 	}
-	all := append([]machine.Option{machine.WithHomes(h.HomeFunc()), machine.WithPages(h.SharedPages)}, opts...)
+	all := append([]machine.Option{machine.WithPages(h.SharedPages)}, opts...)
+	if sys.FirstTouch {
+		all = append(all, machine.WithHomes(h.HomeFunc()))
+	}
 	m, err := machine.New(sys, all...)
 	return m, sys, err
 }

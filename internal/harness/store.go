@@ -18,20 +18,18 @@ import (
 // own Harness — own Progress and Log writers — over one shared Store)
 // and, with DiskStore, across process restarts.
 
-// JobKey is the stable, serializable identity of one simulation. It is
-// what the old private jobKey/sysKey strings encoded: the workload
-// identity (the source *content* key for registered sources, so
+// JobKey is the stable, serializable identity of one simulation: the
+// workload identity (the source *content* key for registered sources, so
 // memoization follows file content rather than file naming; the catalog
-// application name otherwise), the full system configuration string, an
-// optional ablation tag, plus the harness knobs that change what a
-// workload builder produces — seed and scale. Two jobs with equal keys
-// are guaranteed to produce identical runs, which is what makes results
+// application name otherwise), the whole system configuration but its
+// name (sysKey), plus the harness knobs that change what a workload
+// builder produces — seed and scale. Two jobs with equal keys are
+// guaranteed to produce identical runs, which is what makes results
 // cacheable across requests, across daemon restarts, and across
 // processes sharing one store directory at different -scale settings.
 type JobKey struct {
 	App   string  `json:"app"`
 	Sys   string  `json:"sys"`
-	Tag   string  `json:"tag,omitempty"`
 	Seed  int64   `json:"seed,omitempty"`
 	Scale float64 `json:"scale,omitempty"`
 }
@@ -40,9 +38,6 @@ type JobKey struct {
 // canonical form stores index by.
 func (k JobKey) String() string {
 	s := k.App + "|" + k.Sys
-	if k.Tag != "" {
-		s += "|" + k.Tag
-	}
 	if k.Seed != 0 {
 		s += fmt.Sprintf("|seed%d", k.Seed)
 	}
@@ -63,7 +58,7 @@ func (h *Harness) KeyFor(j Job) JobKey {
 	if src := h.source(j.App); src != nil {
 		app = src.Key()
 	}
-	return JobKey{App: app, Sys: sysKey(j.Sys), Tag: j.Tag, Seed: h.Seed, Scale: h.Scale}
+	return JobKey{App: app, Sys: sysKey(j.Sys), Seed: h.Seed, Scale: h.Scale}
 }
 
 // Store is a singleflight result store: exactly one simulation per key

@@ -10,8 +10,8 @@ import (
 	"testing"
 
 	"rnuma/internal/config"
-	"rnuma/internal/machine"
 	"rnuma/internal/stats"
+	"rnuma/internal/telemetry"
 	"rnuma/internal/tracefile"
 	"rnuma/internal/workloads"
 )
@@ -37,12 +37,10 @@ func TestJobKeyString(t *testing.T) {
 		want string
 	}{
 		{JobKey{App: "fft", Sys: "s"}, "fft|s"},
-		{JobKey{App: "fft", Sys: "s", Tag: "noreloc"}, "fft|s|noreloc"},
 		{JobKey{App: "fft", Sys: "s", Seed: 7}, "fft|s|seed7"},
-		{JobKey{App: "fft", Sys: "s", Tag: "t", Seed: 7}, "fft|s|t|seed7"},
 		{JobKey{App: "fft", Sys: "s", Scale: 0.05}, "fft|s|x0.05"},
 		{JobKey{App: "fft", Sys: "s", Scale: 1}, "fft|s|x1"},
-		{JobKey{App: "fft", Sys: "s", Tag: "t", Seed: 7, Scale: 0.25}, "fft|s|t|seed7|x0.25"},
+		{JobKey{App: "fft", Sys: "s", Seed: 7, Scale: 0.25}, "fft|s|seed7|x0.25"},
 	} {
 		if got := tc.key.String(); got != tc.want {
 			t.Errorf("%+v.String() = %q, want %q", tc.key, got, tc.want)
@@ -352,8 +350,8 @@ func TestSharedStoreAcrossHarnesses(t *testing.T) {
 	}
 }
 
-// TestReplayOptions covers the machine-option plumbing of the one-shot
-// Replay surface.
+// TestReplayOptions covers the option plumbing of the one-shot Replay
+// surface.
 func TestReplayOptions(t *testing.T) {
 	app, _ := workloads.ByName("fft")
 	cfg := workloads.DefaultConfig()
@@ -372,19 +370,55 @@ func TestReplayOptions(t *testing.T) {
 		t.Errorf("replay: exec=%d header=%+v", res.Run.ExecCycles, res.Header)
 	}
 
-	// WithMachineOptions rides along on one-shot replays (the verifier
-	// must not change the run)...
-	verified, err := Replay(bytes.NewReader(buf.Bytes()), sys, WithMachineOptions(machine.WithVerify()))
+	// A probe rides along on one-shot replays without changing the run.
+	probed, err := Replay(bytes.NewReader(buf.Bytes()), sys, WithTelemetry(telemetry.Config{Window: 4096}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if verified.Run.ExecCycles != res.Run.ExecCycles {
-		t.Errorf("verified replay diverged: %d vs %d", verified.Run.ExecCycles, res.Run.ExecCycles)
+	if probed.Run.Timeline == nil || probed.Run.ExecCycles != res.Run.ExecCycles {
+		t.Errorf("probed replay: timeline %v, exec %d vs %d", probed.Run.Timeline != nil, probed.Run.ExecCycles, res.Run.ExecCycles)
 	}
-	// ...but cannot combine with the fork engine.
-	if _, err := Replay(bytes.NewReader(buf.Bytes()), sys,
-		WithThresholds(8, 64), WithMachineOptions(machine.WithVerify())); err == nil {
-		t.Error("WithThresholds+WithMachineOptions did not error")
+
+	// Every system field reaches the fork engine: a naive-counting
+	// threshold sweep matches the plain naive-counting replay.
+	naive := sys
+	naive.NaiveCounting = true
+	want, err := Replay(bytes.NewReader(buf.Bytes()), naive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forked, err := Replay(bytes.NewReader(buf.Bytes()), naive, WithThresholds(8, sys.Threshold))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(forked.ByThreshold) != 2 || forked.Run != forked.ByThreshold[sys.Threshold] {
+		t.Fatalf("forked replay: %d thresholds, Run is not the largest's", len(forked.ByThreshold))
+	}
+	if !reflect.DeepEqual(want.Run, forked.Run) {
+		t.Error("the naive-counting fork differs from the plain naive-counting replay")
+	}
+
+	// Placement follows the system on both paths: without first touch a
+	// replay homes pages round-robin, as the harness job of that system
+	// does.
+	rr := sys
+	rr.FirstTouch = false
+	want, err = Replay(bytes.NewReader(buf.Bytes()), rr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(1)
+	src, err := h.Load(KindTrace, buf.Bytes(), "", "", rr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := h.Run(src.Name(), rr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want.Run, got) || want.Run.RemoteFetches == res.Run.RemoteFetches {
+		t.Errorf("round-robin replay: %d remote fetches, harness job %d, first touch %d",
+			want.Run.RemoteFetches, got.RemoteFetches, res.Run.RemoteFetches)
 	}
 }
 

@@ -292,7 +292,7 @@ func (m *Machine) ccFill(nd *node.Node, now int64, page addr.PageNum, b addr.Blo
 	if refetch {
 		m.addRefetch(nd.ID, page)
 	}
-	if nd.RAD.Reactive() && (refetch || m.naiveCounting) {
+	if nd.RAD.Reactive() && (refetch || m.sys.NaiveCounting) {
 		n, crossed := nd.RAD.Counters.Record(page)
 		if n > m.counterHigh {
 			m.counterHigh = n
@@ -346,10 +346,6 @@ func (m *Machine) scomaFill(nd *node.Node, now int64, page addr.PageNum, b addr.
 	// Invalid tag: inhibit memory, translate LPA to GPA, fetch from home.
 	pc.RecordMiss()
 	pc.TouchMiss(frame, now+lat)
-	coherenceMiss := pc.WasInvalidated(frame, off)
-	if coherenceMiss {
-		pc.NoteCoherenceMiss(frame)
-	}
 	lat += m.costs.SRAMAccess // translation table
 	fl, ver, refetch := m.remoteFetch(nd, now+lat, page, b, write)
 	lat += fl
@@ -364,15 +360,6 @@ func (m *Machine) scomaFill(nd *node.Node, now int64, page addr.PageNum, b addr.
 		// previously-held state; record the refetch for statistics, but
 		// S-COMA-mapped pages have nothing further to relocate.
 		m.addRefetch(nd.ID, page)
-	}
-	if !write && coherenceMiss && nd.RAD.Reactive() && m.sys.DemotionThreshold > 0 &&
-		pc.FrameAt(frame).MissStreak >= m.sys.DemotionThreshold {
-		// Reverse adaptation (extension): the frame has taken a long run
-		// of remote misses with no local hit — it is a communication
-		// page wasting a frame. Demote it back to CC-NUMA. Write misses
-		// are skipped: the freshly dirtied block would be flushed out
-		// from under the requesting CPU's exclusive copy.
-		lat += m.demote(nd, now+lat, page, frame)
 	}
 	return lat, ver
 }

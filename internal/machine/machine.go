@@ -105,11 +105,6 @@ type Machine struct {
 	clientTotals []telemetry.Counters
 	attrPrev     telemetry.Counters
 
-	// naiveCounting is an ablation switch: feed the R-NUMA counters on
-	// every remote fetch instead of only on refetches, deliberately
-	// breaking Section 3.1's capacity-vs-coherence distinction.
-	naiveCounting bool
-
 	// Version model for correctness verification: every write gets a
 	// globally unique version; with verification on, each read must
 	// observe the latest version of its block. truth is a dense
@@ -203,15 +198,6 @@ func (m *Machine) unmarkSCOMA(p addr.PageNum) {
 // ensureBlock extends the verification truth table to cover block b.
 func (m *Machine) ensureBlock(b addr.BlockNum) {
 	m.truth = dense.Grow(m.truth, int(b)+1)
-}
-
-// WithNaiveCounting is an ablation of Section 3.1: the reactive counters
-// are fed by every remote fetch, coherence misses included, instead of by
-// refetches only. Communication pages then cross the threshold and are
-// pointlessly relocated, demonstrating why the paper's refetch distinction
-// matters.
-func WithNaiveCounting() Option {
-	return func(m *Machine) { m.naiveCounting = true }
 }
 
 // WithTelemetry attaches a sampling probe that closes an interval every

@@ -183,24 +183,6 @@ func (m *Machine) relocate(nd *node.Node, now int64, page addr.PageNum) int64 {
 	return lat
 }
 
-// demote tears down an S-COMA mapping whose frame shows a pure
-// communication pattern (the DemotionThreshold extension): flush the
-// frame, free it, and remap the page CC-NUMA with a fresh refetch counter.
-func (m *Machine) demote(nd *node.Node, now int64, page addr.PageNum, frame int) int64 {
-	pc := nd.RAD.PageCache
-	flushed := m.flushSCOMAPage(nd, page, frame)
-	pc.Evict(frame)
-	nd.PT.Unmap(page)
-	m.unmarkSCOMA(page)
-	nd.PT.MapCC(page)
-	nd.RAD.Counters.Reset(page)
-	m.run.Demotions++
-	m.run.TLBShootdowns++
-	m.run.FlushedBlocks += int64(flushed)
-	_ = now
-	return m.costs.PageOpCost(flushed)
-}
-
 // l1Install fills an L1 line and handles the displaced victim: dirty
 // victims write back into the level below (block cache, page cache, or
 // home memory); clean victims drop silently.

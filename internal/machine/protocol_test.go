@@ -172,10 +172,10 @@ type stats_runtime struct {
 // relocates (pointlessly); with the paper's refetch-only policy it never
 // does.
 func TestNaiveCountingRelocatesCommunicationPages(t *testing.T) {
-	build := func(opts ...Option) int64 {
+	build := func(naive bool) int64 {
 		sys := tinySys(config.RNUMA) // T=4
-		opts = append(opts, WithHomes(evenOddHomes), WithVerify())
-		m, err := New(sys, opts...)
+		sys.NaiveCounting = naive
+		m, err := New(sys, WithHomes(evenOddHomes), WithVerify())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,10 +190,10 @@ func TestNaiveCountingRelocatesCommunicationPages(t *testing.T) {
 		}
 		return run.Relocations
 	}
-	if n := build(); n != 0 {
+	if n := build(false); n != 0 {
 		t.Errorf("refetch-only counting relocated %d communication pages", n)
 	}
-	if n := build(WithNaiveCounting()); n == 0 {
+	if n := build(true); n == 0 {
 		t.Error("naive counting failed to relocate the communication page")
 	}
 }

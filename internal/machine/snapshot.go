@@ -34,8 +34,7 @@ type Snapshot struct {
 	// Sys is the configuration the snapshot was taken under. Restore
 	// accepts it into a machine whose configuration matches up to Name
 	// and Threshold.
-	Sys           config.System
-	NaiveCounting bool
+	Sys config.System
 
 	NextVersion uint32
 	CounterHigh uint32
@@ -141,16 +140,15 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		return nil, fmt.Errorf("machine: Snapshot of an attributed (multi-tenant) run is unsupported")
 	}
 	s := &Snapshot{
-		Sys:           m.sys,
-		NaiveCounting: m.naiveCounting,
-		NextVersion:   m.nextVersion,
-		CounterHigh:   m.counterHigh,
-		Homes:         append([]addr.NodeID(nil), m.homes...),
-		PageFlags:     append([]uint8(nil), m.pageFlags...),
-		Seen:          append([]bool(nil), m.seen...),
-		SCOMAMapped:   append([]uint16(nil), m.scomaMapped...),
-		Run:           m.run.Clone(),
-		PerNodeRepl:   append([]int64(nil), m.perNodeR...),
+		Sys:         m.sys,
+		NextVersion: m.nextVersion,
+		CounterHigh: m.counterHigh,
+		Homes:       append([]addr.NodeID(nil), m.homes...),
+		PageFlags:   append([]uint8(nil), m.pageFlags...),
+		Seen:        append([]bool(nil), m.seen...),
+		SCOMAMapped: append([]uint16(nil), m.scomaMapped...),
+		Run:         m.run.Clone(),
+		PerNodeRepl: append([]int64(nil), m.perNodeR...),
 	}
 	s.DirBlocks, s.DirEntries = m.dir.State()
 	s.RefetchNodes, s.RefetchCounts = m.refetch.State()
@@ -210,9 +208,6 @@ func (m *Machine) compatible(s *Snapshot) error {
 	a.Threshold, b.Threshold = 0, 0
 	if a != b {
 		return fmt.Errorf("machine: snapshot configuration %q is incompatible with this machine (%q)", s.Sys.Name, m.sys.Name)
-	}
-	if s.NaiveCounting != m.naiveCounting {
-		return fmt.Errorf("machine: snapshot naive-counting mode (%v) differs from this machine's (%v)", s.NaiveCounting, m.naiveCounting)
 	}
 	if (s.Probe != nil) != (m.probe != nil) {
 		return fmt.Errorf("machine: snapshot telemetry presence (%v) differs from this machine's (%v)", s.Probe != nil, m.probe != nil)

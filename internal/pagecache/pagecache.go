@@ -72,19 +72,8 @@ type Frame struct {
 	Tags     []TagState
 	Dirty    []bool
 	Versions []uint32
-	// wasValid marks blocks that held data in this frame and were then
-	// invalidated by coherence: a re-miss on such a block is a coherence
-	// miss, not a cold fill.
-	wasValid []bool
 	valid    int
 	dirty    int
-
-	// MissStreak counts consecutive remote *coherence* misses with no
-	// intervening local hit since the frame was (re)used — the demotion
-	// extension's communication-page detector. Cold fills never count, so
-	// a freshly relocated reuse page is not mistaken for a communication
-	// page.
-	MissStreak int
 }
 
 // ValidBlocks returns how many blocks currently hold data.
@@ -248,11 +237,9 @@ func (c *Cache) Allocate(p addr.PageNum, now int64) int {
 	clear(f.Tags)
 	clear(f.Dirty)
 	clear(f.Versions)
-	clear(f.wasValid)
 	f.Page = p
 	f.InUse = true
 	f.LastMiss = now
-	f.MissStreak = 0
 	f.valid, f.dirty = 0, 0
 	c.byPage[p] = idx
 	c.allocations++
@@ -269,9 +256,8 @@ func (c *Cache) create() int {
 		Tags:     s.Tags[:n:n],
 		Dirty:    s.Dirty[:n:n],
 		Versions: s.Versions[:n:n],
-		wasValid: s.wasValid[:n:n],
 	})
-	s.Tags, s.Dirty, s.Versions, s.wasValid = s.Tags[n:], s.Dirty[n:], s.Versions[n:], s.wasValid[n:]
+	s.Tags, s.Dirty, s.Versions = s.Tags[n:], s.Dirty[n:], s.Versions[n:]
 	return len(c.frames) - 1
 }
 
@@ -284,7 +270,6 @@ func (c *Cache) reserve() {
 		Tags:     make([]TagState, m),
 		Dirty:    make([]bool, m),
 		Versions: make([]uint32, m),
-		wasValid: make([]bool, m),
 	}
 	c.frames = slices.Grow(c.frames, n)
 }
@@ -326,7 +311,6 @@ func (c *Cache) InvalidateBlock(idx, off int) (wasDirty bool, ver uint32) {
 	}
 	wasDirty, ver = f.Dirty[off], f.Versions[off]
 	c.SetBlock(idx, off, TagInvalid, false, 0)
-	f.wasValid[off] = true
 	return wasDirty, ver
 }
 
@@ -336,23 +320,13 @@ func (c *Cache) TouchMiss(idx int, now int64) {
 	c.frames[idx].LastMiss = now
 }
 
-// WasInvalidated reports whether the block previously held data in this
-// frame and lost it to a coherence invalidation.
-func (c *Cache) WasInvalidated(idx, off int) bool { return c.frames[idx].wasValid[off] }
-
-// NoteCoherenceMiss grows the frame's communication-detector streak; the
-// machine calls it for misses to previously-invalidated blocks only.
-func (c *Cache) NoteCoherenceMiss(idx int) { c.frames[idx].MissStreak++ }
-
 // TouchHit records a local hit. Under the paper's LRM policy this
 // deliberately leaves the replacement ordering alone; under LRU it
-// refreshes the frame. Either way it breaks the frame's miss streak (the
-// page is demonstrably being reused locally).
+// refreshes the frame.
 func (c *Cache) TouchHit(idx int, now int64) {
 	if c.policy == LRU {
 		c.frames[idx].LastMiss = now
 	}
-	c.frames[idx].MissStreak = 0
 }
 
 // RecordHit and RecordMiss maintain access statistics.
@@ -369,25 +343,19 @@ func (c *Cache) Replacements() int64 { return c.replacements }
 // support). Free frames carry nil block slices: their contents are reset
 // on the next Allocate, so only the free-stack position matters.
 type FrameState struct {
-	Page       addr.PageNum
-	InUse      bool
-	LastMiss   int64
-	MissStreak int
-	Tags       []TagState
-	Dirty      []bool
-	Versions   []uint32
-	WasValid   []bool
+	Page     addr.PageNum
+	InUse    bool
+	LastMiss int64
+	Tags     []TagState
+	Dirty    []bool
+	Versions []uint32
 }
 
-// neverUsed reports whether a free frame's state is still zero, as a
-// frame no page has held is.
-func (fs *FrameState) neverUsed() bool {
-	return fs.Page == 0 && fs.LastMiss == 0 && fs.MissStreak == 0
-}
-
-// State is the page cache's complete state in exported form. Free lists
-// frame indices in stack order; its order decides which frame the next
-// Allocate picks, so restores must preserve it exactly.
+// State is the page cache's complete state in exported form: the frames
+// created so far, in index order, and the stack of evicted ones. Free's
+// order decides which frame the next Allocate picks, so restores must
+// preserve it exactly; frames past the created ones come after it, lowest
+// index first.
 type State struct {
 	Frames []FrameState
 	Free   []int
@@ -395,52 +363,43 @@ type State struct {
 	Hits, Misses, Allocations, Replacements int64
 }
 
-// State returns a deep copy of the cache's state (snapshot support). It
-// covers the whole capacity: a never-used frame is a zero FrameState, and
-// the never-used frames sit at the bottom of Free, highest index first.
+// State returns a deep copy of the cache's state (snapshot support). Its
+// size follows the frames a run created, not the configured capacity.
 func (c *Cache) State() State {
 	s := State{
-		Frames:       make([]FrameState, c.capacity),
+		Frames:       make([]FrameState, len(c.frames)),
+		Free:         append([]int(nil), c.free...),
 		Hits:         c.hits,
 		Misses:       c.misses,
 		Allocations:  c.allocations,
 		Replacements: c.replacements,
 	}
-	for i := c.capacity - 1; i >= len(c.frames); i-- {
-		s.Free = append(s.Free, i)
-	}
-	s.Free = append(s.Free, c.free...)
 	for i := range c.frames {
 		f := &c.frames[i]
 		fs := &s.Frames[i]
-		fs.Page, fs.InUse, fs.LastMiss, fs.MissStreak = f.Page, f.InUse, f.LastMiss, f.MissStreak
+		fs.Page, fs.InUse, fs.LastMiss = f.Page, f.InUse, f.LastMiss
 		if f.InUse {
 			fs.Tags = append([]TagState(nil), f.Tags...)
 			fs.Dirty = append([]bool(nil), f.Dirty...)
 			fs.Versions = append([]uint32(nil), f.Versions...)
-			fs.WasValid = append([]bool(nil), f.wasValid...)
 		}
 	}
 	return s
 }
 
 // SetState replaces the cache's state (snapshot restore), validating the
-// snapshot's shape against this cache's frame count and page size. The
-// per-frame valid/dirty tallies are recomputed from the restored tags.
-// Only the frames below the free stack's never-used tail are created: the
-// bottom run capacity-1, capacity-2, ... of frames whose state is still
-// zero, which Allocate reaches last and in ascending order.
+// snapshot's shape against this cache's frame count and page size: every
+// listed frame is in use or on the free stack, never both. It creates
+// exactly the listed frames and recomputes their valid/dirty tallies
+// from the restored tags.
 func (c *Cache) SetState(s State) error {
-	if len(s.Frames) != c.capacity {
+	if len(s.Frames) > c.capacity {
 		return fmt.Errorf("pagecache: snapshot has %d frames, cache has %d", len(s.Frames), c.capacity)
 	}
-	if len(s.Free) > c.capacity {
-		return fmt.Errorf("pagecache: snapshot frees %d of %d frames", len(s.Free), c.capacity)
-	}
-	onFree := make([]bool, c.capacity)
+	onFree := make([]bool, len(s.Frames))
 	for _, idx := range s.Free {
-		if idx < 0 || idx >= c.capacity {
-			return fmt.Errorf("pagecache: free index %d out of range", idx)
+		if idx < 0 || idx >= len(s.Frames) {
+			return fmt.Errorf("pagecache: free index %d out of range [0,%d)", idx, len(s.Frames))
 		}
 		if onFree[idx] {
 			return fmt.Errorf("pagecache: frame %d freed twice", idx)
@@ -459,8 +418,7 @@ func (c *Cache) SetState(s State) error {
 			}
 			continue
 		}
-		if len(fs.Tags) != c.blocksPerPage || len(fs.Dirty) != c.blocksPerPage ||
-			len(fs.Versions) != c.blocksPerPage || len(fs.WasValid) != c.blocksPerPage {
+		if len(fs.Tags) != c.blocksPerPage || len(fs.Dirty) != c.blocksPerPage || len(fs.Versions) != c.blocksPerPage {
 			return fmt.Errorf("pagecache: frame %d snapshot sized for %d blocks/page, cache has %d",
 				i, len(fs.Tags), c.blocksPerPage)
 		}
@@ -469,22 +427,17 @@ func (c *Cache) SetState(s State) error {
 		}
 		byPage[fs.Page] = i
 	}
-	tail := 0
-	for tail < len(s.Free) && s.Free[tail] == c.capacity-1-tail && s.Frames[s.Free[tail]].neverUsed() {
-		tail++
-	}
 	c.frames = c.frames[:0]
-	for i := range s.Frames[:c.capacity-tail] {
+	for i := range s.Frames {
 		c.create()
 		f, fs := &c.frames[i], &s.Frames[i]
-		f.Page, f.InUse, f.LastMiss, f.MissStreak = fs.Page, fs.InUse, fs.LastMiss, fs.MissStreak
+		f.Page, f.InUse, f.LastMiss = fs.Page, fs.InUse, fs.LastMiss
 		if !fs.InUse {
 			continue
 		}
 		copy(f.Tags, fs.Tags)
 		copy(f.Dirty, fs.Dirty)
 		copy(f.Versions, fs.Versions)
-		copy(f.wasValid, fs.WasValid)
 		for off := 0; off < c.blocksPerPage; off++ {
 			if f.Tags[off] != TagInvalid {
 				f.valid++
@@ -494,7 +447,7 @@ func (c *Cache) SetState(s State) error {
 			}
 		}
 	}
-	c.free = append(c.free[:0], s.Free[tail:]...)
+	c.free = append(c.free[:0], s.Free...)
 	c.byPage = byPage
 	c.hits, c.misses, c.allocations, c.replacements = s.Hits, s.Misses, s.Allocations, s.Replacements
 	return nil

@@ -253,44 +253,6 @@ func TestLRUPolicyRefreshesOnHit(t *testing.T) {
 	}
 }
 
-func TestMissStreak(t *testing.T) {
-	c := New(2, 16)
-	idx := c.Allocate(1, 0)
-	if c.FrameAt(idx).MissStreak != 0 {
-		t.Fatal("fresh frame has a streak")
-	}
-	// Cold fills never grow the streak (TouchMiss alone is LRM ordering).
-	c.TouchMiss(idx, 1)
-	if c.FrameAt(idx).MissStreak != 0 {
-		t.Error("cold miss grew the streak")
-	}
-	// A coherence-invalidated block's re-miss does.
-	c.SetBlock(idx, 3, TagReadOnly, false, 1)
-	if c.WasInvalidated(idx, 3) {
-		t.Error("valid block reported as invalidated")
-	}
-	c.InvalidateBlock(idx, 3)
-	if !c.WasInvalidated(idx, 3) {
-		t.Fatal("invalidation not remembered")
-	}
-	c.NoteCoherenceMiss(idx)
-	c.NoteCoherenceMiss(idx)
-	if c.FrameAt(idx).MissStreak != 2 {
-		t.Errorf("streak = %d, want 2", c.FrameAt(idx).MissStreak)
-	}
-	c.TouchHit(idx, 3)
-	if c.FrameAt(idx).MissStreak != 0 {
-		t.Error("hit did not break the streak")
-	}
-	// Reallocation starts clean.
-	c.NoteCoherenceMiss(idx)
-	c.Evict(idx)
-	idx2 := c.Allocate(2, 5)
-	if c.FrameAt(idx2).MissStreak != 0 || c.WasInvalidated(idx2, 3) {
-		t.Error("recycled frame kept streak or invalidation history")
-	}
-}
-
 func TestPolicyStrings(t *testing.T) {
 	if LRM.String() != "LRM" || LRU.String() != "LRU" {
 		t.Error("policy names wrong")
@@ -327,8 +289,8 @@ func TestLRMAllocationFree(t *testing.T) {
 
 // drive applies operation i of a fixed pseudo-random sequence to c:
 // allocations (replacing the LRM victim when the cache is full),
-// demotion-style evictions of a random in-use frame, block updates,
-// invalidations and LRM touches. The choice depends only on i and on the
+// evictions of a random in-use frame, block updates, invalidations and
+// LRM touches. The choice depends only on i and on the
 // cache's state, so caches in equal states take equal steps. It returns
 // the frame an allocation picked, or -1.
 func drive(c *Cache, i int) int {
@@ -370,8 +332,6 @@ func drive(c *Cache, i int) int {
 		c.TouchMiss(idx, now)
 	case 8:
 		c.TouchHit(idx, now)
-	default:
-		c.NoteCoherenceMiss(idx)
 	}
 	return -1
 }
@@ -383,20 +343,20 @@ func stateDigest(s State) string {
 // TestLazyFramesMatchEagerCache pins frame creation on first use against
 // the cache that built every frame up front: over a sequence with
 // evictions, allocations pick the frames the eager free stack picked
-// (the most recently evicted first, then the lowest never-used index),
-// and State() at each checkpoint is the eager cache's, never-used frames
-// included (the order and digests were recorded from that cache). A cache
-// restored at a checkpoint creates only the frames below the free
-// stack's never-used tail and then continues with the same allocations
-// and the same states.
+// (the most recently evicted first, then the lowest never-used index;
+// the order was recorded from that cache). State() at each checkpoint
+// lists exactly the frames created so far (its digests pin that
+// by-use state). A cache restored at a checkpoint creates exactly those
+// frames and then continues with the same allocations and the same
+// states.
 func TestLazyFramesMatchEagerCache(t *testing.T) {
 	const frames, ops = 12, 400
 	wantOrder := []int{0, 1, 2, 3, 4, 5, 4, 2, 2, 1, 6, 7, 8, 9, 10, 2, 11, 6, 0, 4, 2, 5, 3, 1, 7, 0, 4, 9, 8, 11, 7, 10, 4, 6, 8, 3, 10, 0, 9, 2, 1, 6, 5, 11, 8, 1, 3, 5, 10, 9, 2, 0, 7, 6, 11, 8, 1, 3, 5, 10, 9, 4, 2, 0, 0, 2, 7, 6, 11, 3, 9, 8, 11, 5, 1, 4, 4, 7, 10, 6, 0, 7, 3, 11, 1, 2, 5, 1, 5, 9, 3}
 	wantDigest := map[int]string{
-		5:   "4ef8fa996ba69bb2",
-		30:  "ea24b2518aed6081",
-		150: "0cc54f677e2b1c6d",
-		ops: "f016351209053b42",
+		5:   "cd513fbbb97a48e9",
+		30:  "264e5e73c0ca3999",
+		150: "dd9c41081407b5bc",
+		ops: "12d05a65c7577b3b",
 	}
 	c := New(frames, 8)
 	if len(c.frames) != 0 {
@@ -404,10 +364,14 @@ func TestLazyFramesMatchEagerCache(t *testing.T) {
 	}
 	var order []int
 	snaps := map[int]State{}
+	created := map[int]int{}
 	for i := 0; i < ops; i++ {
 		for _, at := range []int{5, 30, 150} {
 			if i == at {
-				snaps[at] = c.State()
+				snaps[at], created[at] = c.State(), len(c.frames)
+				if n := len(snaps[at].Frames); n != created[at] {
+					t.Errorf("state after %d ops lists %d frames, %d were created", at, n, created[at])
+				}
 			}
 		}
 		if idx := drive(c, i); idx >= 0 {
@@ -420,11 +384,11 @@ func TestLazyFramesMatchEagerCache(t *testing.T) {
 	final := c.State()
 	for at, s := range snaps {
 		if got, want := stateDigest(s), wantDigest[at]; got != want {
-			t.Errorf("state after %d ops: digest %s, the eager cache's %s", at, got, want)
+			t.Errorf("state after %d ops: digest %s, want %s", at, got, want)
 		}
 	}
 	if got, want := stateDigest(final), wantDigest[ops]; got != want {
-		t.Errorf("final state: digest %s, the eager cache's %s", got, want)
+		t.Errorf("final state: digest %s, want %s", got, want)
 	}
 
 	for at, s := range snaps {
@@ -435,15 +399,8 @@ func TestLazyFramesMatchEagerCache(t *testing.T) {
 		if got := r.State(); !reflect.DeepEqual(got, s) {
 			t.Errorf("restore at %d ops: State() round trip differs", at)
 		}
-		created := frames
-		for j, idx := range s.Free {
-			if fs := s.Frames[idx]; idx != frames-1-j || fs.Page != 0 || fs.LastMiss != 0 || fs.MissStreak != 0 {
-				break
-			}
-			created--
-		}
-		if len(r.frames) != created {
-			t.Errorf("restore at %d ops created %d frames, the original had %d", at, len(r.frames), created)
+		if len(r.frames) != created[at] {
+			t.Errorf("restore at %d ops created %d frames, the original had %d", at, len(r.frames), created[at])
 		}
 		var resumed []int
 		for i := at; i < ops; i++ {
@@ -456,6 +413,39 @@ func TestLazyFramesMatchEagerCache(t *testing.T) {
 		}
 		if !reflect.DeepEqual(r.State(), final) {
 			t.Errorf("restored at %d ops: final state differs", at)
+		}
+	}
+}
+
+// TestSetStateRejects: a restore refuses a state whose frames and free
+// stack disagree, or whose frames do not fit the cache.
+func TestSetStateRejects(t *testing.T) {
+	c := New(4, 8)
+	a := c.Allocate(1, 10)
+	c.Allocate(2, 20)
+	c.Evict(a)
+	good := c.State() // frame 0 evicted, frame 1 holding page 2
+	if err := New(4, 8).SetState(good); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*State)
+	}{
+		{"more frames than the cache", func(s *State) { s.Frames = make([]FrameState, 5) }},
+		{"a free index past the created frames", func(s *State) { s.Free = append(s.Free, 2) }},
+		{"a frame freed twice", func(s *State) { s.Free = append(s.Free, 0) }},
+		{"a frame both free and in use", func(s *State) { s.Free = append(s.Free, 1) }},
+		{"a frame neither free nor in use", func(s *State) { s.Free = nil }},
+		{"a frame of another page size", func(s *State) { s.Frames[1].Tags = s.Frames[1].Tags[:4] }},
+		{"a page in two frames", func(s *State) { s.Frames[0], s.Free = s.Frames[1], nil }},
+	} {
+		s := good
+		s.Frames = append([]FrameState(nil), good.Frames...)
+		s.Free = append([]int(nil), good.Free...)
+		tc.edit(&s)
+		if err := New(4, 8).SetState(s); err == nil {
+			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 }

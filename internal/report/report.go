@@ -288,9 +288,6 @@ func RunSummary(w io.Writer, name string, r *stats.Run) {
 	fmt.Fprintf(w, "  page allocations:      %d\n", r.Allocations)
 	fmt.Fprintf(w, "  page replacements:     %d\n", r.Replacements)
 	fmt.Fprintf(w, "  page relocations:      %d\n", r.Relocations)
-	if r.Demotions > 0 {
-		fmt.Fprintf(w, "  page demotions:        %d\n", r.Demotions)
-	}
 	fmt.Fprintf(w, "  blocks flushed:        %d\n", r.FlushedBlocks)
 	fmt.Fprintf(w, "  invalidations sent:    %d\n", r.InvalsSent)
 	fmt.Fprintf(w, "  three-hop transfers:   %d\n", r.ThreeHopXfers)

@@ -131,6 +131,7 @@ func TestSubmitValueErrors(t *testing.T) {
 		{"grid cell past its X variant", fmt.Sprintf(`{"type":"grid","artifact":"%s","axis":"page","values":"256","axisB":"block","valuesB":"16,512"}`, a.ID), 422, "block 512 on fft@page256"},
 		{"experiments unknown figure", `{"type":"experiments","figures":["6","12"]}`, 422, `"12"`},
 		{"experiments unknown app", `{"type":"experiments","apps":["fft","doom"]}`, 422, `"doom"`},
+		{"experiments removed extension app", `{"type":"experiments","apps":["phaseshift"]}`, 422, `"phaseshift"`},
 	} {
 		code, msg := postJob(t, ts, tc.body)
 		if code != tc.code {

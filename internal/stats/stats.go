@@ -63,7 +63,7 @@ type Run struct {
 	Allocations    int64 // S-COMA page-cache frame allocations
 	Replacements   int64 // S-COMA page-cache victim replacements
 	Relocations    int64 // R-NUMA CC->S-COMA page relocations
-	Demotions      int64 // S-COMA->CC demotions (reverse-adaptation extension)
+	Demotions      int64 // always zero: no page returns from S-COMA to CC-NUMA
 	FlushedBlocks  int64 // blocks written back during page ops
 	TLBShootdowns  int64
 	RemotePages    int64 // distinct (node, page) remote pairs touched

@@ -52,7 +52,7 @@ type Counters struct {
 	Allocations    int64 `json:"allocations"`
 	Replacements   int64 `json:"replacements"`
 	Relocations    int64 `json:"relocations"`
-	Demotions      int64 `json:"demotions"`
+	Demotions      int64 `json:"demotions"` // always zero, as stats.Run's
 	InvalsSent     int64 `json:"invalsSent"`
 	WritebacksHome int64 `json:"writebacksHome"`
 }

@@ -33,7 +33,7 @@ func noEOF(err error) error {
 // process:
 //
 //	magic      [4]byte  "RNSS"
-//	version    byte     1
+//	version    byte     2
 //	payloadLen uvarint  gob-encoded machine.Snapshot size
 //	payload    payloadLen bytes
 //	crc        [4]byte  little-endian CRC-32C (Castagnoli) of the payload
@@ -44,10 +44,11 @@ func noEOF(err error) error {
 // sanity) is re-validated by machine.Restore on load, so the envelope
 // only needs to guarantee integrity — which the length and checksum do,
 // rejecting truncated or bit-flipped files before any state is
-// installed.
+// installed. A version-2 payload lists only the page-cache frames a run
+// created; files of another version are rejected.
 const (
 	snapshotMagic   = "RNSS"
-	snapshotVersion = 1
+	snapshotVersion = 2
 
 	// maxSnapshotLen bounds the payload allocation when reading untrusted
 	// input. Real snapshots are a few MB (dominated by the dense per-page

@@ -159,9 +159,16 @@ func TestRejectsCorruption(t *testing.T) {
 	}
 
 	// A huge declared length is bounded before allocation.
-	huge := append([]byte("RNSS\x01"), 0xff, 0xff, 0xff, 0xff, 0x7f)
+	huge := append([]byte("RNSS\x02"), 0xff, 0xff, 0xff, 0xff, 0x7f)
 	if _, err := Read(bytes.NewReader(huge)); err == nil || !strings.Contains(err.Error(), "bound") {
 		t.Errorf("oversized payload length: err = %v", err)
+	}
+
+	// A version-1 checkpoint (capacity-sized page-cache state) is refused.
+	old := append([]byte(nil), enc...)
+	old[4] = 1
+	if _, err := Read(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("version-1 snapshot: err = %v", err)
 	}
 
 	if err := Write(io.Discard, nil); err == nil {

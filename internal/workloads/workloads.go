@@ -152,23 +152,9 @@ func Catalog() []App {
 	}
 }
 
-// Extensions returns workloads beyond the paper's Table 3: scenarios
-// built to exercise this implementation's extension features.
-func Extensions() []App {
-	return []App{
-		{"phaseshift", "Extension: a reuse set becomes a communication set mid-run (reverse adaptation)", "(extension workload)", PhaseShift},
-	}
-}
-
-// ByName finds an application by name, searching the Table 3 catalog and
-// the extension workloads.
+// ByName finds an application in the Table 3 catalog by name.
 func ByName(name string) (App, bool) {
 	for _, a := range Catalog() {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	for _, a := range Extensions() {
 		if a.Name == name {
 			return a, true
 		}

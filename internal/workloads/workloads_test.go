@@ -223,28 +223,3 @@ func TestConfigIters(t *testing.T) {
 		t.Errorf("zero scale should mean 1.0: %d", c.iters(4))
 	}
 }
-
-func TestPhaseShiftExtension(t *testing.T) {
-	if len(Extensions()) == 0 {
-		t.Fatal("no extension workloads registered")
-	}
-	a, ok := ByName("phaseshift")
-	if !ok {
-		t.Fatal("phaseshift not resolvable by name")
-	}
-	w := a.Build(smallCfg())
-	if len(w.Streams) != 32 {
-		t.Fatalf("streams = %d", len(w.Streams))
-	}
-	total := 0
-	for _, s := range w.Streams {
-		total += trace.Count(s)
-	}
-	if total < 10000 {
-		t.Errorf("phaseshift too small: %d refs", total)
-	}
-	// The catalog stays the paper's ten.
-	if len(Catalog()) != 10 {
-		t.Error("extensions leaked into the Table 3 catalog")
-	}
-}
