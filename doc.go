@@ -69,15 +69,17 @@
 //     trace's memo key hashes the decoded streams (CanonicalHash), so
 //     re-encodings of one capture share simulations, and every trace,
 //     -traces rows included, is decoded once per harness, charged to its
-//     decode cap, past which it streams from its bytes; Sweep transforms one capture along
-//     a parameter axis (nodes, dilate factor, block size, page size,
-//     relocation threshold) to replay a whole sensitivity study from a
-//     single recording; multi-point threshold sweeps replay the trace
-//     once on a trunk machine and fork each point from a mid-run
-//     snapshot at the last threshold-independent reference, producing
-//     runs bit-identical to independent replays at a fraction of the
-//     wall-clock; SweepGrid crosses any two axes into a cell grid whose
-//     rows and columns are bit-identical to the one-axis sweeps, and
+//     decode cap, past which it streams from its bytes; Sweep transforms
+//     one capture along a parameter axis (nodes, dilate factor, block
+//     size, page size, relocation threshold) to replay a whole
+//     sensitivity study from a single recording; a threshold line
+//     replays the trace once on a trunk machine and forks each point
+//     from a mid-run snapshot at the last threshold-independent
+//     reference, producing runs bit-identical to independent replays at
+//     a fraction of the wall-clock; SweepGrid runs that same line once
+//     per value of a second axis, through the same plan and cell
+//     assembly, so its rows and columns are bit-identical to the
+//     one-axis sweeps, and
 //     FindKnee locates where on a grid line the R-NUMA-over-best ratio
 //     first exceeds a bound; a bounded, in-memory trace memo maps each
 //     input's SHA-256 plus the transforms applied to it to the content

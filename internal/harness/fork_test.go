@@ -131,11 +131,13 @@ func TestThresholdForkRunsIdentity(t *testing.T) {
 
 // TestSweepThresholdForkMatchesPerPoint: a multi-point threshold sweep
 // (which forks from one trunk) reports the same points as single-point
-// sweeps (which simulate each threshold independently).
+// sweeps (which simulate each threshold independently). em3d's threshold
+// line moves (T=16 and T=64 relocate pages, T=256 does not), so a fork
+// handed another threshold's run cannot pass.
 func TestSweepThresholdForkMatchesPerPoint(t *testing.T) {
 	const scale = 0.02
-	data := recordCatalog(t, "fft", scale)
-	values := []SweepValue{IntValue(8), IntValue(128)}
+	data := recordCatalog(t, "em3d", scale)
+	values := []SweepValue{IntValue(16), IntValue(64), IntValue(256)}
 
 	forkedH := New(scale)
 	forked, _, err := forkedH.Sweep(data, AxisThreshold, values)
@@ -151,5 +153,8 @@ func TestSweepThresholdForkMatchesPerPoint(t *testing.T) {
 		if !reflect.DeepEqual(single[0], forked[i]) {
 			t.Errorf("T=%s: forked sweep point %+v differs from independent point %+v", v, forked[i], single[0])
 		}
+	}
+	if forked[0].RNUMA == forked[1].RNUMA || forked[1].RNUMA == forked[2].RNUMA {
+		t.Errorf("threshold line is flat, so it cannot tell forks apart: %+v", forked)
 	}
 }

@@ -15,10 +15,11 @@ import (
 // DeepEqual the one-axis threshold Sweep of that column's block
 // variant, and the row at the default threshold must DeepEqual the
 // one-axis block Sweep of the original capture — same transforms, same
-// content keys, bit-identical results.
+// content keys, bit-identical results. em3d's threshold lines move, so
+// a cell holding another threshold's run cannot pass.
 func TestSweepGridMatchesOneAxisSweeps(t *testing.T) {
 	const scale = 0.02
-	data := recordCatalog(t, "fft", scale)
+	data := recordCatalog(t, "em3d", scale)
 	d, err := tracefile.NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -40,6 +41,11 @@ func TestSweepGridMatchesOneAxisSweeps(t *testing.T) {
 	}
 	if len(g.Cells) != 2 || len(g.Cells[0]) != 2 {
 		t.Fatalf("grid is %dx%d, want 2x2", len(g.Cells[0]), len(g.Cells))
+	}
+	for j := range blocks {
+		if g.Cells[0][j] == g.Cells[1][j] {
+			t.Errorf("column %d's threshold line is flat: %+v", j, g.Cells[0][j])
+		}
 	}
 
 	// Columns: threshold swept at a fixed block size.
@@ -125,7 +131,7 @@ func TestSweepGridMatchesOneAxisSweeps(t *testing.T) {
 // block variant at that threshold.
 func TestSweepGridForkMatchesDirectReplay(t *testing.T) {
 	const scale = 0.02
-	data := recordCatalog(t, "fft", scale)
+	data := recordCatalog(t, "em3d", scale)
 	d, err := tracefile.NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -144,6 +150,7 @@ func TestSweepGridForkMatchesDirectReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	vh := vd.Header()
+	var cycles []int64
 	for _, T := range []int{16, 256} {
 		sys := config.Base(config.RNUMA)
 		sys.Nodes = vh.Nodes
@@ -164,6 +171,12 @@ func TestSweepGridForkMatchesDirectReplay(t *testing.T) {
 		if delta := stats.Diff(got, direct.Run); !delta.Identical() {
 			t.Errorf("T=%d: forked grid cell differs from a direct replay in %d counters", T, delta.Differing)
 		}
+		cycles = append(cycles, direct.Run.ExecCycles)
+	}
+	// T=16 relocates pages and T=256 does not: the two runs must differ,
+	// or a fork handed the other threshold's run would pass.
+	if cycles[0] == cycles[1] {
+		t.Errorf("T=16 and T=256 replay to the same %d cycles", cycles[0])
 	}
 }
 
@@ -234,7 +247,7 @@ func kneePoints(ratios ...float64) []AxisPoint {
 			Value: IntValue(1 << i),
 			Label: string(rune('a' + i)),
 			// SCOMA above CC-NUMA so CC-NUMA (1.0) is "best".
-			CCNUMA: 1, SCOMA: 2, RNUMA: r,
+			GridCell: GridCell{CCNUMA: 1, SCOMA: 2, RNUMA: r},
 		}
 	}
 	return pts

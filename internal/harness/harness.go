@@ -19,7 +19,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"rnuma/internal/addr"
 	"rnuma/internal/config"
 	"rnuma/internal/machine"
 	"rnuma/internal/stats"
@@ -581,14 +580,3 @@ func (h *Harness) LuImbalance() (topTwoShare float64, err error) {
 
 // AllApps returns the Table 3 application names.
 func AllApps() []string { return workloads.Names() }
-
-// HomesOf is a small helper for tests: builds the workload and returns its
-// homes function.
-func HomesOf(appName string, sys config.System, scale float64) (func(addr.PageNum) addr.NodeID, error) {
-	app, ok := workloads.ByName(appName)
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown application %q", appName)
-	}
-	w := app.Build(workloads.Config{Nodes: sys.Nodes, CPUsPerNode: sys.CPUsPerNode, Geometry: sys.Geometry, Scale: scale})
-	return w.Homes, nil
-}

@@ -388,6 +388,36 @@ func TestTraceMemoBound(t *testing.T) {
 	}
 }
 
+// TestThresholdLineKeepsCaptureKey: a threshold line registers the
+// capture itself, which openCapture already keyed. With the capture's
+// memo entry evicted in between, registering it must not memoize a fresh
+// entry: one without the capture's header would be dereferenced by the
+// next openCapture of the same bytes.
+func TestThresholdLineKeepsCaptureKey(t *testing.T) {
+	isolateMemo(t)
+	const scale = 0.02
+	data := recordCatalog(t, "fft", scale)
+	h := New(scale)
+	in, err := openCapture(data, &h.decodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceMemo.Lock()
+	delete(traceMemo.m, in.d)
+	traceMemo.Unlock()
+	in.name = "fft@threshold"
+	if _, _, err := h.line(in, AxisThreshold, []SweepValue{IntValue(16)}, ""); err != nil {
+		t.Fatal(err)
+	}
+	again, err := openCapture(data, &h.decodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.key != in.key || again.hdr.Name != "fft" {
+		t.Errorf("reopened capture keyed %s (%q), want %s", again.key, again.hdr.Name, in.key)
+	}
+}
+
 // TestConcurrentSweepsShareMemo runs the studies from several harnesses
 // over one store at once, cold and then warm, for the race detector:
 // memo insertions, lazy derivations and fork trunks all run

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"rnuma/internal/config"
-	"rnuma/internal/stats"
 	"rnuma/internal/workloads"
 )
 
@@ -329,20 +328,4 @@ func (h *Harness) progressLoop(total int, done, refs *atomic.Int64) (finish func
 		close(stop)
 		line()
 	}
-}
-
-// RunPlan executes the plan and returns its results keyed by Job.Key, in
-// the plan's declaration order. Unlike Prefetch it propagates the first
-// (declaration-order) error.
-func (h *Harness) RunPlan(p *Plan) (map[string]*stats.Run, error) {
-	h.Prefetch(p)
-	out := make(map[string]*stats.Run, p.Len())
-	for _, j := range p.Jobs() {
-		run, err := h.runJob(j)
-		if err != nil {
-			return nil, err
-		}
-		out[j.Key()] = run
-	}
-	return out, nil
 }

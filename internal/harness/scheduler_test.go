@@ -153,42 +153,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunPlanPropagatesError: a plan containing an unknown application
-// reports the error from assembly, deterministically, regardless of
-// worker count.
-func TestRunPlanPropagatesError(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		h := New(0.05)
-		h.Workers = workers
-		p := NewPlan().Add(NewJob("doom", config.Base(config.CCNUMA)),
-			NewJob("fft", config.Base(config.CCNUMA)))
-		if _, err := h.RunPlan(p); err == nil {
-			t.Errorf("workers=%d: unknown app accepted", workers)
-		}
-	}
-}
-
-// TestRunPlanResults: RunPlan returns one result per planned job, keyed
-// by job key.
-func TestRunPlanResults(t *testing.T) {
-	h := New(0.05)
-	h.Workers = 4
-	p := NewPlan().AddRuns([]string{"fft"}, config.Base(config.CCNUMA), config.Base(config.SCOMA))
-	res, err := h.RunPlan(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 {
-		t.Fatalf("RunPlan returned %d results, want 2", len(res))
-	}
-	for _, j := range p.Jobs() {
-		run, ok := res[j.Key()]
-		if !ok || run == nil || run.ExecCycles == 0 {
-			t.Errorf("missing or empty result for %q", j.Key())
-		}
-	}
-}
-
 // TestPrefetchProgressCountsOnlySimulations: the progress line counts
 // the references of the runs the Prefetch itself simulated, so a warm
 // re-Prefetch of the same plan — every job a store hit — reports 0 refs

@@ -570,11 +570,16 @@ func (v *variant) then(axis Axis, val SweepValue, m *tracefile.Map) *variant {
 // registerVariant learns a transform's key and registers the variant. On
 // a memo hit nothing is read (trace maps and checks the variant when a
 // simulation or fork trunk first reads it); on a miss it is mapped and
-// hashed now, and its key memoized.
+// hashed now, and its key memoized. A capture (a threshold line over it)
+// keeps the key openCapture gave it: its memo entry carries the header
+// the next openCapture of its bytes reads, which a keyed-only entry
+// would drop.
 func (h *Harness) registerVariant(v *variant) error {
-	if info, ok := memoGet(v.d); ok {
+	switch info, ok := memoGet(v.d); {
+	case v.key != "": // a capture, keyed by openCapture
+	case ok:
 		v.key = info.key
-	} else {
+	default:
 		tr, key, err := v.view()
 		if err != nil {
 			return err

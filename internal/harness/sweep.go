@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -9,15 +11,18 @@ import (
 	"rnuma/internal/tracefile"
 )
 
-// This file implements the sensitivity-sweep engine: one recorded trace
-// transformed along a single parameter axis and replayed under all three
+// This file implements the sensitivity engine: one recorded trace
+// transformed along a parameter axis and replayed under all three
 // designs at every point. The paper's core claim is robustness — R-NUMA
 // stays within a small constant of the better base protocol across
 // machine and workload parameters — so every axis re-checks that claim
 // against a different knob: machine size (shape retarget), processor
 // speed (gap dilation), coherence granularity (geometry retarget), page
 // size (geometry retarget), and the relocation threshold (a config
-// change, no transform needed).
+// change, no transform needed). The engine resolves one line of points
+// at a time (line) and runs any list of resolved points (cells): a
+// one-axis Sweep is one line over the capture, and a grid (grid.go) is
+// one line per value of its other axis.
 
 // Axis identifies the parameter a sensitivity sweep varies.
 type Axis int
@@ -148,16 +153,11 @@ func ParseSweepValues(axis Axis, csv string) ([]SweepValue, error) {
 	return out, nil
 }
 
-// AxisPoint is one configuration of a sensitivity sweep: the three base
-// protocols' execution times normalized to the ideal machine (infinite
-// block cache) of the same shape, geometry, and trace variant.
-type AxisPoint struct {
-	Axis  Axis
-	Value SweepValue
-	// Label names the point the way the report prints it ("8n x 4cpu",
-	// "x1/2", "b=64B", "T=256").
-	Label string
-	// Nodes and CPUsPerNode are the simulated machine shape at this point.
+// GridCell is one configuration's result: the three base protocols'
+// execution times normalized to the ideal machine (infinite block cache)
+// of the same shape, geometry, and trace variant.
+type GridCell struct {
+	// Nodes and CPUsPerNode are the simulated machine shape at this cell.
 	Nodes       int
 	CPUsPerNode int
 	// Normalized execution times.
@@ -165,16 +165,27 @@ type AxisPoint struct {
 }
 
 // RNUMAOverBest reports R-NUMA's time relative to the better base
-// protocol at this point (the paper's bounded-worst-case ratio).
-func (p AxisPoint) RNUMAOverBest() float64 {
-	best := p.CCNUMA
-	if p.SCOMA < best {
-		best = p.SCOMA
+// protocol at this cell (the paper's bounded-worst-case ratio).
+func (c GridCell) RNUMAOverBest() float64 {
+	best := c.CCNUMA
+	if c.SCOMA < best {
+		best = c.SCOMA
 	}
 	if best == 0 {
 		return 0
 	}
-	return p.RNUMA / best
+	return c.RNUMA / best
+}
+
+// AxisPoint is one point of a sensitivity sweep: the cell at Value
+// along Axis.
+type AxisPoint struct {
+	Axis  Axis
+	Value SweepValue
+	// Label names the point the way the report prints it ("8n x 4cpu",
+	// "x1/2", "b=64B", "T=256").
+	Label string
+	GridCell
 }
 
 // humanBytes renders a byte size compactly for point labels.
@@ -188,11 +199,9 @@ func humanBytes(n int) string {
 	return fmt.Sprintf("%dB", n)
 }
 
-// sweepPoint is one resolved point of a sweep: the registered source
-// name plus the four systems to replay it under.
+// sweepPoint is one resolved point: the registered source name plus the
+// four systems to replay it under.
 type sweepPoint struct {
-	value                SweepValue
-	label                string
 	app                  string
 	ideal, cc, scoma, rn config.System
 }
@@ -202,7 +211,7 @@ type sweepPoint struct {
 // also sets R-NUMA's relocation threshold. A header no machine can
 // replay fails (traceSystem).
 func newSweepPoint(app string, hdr tracefile.Header, axis Axis, v SweepValue, label string) (sweepPoint, error) {
-	pt := sweepPoint{value: v, label: label, app: app}
+	pt := sweepPoint{app: app}
 	for _, s := range []struct {
 		into *config.System
 		sys  config.System
@@ -301,10 +310,10 @@ func CheckPoints(hdr tracefile.Header, axis Axis, values []SweepValue, axisB Axi
 
 // Sweep transforms the in-memory trace encoding along one axis and
 // replays every point under CC-NUMA, S-COMA, and R-NUMA plus the
-// same-configuration ideal baseline. Transformed sources register under
-// "<name>@<point>", so repeated and overlapping sweeps share simulations
-// through the memo cache. Points come back sorted by value; duplicate
-// values collapse to one point.
+// same-configuration ideal baseline: one line over the capture.
+// Transformed sources register under "<name>@<point>", so repeated and
+// overlapping sweeps share simulations through the memo cache. Points
+// come back sorted by value; duplicate values collapse to one point.
 //
 // Every point's store key comes from the trace memo when this process
 // has derived it before, so a warm resubmission decodes nothing; a
@@ -318,58 +327,105 @@ func (h *Harness) Sweep(data []byte, axis Axis, values []SweepValue) ([]AxisPoin
 	if err != nil {
 		return nil, "", err
 	}
-	hdr := in.hdr
+	// A threshold line replays the capture itself, registered under an
+	// axis-tagged name so it cannot collide with a same-named catalog
+	// generator or an untransformed -traces row.
+	in.name = fmt.Sprintf("%s@%s", in.hdr.Name, axis)
 	vals := normalizeSweepValues(values)
+	pts, labels, err := h.line(in, axis, vals, "")
+	if err != nil {
+		return nil, "", err
+	}
+	cells, err := h.cells(pts)
+	if err != nil {
+		return nil, "", err
+	}
+	out := make([]AxisPoint, len(cells))
+	for i, c := range cells {
+		out[i] = AxisPoint{Axis: axis, Value: vals[i], Label: labels[i], GridCell: c}
+	}
+	return out, in.hdr.Name, nil
+}
 
-	// The threshold axis replays the capture unchanged; register it once
-	// under an axis-tagged name so it cannot collide with a same-named
-	// catalog generator or an untransformed -traces row.
+// line resolves one line of points, v read at each of vals along axis,
+// and returns them with their labels: every point is checked (pointOf,
+// newSweepPoint) and its source registered. A transform point registers
+// its variant of v. A threshold line registers v itself, which all its
+// points replay, and forks them from one trunk replay of it (fork.go).
+// prefix leads each point's label in its systems' names.
+func (h *Harness) line(v *variant, axis Axis, vals []SweepValue, prefix string) ([]sweepPoint, []string, error) {
 	if axis == AxisThreshold {
-		in.name = fmt.Sprintf("%s@%s", hdr.Name, axis)
-		if _, err := h.register(in); err != nil {
-			return nil, "", err
+		if err := h.registerVariant(v); err != nil {
+			return nil, nil, err
 		}
 	}
-
-	plan := NewPlan()
-	pts := make([]sweepPoint, 0, len(vals))
-	for _, v := range vals {
-		label, m, err := pointOf(hdr, axis, v)
+	pts := make([]sweepPoint, len(vals))
+	labels := make([]string, len(vals))
+	for i, val := range vals {
+		label, m, err := pointOf(v.hdr, axis, val)
 		if err != nil {
-			return nil, "", err
+			return nil, nil, err
 		}
-		pv := in
+		pv := v
 		if m != nil {
-			pv = in.then(axis, v, m)
+			pv = v.then(axis, val, m)
 			if err := h.registerVariant(pv); err != nil {
-				return nil, "", err
+				return nil, nil, err
 			}
 		}
-		pt, err := newSweepPoint(pv.name, pv.hdr, axis, v, label)
-		if err != nil {
-			return nil, "", err
+		if pts[i], err = newSweepPoint(pv.name, pv.hdr, axis, val, prefix+label); err != nil {
+			return nil, nil, err
 		}
-		plan.AddRuns([]string{pt.app}, pt.ideal, pt.cc, pt.scoma, pt.rn)
-		pts = append(pts, pt)
+		labels[i] = label
 	}
-
-	// Threshold points replay the identical trace and differ only in T, so
-	// they share a prefix: run it once on a trunk machine and fork each
-	// point from a snapshot instead of replaying it per point (fork.go).
+	// Threshold points replay one trace and differ only in T, so they
+	// share a prefix: one trunk at the largest threshold replays it once,
+	// and each point forks from its watermark.
 	if axis == AxisThreshold && len(pts) > 1 {
-		if err := h.forkThresholdPoints(in, pts); err != nil {
-			return nil, "", err
+		if err := h.forkThresholdPoints(v, pts); err != nil {
+			return nil, nil, err
 		}
 	}
+	return pts, labels, nil
+}
 
-	h.Prefetch(plan)
-	out := make([]AxisPoint, 0, len(pts))
+// cells runs resolved points: one plan of all their simulations,
+// prefetched, then each point's normalized cell read from the store, in
+// order.
+func (h *Harness) cells(pts []sweepPoint) ([]GridCell, error) {
+	plan := NewPlan()
 	for _, p := range pts {
-		c, err := h.gridCell(p)
-		if err != nil {
-			return nil, "", err
-		}
-		out = append(out, c.point(axis, p.value, p.label))
+		plan.AddRuns([]string{p.app}, p.ideal, p.cc, p.scoma, p.rn)
 	}
-	return out, hdr.Name, nil
+	h.Prefetch(plan)
+	out := make([]GridCell, len(pts))
+	for i, p := range pts {
+		base, err := h.Run(p.app, p.ideal)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = GridCell{Nodes: p.ideal.Nodes, CPUsPerNode: p.ideal.CPUsPerNode}
+		for _, c := range []struct {
+			sys  config.System
+			into *float64
+		}{{p.cc, &out[i].CCNUMA}, {p.scoma, &out[i].SCOMA}, {p.rn, &out[i].RNUMA}} {
+			run, err := h.Run(p.app, c.sys)
+			if err != nil {
+				return nil, err
+			}
+			*c.into = run.Normalized(base)
+		}
+	}
+	return out, nil
+}
+
+// normalizeSweepValues reduces, sorts, and deduplicates axis values
+// (2/4 and 1/2 are one point), shared by Sweep and SweepGrid.
+func normalizeSweepValues(values []SweepValue) []SweepValue {
+	vals := make([]SweepValue, 0, len(values))
+	for _, v := range values {
+		vals = append(vals, v.reduced())
+	}
+	sort.Slice(vals, func(i, j int) bool { return vals[i].Float() < vals[j].Float() })
+	return slices.Compact(vals)
 }

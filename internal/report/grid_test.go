@@ -93,8 +93,8 @@ func TestSensitivityLongLabels(t *testing.T) {
 	long := "b=128B, T=1024 (composed)" // 25 chars, overflows a fixed %-16s
 	var b strings.Builder
 	Sensitivity(&b, "em3d", harness.AxisBlockSize, []harness.AxisPoint{
-		{Axis: harness.AxisBlockSize, Label: "b=16B", CCNUMA: 1.2, SCOMA: 1.5, RNUMA: 1.25},
-		{Axis: harness.AxisBlockSize, Label: long, CCNUMA: 1.1, SCOMA: 1.3, RNUMA: 1.15},
+		{Axis: harness.AxisBlockSize, Label: "b=16B", GridCell: harness.GridCell{CCNUMA: 1.2, SCOMA: 1.5, RNUMA: 1.25}},
+		{Axis: harness.AxisBlockSize, Label: long, GridCell: harness.GridCell{CCNUMA: 1.1, SCOMA: 1.3, RNUMA: 1.15}},
 	})
 	var table []string
 	for _, line := range strings.Split(b.String(), "\n") {

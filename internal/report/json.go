@@ -31,19 +31,31 @@ func NewRunDoc(name, system string, r, baseline *stats.Run) RunDoc {
 	return d
 }
 
-// PointDoc is one sweep point's result (the JSON form of a Sensitivity
-// table row).
-type PointDoc struct {
-	Label       string  `json:"label"`
-	Value       string  `json:"value"`
+// GridCellDoc is one grid cell's or sweep point's result (the JSON form
+// of a harness.GridCell: a heat-map cell's exact numbers).
+type GridCellDoc struct {
 	Nodes       int     `json:"nodes,omitempty"`
 	CPUsPerNode int     `json:"cpusPerNode,omitempty"`
 	CCNUMA      float64 `json:"ccnuma"`
 	SCOMA       float64 `json:"scoma"`
 	RNUMA       float64 `json:"rnuma"`
 	// RNUMAOverBest is R-NUMA's time over the better base protocol at
-	// this point (the paper's bounded-worst-case ratio).
+	// this cell (the paper's bounded-worst-case ratio).
 	RNUMAOverBest float64 `json:"rnumaOverBest"`
+}
+
+// newCellDoc converts a harness.GridCell.
+func newCellDoc(c harness.GridCell) GridCellDoc {
+	return GridCellDoc{Nodes: c.Nodes, CPUsPerNode: c.CPUsPerNode,
+		CCNUMA: c.CCNUMA, SCOMA: c.SCOMA, RNUMA: c.RNUMA, RNUMAOverBest: c.RNUMAOverBest()}
+}
+
+// PointDoc is one sweep point's result (the JSON form of a Sensitivity
+// table row).
+type PointDoc struct {
+	Label string `json:"label"`
+	Value string `json:"value"`
+	GridCellDoc
 }
 
 // SensitivityDoc is a one-axis sweep's results (the JSON form of
@@ -61,32 +73,11 @@ type SensitivityDoc struct {
 func NewSensitivityDoc(workload string, axis harness.Axis, points []harness.AxisPoint) SensitivityDoc {
 	d := SensitivityDoc{Workload: workload, Axis: axis.String(), Points: make([]PointDoc, 0, len(points))}
 	for _, p := range points {
-		d.Points = append(d.Points, PointDoc{
-			Label:         p.Label,
-			Value:         p.Value.String(),
-			Nodes:         p.Nodes,
-			CPUsPerNode:   p.CPUsPerNode,
-			CCNUMA:        p.CCNUMA,
-			SCOMA:         p.SCOMA,
-			RNUMA:         p.RNUMA,
-			RNUMAOverBest: p.RNUMAOverBest(),
-		})
-		if v := p.RNUMAOverBest(); v > d.WorstRNUMAOverBest {
-			d.WorstRNUMAOverBest = v
-		}
+		c := newCellDoc(p.GridCell)
+		d.Points = append(d.Points, PointDoc{Label: p.Label, Value: p.Value.String(), GridCellDoc: c})
+		d.WorstRNUMAOverBest = max(d.WorstRNUMAOverBest, c.RNUMAOverBest)
 	}
 	return d
-}
-
-// GridCellDoc is one grid cell's result (the JSON form of a heat-map
-// cell plus its exact numbers).
-type GridCellDoc struct {
-	Nodes         int     `json:"nodes,omitempty"`
-	CPUsPerNode   int     `json:"cpusPerNode,omitempty"`
-	CCNUMA        float64 `json:"ccnuma"`
-	SCOMA         float64 `json:"scoma"`
-	RNUMA         float64 `json:"rnuma"`
-	RNUMAOverBest float64 `json:"rnumaOverBest"`
 }
 
 // KneeDoc is one grid line's knee conclusion (the JSON form of a
@@ -168,17 +159,8 @@ func NewGridDoc(g *harness.Grid, bound float64) GridDoc {
 	for i := range g.Cells {
 		d.Cells[i] = make([]GridCellDoc, len(g.Cells[i]))
 		for j, c := range g.Cells[i] {
-			d.Cells[i][j] = GridCellDoc{
-				Nodes:         c.Nodes,
-				CPUsPerNode:   c.CPUsPerNode,
-				CCNUMA:        c.CCNUMA,
-				SCOMA:         c.SCOMA,
-				RNUMA:         c.RNUMA,
-				RNUMAOverBest: c.RNUMAOverBest(),
-			}
-			if r := c.RNUMAOverBest(); r > d.WorstRNUMAOverBest {
-				d.WorstRNUMAOverBest = r
-			}
+			d.Cells[i][j] = newCellDoc(c)
+			d.WorstRNUMAOverBest = max(d.WorstRNUMAOverBest, d.Cells[i][j].RNUMAOverBest)
 		}
 	}
 	for i := range g.Cells {

@@ -134,8 +134,8 @@ func TestBarClamping(t *testing.T) {
 func TestSensitivityRendering(t *testing.T) {
 	var b strings.Builder
 	Sensitivity(&b, "fft", harness.AxisDilate, []harness.AxisPoint{
-		{Axis: harness.AxisDilate, Label: "x1/2", Nodes: 8, CPUsPerNode: 4, CCNUMA: 1.2, SCOMA: 1.5, RNUMA: 1.25},
-		{Axis: harness.AxisDilate, Label: "x2", Nodes: 8, CPUsPerNode: 4, CCNUMA: 1.1, SCOMA: 1.3, RNUMA: 1.15},
+		{Axis: harness.AxisDilate, Label: "x1/2", GridCell: harness.GridCell{Nodes: 8, CPUsPerNode: 4, CCNUMA: 1.2, SCOMA: 1.5, RNUMA: 1.25}},
+		{Axis: harness.AxisDilate, Label: "x2", GridCell: harness.GridCell{Nodes: 8, CPUsPerNode: 4, CCNUMA: 1.1, SCOMA: 1.3, RNUMA: 1.15}},
 	})
 	out := b.String()
 	for _, want := range []string{"SENSITIVITY — fft swept over dilate", "x1/2", "x2", "faster processors", "worst R-NUMA-vs-best ratio"} {
