@@ -3,16 +3,16 @@
 //
 // Usage:
 //
-//	rnuma-trace record -app <name>  [-o out.trace] [-scale S] [-seed N] [-nodes N] [-cpus N] [-v1] [-raw]
-//	rnuma-trace gen    -spec <file> [-o out.trace] [-scale S] [-seed N] [-nodes N] [-cpus N] [-v1] [-raw]
-//	rnuma-trace gen    -traffic <file> [same sizing/format flags]
-//	rnuma-trace cut    <file> [-o out.trace] [-cpus 1,3] [-from N] [-to M] [-v1] [-raw]
-//	rnuma-trace cat    <a> <b> ... [-o out.trace] [-v1] [-raw]
+//	rnuma-trace record -app <name>  [-o out.trace] [-scale S] [-seed N] [-nodes N] [-cpus N]
+//	rnuma-trace gen    -spec <file> [-o out.trace] [-scale S] [-seed N] [-nodes N] [-cpus N]
+//	rnuma-trace gen    -traffic <file> [same sizing flags]
+//	rnuma-trace cut    <file> [-o out.trace] [-cpus 1,3] [-from N] [-to M]
+//	rnuma-trace cat    <a> <b> ... [-o out.trace]
 //	rnuma-trace retarget <file> [-o out.trace] [-nodes N] [-cpus N] [-pages P]
 //	                  [-policy identity|roundrobin|modulo] [-cpu-fold modulo|interleave]
-//	                  [-map file.json] [-name S] [-v1] [-raw]
-//	rnuma-trace retarget-geometry <file> [-o out.trace] [-block N] [-page N] [-name S] [-v1] [-raw]
-//	rnuma-trace dilate <file> [-o out.trace] [-factor N/D] [-clamp N] [-name S] [-v1] [-raw]
+//	                  [-map file.json] [-name S]
+//	rnuma-trace retarget-geometry <file> [-o out.trace] [-block N] [-page N] [-name S]
+//	rnuma-trace dilate <file> [-o out.trace] [-factor N/D] [-clamp N] [-name S]
 //	rnuma-trace diff   <a> <b>
 //	rnuma-trace diffstats <a> <b> [-protocol ccnuma|scoma|rnuma] [-bc B] [-pc P] [-T N] [-soft] [-ideal] [-v]
 //	rnuma-trace info   <file>
@@ -46,16 +46,17 @@
 // the same for a declarative JSON workload spec (see internal/spec), or —
 // with -traffic — for a multi-tenant traffic scenario (see
 // internal/traffic), whose clients' streams it interleaves by arrival
-// time into one ordinary trace. Both write to stdout with -o - (the
-// default is <name>.trace), so traces pipe straight into
-// `rnuma-trace replay -`. cut slices a trace by per-CPU
+// time into one ordinary trace. gen reads its file ("-" = stdin) and
+// builds it through the harness's one loader, as replay does. Both write
+// to stdout with -o - (the default is <name>.trace), so traces pipe
+// straight into `rnuma-trace replay -`. cut slices a trace by per-CPU
 // record range and/or CPU subset, preserving the recorded machine shape
 // (dropped CPUs become empty streams, so cuts replay on the recorded
 // machine); cat concatenates traces of identical machine shape — cutting
 // a trace into range slices and catting them back recomposes it exactly.
-// Writers emit the compressed version-2 format by default; -v1 selects
-// the legacy format and -raw keeps version 2 but stores chunks
-// uncompressed. info prints a trace's header and per-CPU record counts.
+// Every subcommand that writes a trace writes the tracefile Writer's one
+// encoding (version 2); every one that reads accepts version 1 too. info
+// prints a trace's header and per-CPU record counts.
 //
 // replay runs one input through rnuma-serve's job executor
 // (serve.Execute) and prints the run's statistics and its normalized
@@ -101,12 +102,10 @@ import (
 	"rnuma/internal/profiling"
 	"rnuma/internal/report"
 	"rnuma/internal/serve"
-	"rnuma/internal/spec"
 	"rnuma/internal/stats"
 	"rnuma/internal/telemetry"
 	"rnuma/internal/tracefile"
 	"rnuma/internal/tracefile/snapfile"
-	"rnuma/internal/traffic"
 	"rnuma/internal/workloads"
 )
 
@@ -189,22 +188,22 @@ func (c cli) usage() {
 	fmt.Fprintf(c.stderr, `rnuma-trace — capture, inspect, and replay reference traces
 
 subcommands:
-  record -app <name>  [-o file] [-scale S] [-seed N] [-nodes N] [-cpus N] [-v1] [-raw]
+  record -app <name>  [-o file] [-scale S] [-seed N] [-nodes N] [-cpus N]
       capture a built-in application's streams (apps: %s)
-  gen    -spec <file> [-o file] [-scale S] [-seed N] [-nodes N] [-cpus N] [-v1] [-raw]
-      build a declarative spec workload and capture its streams
-  gen    -traffic <file> [same sizing/format flags]
-      compile a multi-tenant traffic scenario into one merged trace
-  cut    <file> [-o file] [-cpus 1,3] [-from N] [-to M] [-v1] [-raw]
+  gen    -spec <file> [-o file] [-scale S] [-seed N] [-nodes N] [-cpus N]
+      build a declarative spec workload ("-" = stdin) and capture its streams
+  gen    -traffic <file> [same sizing flags]
+      compile a multi-tenant traffic scenario ("-" = stdin) into one merged trace
+  cut    <file> [-o file] [-cpus 1,3] [-from N] [-to M]
       slice a trace: keep a per-CPU record range and/or a CPU subset
-  cat    <a> <b> ... [-o file] [-v1] [-raw]
+  cat    <a> <b> ... [-o file]
       concatenate traces of identical machine shape
   retarget <file> [-o file] [-nodes N] [-cpus N] [-pages P] [-policy identity|roundrobin|modulo]
-           [-cpu-fold modulo|interleave] [-map file.json] [-name S] [-v1] [-raw]
+           [-cpu-fold modulo|interleave] [-map file.json] [-name S]
       remap a trace onto a different machine shape (0/omitted keeps the source value)
-  retarget-geometry <file> [-o file] [-block N] [-page N] [-name S] [-v1] [-raw]
+  retarget-geometry <file> [-o file] [-block N] [-page N] [-name S]
       re-split every address onto a different block/page geometry (bytes; 0 keeps)
-  dilate <file> [-o file] [-factor N/D] [-clamp N] [-name S] [-v1] [-raw]
+  dilate <file> [-o file] [-factor N/D] [-clamp N] [-name S]
       scale every compute gap by a rational factor (model faster/slower CPUs)
   diff   <a> <b>
       compare two traces record by record; exits 1 when they differ
@@ -244,23 +243,6 @@ func sizingFlags(fs *flag.FlagSet) (scale *float64, seed *int64, nodes, cpus *in
 	cpus = fs.Int("cpus", 4, "CPUs per node")
 	out = fs.String("o", "", `output file ("-" = stdout; default <name>.trace)`)
 	return
-}
-
-// formatFlags are the output-encoding flags shared by every writing
-// subcommand; resolve them into writer options after fs.Parse.
-func formatFlags(fs *flag.FlagSet) func() []tracefile.WriterOption {
-	v1 := fs.Bool("v1", false, "write the legacy uncompressed version-1 format")
-	raw := fs.Bool("raw", false, "write version 2 with uncompressed chunks")
-	return func() []tracefile.WriterOption {
-		var opts []tracefile.WriterOption
-		if *v1 {
-			opts = append(opts, tracefile.FormatVersion(tracefile.VersionV1))
-		}
-		if *raw {
-			opts = append(opts, tracefile.Compression(false))
-		}
-		return opts
-	}
 }
 
 // systemFlags are the machine-configuration flags shared by replay and
@@ -360,7 +342,6 @@ func (c cli) cmdRecord(args []string) error {
 	fs := c.flagSet("record")
 	appName := fs.String("app", "", "application to record: "+strings.Join(workloads.Names(), ", "))
 	scale, seed, nodes, cpus, out := sizingFlags(fs)
-	format := formatFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return errUsage
 	}
@@ -372,67 +353,50 @@ func (c cli) cmdRecord(args []string) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	return c.capture(app.Build(cfg), cfg, *out, format()...)
+	return c.capture(app.Build(cfg), cfg, *out)
 }
 
+// cmdGen builds a spec or a traffic scenario through the harness's one
+// loader, as replay does, and captures the workload's streams.
 func (c cli) cmdGen(args []string) error {
 	fs := c.flagSet("gen")
 	specPath := fs.String("spec", "", `workload spec file ("-" = stdin)`)
-	trafficPath := fs.String("traffic", "", "traffic scenario file: compile its multi-tenant mix instead of a single spec")
+	trafficPath := fs.String("traffic", "", `traffic scenario file ("-" = stdin): compile its multi-tenant mix instead of a single spec`)
 	scale, seed, nodes, cpus, out := sizingFlags(fs)
-	format := formatFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return errUsage
 	}
 	if (*specPath == "") == (*trafficPath == "") {
 		return fmt.Errorf("gen needs exactly one of -spec <file> or -traffic <file>")
 	}
+	kind, path := harness.KindSpec, *specPath
 	if *trafficPath != "" {
-		cfg := workloads.Config{Nodes: *nodes, CPUsPerNode: *cpus, Geometry: addr.Default, Scale: *scale, Seed: *seed}
-		sc, err := loadTraffic(*trafficPath, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(c.stderr, "traffic %s: %d clients (%s)\n", sc.Name, len(sc.Clients), strings.Join(sc.Clients, ", "))
-		return c.capture(sc.Workload(), cfg, *out, format()...)
+		kind, path = harness.KindTraffic, *trafficPath
 	}
-	var (
-		s   *spec.Spec
-		err error
-	)
-	if *specPath == "-" {
-		data, rerr := io.ReadAll(c.stdin)
-		if rerr != nil {
-			return rerr
-		}
-		s, err = spec.Parse(data)
-	} else {
-		s, err = spec.Load(*specPath)
-	}
+	data, name, baseDir, err := c.readInput(path, "")
 	if err != nil {
 		return err
+	}
+	h := harness.New(*scale)
+	h.Seed = *seed
+	src, err := h.Load(kind, data, "", baseDir, config.System{Nodes: *nodes, CPUsPerNode: *cpus, Geometry: addr.Default})
+	if err != nil {
+		return fmt.Errorf("%s: %w", name, err)
 	}
 	cfg := workloads.Config{Nodes: *nodes, CPUsPerNode: *cpus, Geometry: addr.Default, Scale: *scale, Seed: *seed}
-	w, err := s.Build(cfg)
+	w, err := src.Load(cfg)
 	if err != nil {
 		return err
 	}
-	return c.capture(w, cfg, *out, format()...)
-}
-
-// loadTraffic compiles a traffic scenario file for a machine shape; phase
-// paths resolve against the scenario file's directory.
-func loadTraffic(path string, cfg workloads.Config) (*traffic.Scenario, error) {
-	s, err := traffic.Load(path)
-	if err != nil {
-		return nil, err
+	if sc := harness.ScenarioOf(src); sc != nil {
+		fmt.Fprintf(c.stderr, "traffic %s: %d clients (%s)\n", sc.Name, len(sc.Clients), strings.Join(sc.Clients, ", "))
 	}
-	return traffic.Compile(s, cfg, filepath.Dir(path))
+	return c.capture(w, cfg, *out)
 }
 
 // capture drains the workload into a trace file and reports the encoding
 // stats on stderr (stdout may be the trace itself).
-func (c cli) capture(w *workloads.Workload, cfg workloads.Config, out string, opts ...tracefile.WriterOption) error {
+func (c cli) capture(w *workloads.Workload, cfg workloads.Config, out string) error {
 	if out == "" {
 		out = w.Name + ".trace"
 	}
@@ -440,7 +404,7 @@ func (c cli) capture(w *workloads.Workload, cfg workloads.Config, out string, op
 	if err != nil {
 		return err
 	}
-	refs, bytes, err := tracefile.WriteWorkload(dst, w, cfg, opts...)
+	refs, bytes, err := tracefile.WriteWorkload(dst, w, cfg)
 	// A close-time write failure (ENOSPC, EIO) means the trace on disk is
 	// truncated; it must not report as a successful recording.
 	if cerr := cleanup(); err == nil {
@@ -473,7 +437,6 @@ func (c cli) cmdCut(args []string) error {
 	cpuList := fs.String("cpus", "", "comma-separated source CPU indices to keep (default all)")
 	from := fs.Int64("from", 0, "first per-CPU record index to keep")
 	to := fs.Int64("to", 0, "one past the last record index to keep (0 = end)")
-	format := formatFlags(fs)
 	target, err := c.parseWithTarget(fs, args)
 	if err != nil {
 		return err
@@ -498,7 +461,7 @@ func (c cli) cmdCut(args []string) error {
 	if err != nil {
 		return err
 	}
-	refs, err := tracefile.Cut(dst, r, sel, format()...)
+	refs, err := tracefile.Cut(dst, r, sel)
 	if cerr := cleanup(); err == nil {
 		err = cerr
 	}
@@ -512,7 +475,6 @@ func (c cli) cmdCut(args []string) error {
 func (c cli) cmdCat(args []string) error {
 	fs := c.flagSet("cat")
 	out := fs.String("o", "-", `output file ("-" = stdout)`)
-	format := formatFlags(fs)
 	// Accept input files on either side of the flags (cat a b -o out);
 	// "-" names stdin, like every other subcommand.
 	inputs, err := c.parsePositionals(fs, args)
@@ -544,7 +506,7 @@ func (c cli) cmdCat(args []string) error {
 	if err != nil {
 		return err
 	}
-	refs, err := tracefile.Cat(dst, srcs, format()...)
+	refs, err := tracefile.Cat(dst, srcs)
 	if cerr := cleanup(); err == nil {
 		err = cerr
 	}
@@ -566,7 +528,6 @@ func (c cli) cmdRetarget(args []string) error {
 	foldName := fs.String("cpu-fold", "modulo", "cpu fold policy when shrinking: modulo, interleave")
 	mapPath := fs.String("map", "", "explicit remap file (JSON; overrides -policy)")
 	name := fs.String("name", "", "rename the retargeted workload")
-	format := formatFlags(fs)
 	target, err := c.parseWithTarget(fs, args)
 	if err != nil {
 		return err
@@ -599,7 +560,7 @@ func (c cli) cmdRetarget(args []string) error {
 	if err != nil {
 		return err
 	}
-	refs, err := tracefile.Retarget(dst, r, spec, format()...)
+	refs, err := tracefile.Retarget(dst, r, spec)
 	if cerr := cleanup(); err == nil {
 		err = cerr
 	}
@@ -617,7 +578,6 @@ func (c cli) cmdRetargetGeometry(args []string) error {
 	block := fs.Int("block", 0, "target block size in bytes (0 = keep)")
 	page := fs.Int("page", 0, "target page size in bytes (0 = keep)")
 	name := fs.String("name", "", "rename the retargeted workload")
-	format := formatFlags(fs)
 	target, err := c.parseWithTarget(fs, args)
 	if err != nil {
 		return err
@@ -637,7 +597,7 @@ func (c cli) cmdRetargetGeometry(args []string) error {
 	}
 	refs, err := tracefile.RetargetGeometry(dst, r, tracefile.GeometrySpec{
 		BlockBytes: *block, PageBytes: *page, Name: *name,
-	}, format()...)
+	})
 	if cerr := cleanup(); err == nil {
 		err = cerr
 	}
@@ -655,7 +615,6 @@ func (c cli) cmdDilate(args []string) error {
 	factor := fs.String("factor", "1", "gap scale factor, N or N/D (e.g. 2, 1/2, 3/2)")
 	clamp := fs.Int("clamp", 0, "cap scaled gaps at this value (0 = format max 65535)")
 	name := fs.String("name", "", "rename the dilated workload")
-	format := formatFlags(fs)
 	target, err := c.parseWithTarget(fs, args)
 	if err != nil {
 		return err
@@ -674,7 +633,7 @@ func (c cli) cmdDilate(args []string) error {
 	if err != nil {
 		return err
 	}
-	refs, err := tracefile.Dilate(dst, r, tracefile.DilateSpec{Num: num, Den: den, Clamp: *clamp, Name: *name}, format()...)
+	refs, err := tracefile.Dilate(dst, r, tracefile.DilateSpec{Num: num, Den: den, Clamp: *clamp, Name: *name})
 	if cerr := cleanup(); err == nil {
 		err = cerr
 	}
@@ -857,6 +816,24 @@ func (c cli) openTrace(positional, tracePath string) (io.ReadCloser, string, err
 		return nil, "", err
 	}
 	return f, path, nil
+}
+
+// readInput reads a whole input, resolved as openTrace resolves it, and
+// returns its bytes, its name and the directory a scenario's relative
+// phase paths resolve against ("" for stdin: the working directory).
+func (c cli) readInput(positional, path string) (data []byte, name, baseDir string, err error) {
+	r, name, err := c.openTrace(positional, path)
+	if err != nil {
+		return nil, "", "", err
+	}
+	defer r.Close()
+	if data, err = io.ReadAll(r); err != nil {
+		return nil, "", "", err
+	}
+	if name != "stdin" {
+		baseDir = filepath.Dir(name)
+	}
+	return data, name, baseDir, nil
 }
 
 func (c cli) cmdInfo(args []string) error {
@@ -1083,18 +1060,9 @@ func (c cli) cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	r, name, err := c.openTrace(target, *tracePath)
+	data, name, baseDir, err := c.readInput(target, *tracePath)
 	if err != nil {
 		return err
-	}
-	data, err := io.ReadAll(r)
-	r.Close()
-	if err != nil {
-		return err
-	}
-	baseDir := ""
-	if name != "stdin" {
-		baseDir = filepath.Dir(name)
 	}
 	a, err := serve.NewArtifact("", data, name, baseDir)
 	if err != nil {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -337,6 +339,52 @@ func TestGenFromStdinSpec(t *testing.T) {
 	}
 	if code, _, _ := runCLI(t, nil, "gen", "-o", "-"); code != 1 {
 		t.Fatal("gen without -spec should exit 1")
+	}
+}
+
+// TestWrittenTraceDigests pins the bytes the writing subcommands emit at
+// the default 8x4 shape: a recorded application, a spec and a traffic
+// scenario, each from its file and piped through stdin. A piped
+// scenario's phase paths resolve against the working directory.
+func TestWrittenTraceDigests(t *testing.T) {
+	examples := filepath.Join("..", "..", "examples")
+	halo := filepath.Join(examples, "specs", "halo.json")
+	mix := filepath.Join(examples, "scenarios", "steady-mix.json")
+	haloBytes, err := os.ReadFile(halo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixBytes, err := os.ReadFile(mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixPiped := bytes.ReplaceAll(mixBytes, []byte(`"../specs/`), []byte(`"`+filepath.ToSlash(filepath.Dir(halo))+`/`))
+	const (
+		fftSum  = "46637e06e0d10da96afbf9e38b74643afd326d752c780edb64b7f6d9fd721f15"
+		haloSum = "96b2045ec5d1f82380b03dafc584f629b1344120caab7a802345c3559f1bdba4"
+		mixSum  = "183fba72670f2062f1a6a2d334399040501219b534708403d8032bde17439a2d"
+	)
+	for _, tc := range []struct {
+		name  string
+		stdin []byte
+		args  []string
+		want  string
+	}{
+		{"record", nil, []string{"record", "-app", "fft"}, fftSum},
+		{"gen-spec", nil, []string{"gen", "-spec", halo}, haloSum},
+		{"gen-spec-stdin", haloBytes, []string{"gen", "-spec", "-"}, haloSum},
+		{"gen-traffic", nil, []string{"gen", "-traffic", mix}, mixSum},
+		{"gen-traffic-stdin", mixPiped, []string{"gen", "-traffic", "-"}, mixSum},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, out, stderr := runCLI(t, tc.stdin, append(tc.args, "-scale", "0.05", "-o", "-")...)
+			if code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != tc.want {
+				t.Errorf("wrote %d bytes with SHA-256 %s, want %s", len(out), got, tc.want)
+			}
+		})
 	}
 }
 
@@ -697,6 +745,13 @@ func TestTrafficModeErrors(t *testing.T) {
 	scenario := filepath.Join("..", "..", "examples", "scenarios", "steady-mix.json")
 	if code, _, _ := runCLI(t, nil, "gen", "-traffic", "absent.json", "-o", "-"); code != 1 {
 		t.Errorf("gen -traffic on a missing file exited %d, want 1", code)
+	}
+	bad := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(bad, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, stderr := runCLI(t, nil, "gen", "-traffic", bad, "-o", "-"); code != 1 || !strings.Contains(stderr, bad) {
+		t.Errorf("gen -traffic on invalid content exited %d (%s), want 1 naming the file", code, stderr)
 	}
 	if code, _, _ := runCLI(t, nil, "replay", "absent.json"); code != 1 {
 		t.Errorf("replay of a missing scenario file exited %d, want 1", code)

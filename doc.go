@@ -29,11 +29,11 @@
 //     shapes, and an arrival-time merge into one replayable stream set
 //     with per-record client attribution (per-tenant stats/telemetry)
 //   - internal/tracefile — the binary trace capture/replay format
-//     (streaming writer, lazy demuxing reader with record-level seeking
-//     that skips whole compressed chunks undecoded, a bounded Decode
-//     into per-CPU reference slices for in-memory replay, per-chunk
-//     DEFLATE compression in format v2, the canonical content hash over
-//     an encoding or over decoded streams, stream-level Cut/Cat
+//     (a streaming writer of one encoding, v2 with seeded chunks DEFLATEd
+//     where that shrinks them; a lazy demuxing reader of v1 and v2 whose
+//     seeks skip whole seeded chunks undecoded; a bounded Decode into
+//     per-CPU reference slices for in-memory replay; the canonical
+//     content hash over an encoding or over decoded streams, Cut/Cat
 //     splicing, and the transform layer: Retarget onto a different
 //     machine shape under pluggable page-remapping policies and CPU
 //     fold policies (modulo or weighted interleave), RetargetGeometry

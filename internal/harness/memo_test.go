@@ -185,10 +185,10 @@ func TestMemoKeysMatchFullDecode(t *testing.T) {
 	// Each variant built without the memo or the maps: encoded by the
 	// tracefile io wrappers and fully decoded, X transform then Y.
 	type variantCase struct {
-		axis  Axis // the last transform's axis
-		v     SweepValue
-		label string
-		enc   []byte
+		axis          Axis // the last transform's axis
+		v             SweepValue
+		prefix, label string
+		enc           []byte
 	}
 	var cases []variantCase
 	add := func(in []byte, inHdr tracefile.Header, axis Axis, v SweepValue, prefix string) []byte {
@@ -197,7 +197,7 @@ func TestMemoKeysMatchFullDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		enc := wrapped(t, in, inHdr, axis, v)
-		cases = append(cases, variantCase{axis, v, prefix + label, enc})
+		cases = append(cases, variantCase{axis, v, prefix, label, enc})
 		return enc
 	}
 	for _, v := range memoNodes {
@@ -223,7 +223,7 @@ func TestMemoKeysMatchFullDecode(t *testing.T) {
 		if src.Key() != key {
 			t.Errorf("%s: memoized key %s, full decode %s", name, src.Key(), key)
 		}
-		pt, err := newSweepPoint(name, hdr, c.axis, c.v, c.label)
+		pt, err := newSweepPoint(name, hdr, c.axis, c.v, c.prefix, c.label)
 		if err != nil {
 			t.Fatal(err)
 		}

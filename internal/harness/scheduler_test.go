@@ -9,7 +9,6 @@ import (
 
 	"rnuma/internal/config"
 	"rnuma/internal/stats"
-	"rnuma/internal/trace"
 	"rnuma/internal/workloads"
 )
 
@@ -263,12 +262,12 @@ func TestBuildsShareAndDrop(t *testing.T) {
 	app, _ := workloads.ByName("lu")
 	cfg := h.workloadConfig(cc)
 	w1, w2 := b.workload(app, cfg), b.workload(app, cfg)
-	v1 := w1.Streams[0].(trace.Batcher).NextBatch(1)
-	v2 := w2.Streams[0].(trace.Batcher).NextBatch(1)
+	v1 := w1.Streams[0].NextBatch(1)
+	v2 := w2.Streams[0].NextBatch(1)
 	if len(v1) != 1 || &v1[0] != &v2[0] {
 		t.Error("two simulations of one group do not replay the same references")
 	}
-	if r, ok := w2.Streams[1].Next(); !ok || r != w1.Streams[1].(trace.Batcher).NextBatch(1)[0] {
+	if r, ok := w2.Streams[1].Next(); !ok || r != w1.Streams[1].NextBatch(1)[0] {
 		t.Error("a fresh cursor does not start at the first reference")
 	}
 	b.done(jobs[0])

@@ -428,7 +428,7 @@ func (t *replayTrace) open() (*workloads.Workload, error) {
 	failed := new(error)
 	streams := make([]trace.Stream, len(w.Streams))
 	for cpu, s := range w.Streams {
-		streams[cpu] = &mapStream{src: s.(seekBatcher), cpu: cpu, maps: t.maps, failed: failed}
+		streams[cpu] = &mapStream{src: s, cpu: cpu, maps: t.maps, failed: failed}
 	}
 	return &workloads.Workload{
 		Name: t.hdr.Name, Streams: streams, Homes: t.hdr.HomeFunc(), SharedPages: t.hdr.SharedPages,
@@ -455,16 +455,10 @@ func (t *replayTrace) key() (string, error) {
 	return traceKey(sum, t.hdr.Name), err
 }
 
-// seekBatcher is what a capture's streams, decoded or streamed, are.
-type seekBatcher interface {
-	trace.Batcher
-	trace.Seeker
-}
-
 // mapStream is one CPU's records read through a variant's maps (no sweep
 // transform changes the CPU count, so no map moves a record's CPU).
 type mapStream struct {
-	src    seekBatcher
+	src    trace.Stream
 	cpu    int
 	maps   []tracefile.Map
 	rec    trace.Ref   // Next's record, mapped in place

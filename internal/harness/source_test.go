@@ -158,10 +158,11 @@ func TestRecordReplayIdentity(t *testing.T) {
 
 // TestDifferentialIdentity is the trace-toolchain acceptance invariant:
 // for every catalog application, each transport of the same reference
-// streams — the v1 encoding, the default v2-compressed encoding, and a
-// cut-into-halves-and-concatenated recomposition — must replay to a
-// stats.Run identical to simulating the live generator. The toolchain changes how references
-// travel, never what the machine sees.
+// streams — the Writer's encoding and a cut-into-halves-and-concatenated
+// recomposition of it — must replay to a stats.Run identical to
+// simulating the live generator, and the version-1 fixture of a slice of
+// the lu capture must replay like the Writer's cut of that slice. The
+// toolchain changes how references travel, never what the machine sees.
 func TestDifferentialIdentity(t *testing.T) {
 	apps := workloads.Names()
 	if testing.Short() {
@@ -185,21 +186,17 @@ func TestDifferentialIdentity(t *testing.T) {
 			t.Fatalf("%s: live: %v", name, err)
 		}
 
-		// Transport 1+2: v1 and v2 encodings of the recorded generator.
-		v1Path := filepath.Join(dir, name+".v1.trace")
+		// Transport 1: the recorded generator.
 		v2Path := filepath.Join(dir, name+".v2.trace")
-		writeTraceFile(t, v1Path, app, cfg, tracefile.FormatVersion(tracefile.VersionV1))
 		writeTraceFile(t, v2Path, app, cfg)
 
-		// Transport 3: cut the v2 trace into two per-CPU record-range
-		// halves and concatenate them back.
+		// Transport 2: cut the trace into two per-CPU record-range halves
+		// and concatenate them back.
 		catPath := filepath.Join(dir, name+".cat.trace")
 		recomposeHalves(t, v2Path, filepath.Join(dir, name), catPath)
 
 		keys := make(map[string]string)
-		for transport, path := range map[string]string{
-			"v1": v1Path, "v2": v2Path, "cut+cat": catPath,
-		} {
+		for transport, path := range map[string]string{"v2": v2Path, "cut+cat": catPath} {
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, transport, err)
@@ -225,16 +222,45 @@ func TestDifferentialIdentity(t *testing.T) {
 			}
 		}
 	}
+
+	// The version-1 transport: the fixture encodes CPUs 0 and 3, records
+	// [2000,7000), of the lu capture.
+	v1, err := os.ReadFile(filepath.Join("..", "tracefile", "testdata", "lu-slice.v1.trace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lu, _ := workloads.ByName("lu")
+	var capture, cut bytes.Buffer
+	if _, _, err := tracefile.WriteWorkload(&capture, lu.Build(cfg), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tracefile.Cut(&cut, &capture, tracefile.CutSpec{CPUs: []int{0, 3}, From: 2000, To: 7000}); err != nil {
+		t.Fatal(err)
+	}
+	var keys [2]string
+	var runs [2]*stats.Run
+	for i, data := range [][]byte{cut.Bytes(), v1} {
+		replay := New(scale)
+		src := load(t, replay, KindTrace, data)
+		keys[i] = src.Key()
+		if runs[i], err = replay.Run(src.Name(), sys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if keys[1] != keys[0] || !reflect.DeepEqual(runs[1], runs[0]) {
+		t.Errorf("lu slice: version-1 fixture keyed %s, ran %s; the Writer's cut keyed %s, ran %s",
+			keys[1], runs[1].Summary(), keys[0], runs[0].Summary())
+	}
 }
 
-// writeTraceFile records a workload build to path with the given encoding.
-func writeTraceFile(t *testing.T, path string, app workloads.App, cfg workloads.Config, opts ...tracefile.WriterOption) {
+// writeTraceFile records a workload build to path.
+func writeTraceFile(t *testing.T, path string, app workloads.App, cfg workloads.Config) {
 	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tracefile.WriteWorkload(f, app.Build(cfg), cfg, opts...); err != nil {
+	if _, _, err := tracefile.WriteWorkload(f, app.Build(cfg), cfg); err != nil {
 		t.Fatalf("record %s: %v", path, err)
 	}
 	if err := f.Close(); err != nil {

@@ -207,25 +207,30 @@ type sweepPoint struct {
 }
 
 // newSweepPoint sizes a point's four systems to its trace's header, the
-// label landing in their names for progress logs; a threshold-axis value
-// also sets R-NUMA's relocation threshold. A header no machine can
+// line's prefix and the point's label landing in their names for
+// progress logs; a threshold-axis value also sets R-NUMA's relocation
+// threshold, and only R-NUMA's name carries it. A header no machine can
 // replay fails (traceSystem).
-func newSweepPoint(app string, hdr tracefile.Header, axis Axis, v SweepValue, label string) (sweepPoint, error) {
-	pt := sweepPoint{app: app}
+func newSweepPoint(app string, hdr tracefile.Header, axis Axis, v SweepValue, prefix, label string) (sweepPoint, error) {
+	pt, shared := sweepPoint{app: app}, " "+prefix+label
+	if axis == AxisThreshold { // one run of each other system serves the whole line
+		shared = strings.TrimRight(" "+prefix, ", ")
+	}
 	for _, s := range []struct {
-		into *config.System
-		sys  config.System
+		into  *config.System
+		sys   config.System
+		label string
 	}{
-		{&pt.ideal, config.Ideal()},
-		{&pt.cc, config.Base(config.CCNUMA)},
-		{&pt.scoma, config.Base(config.SCOMA)},
-		{&pt.rn, config.Base(config.RNUMA)},
+		{&pt.ideal, config.Ideal(), shared},
+		{&pt.cc, config.Base(config.CCNUMA), shared},
+		{&pt.scoma, config.Base(config.SCOMA), shared},
+		{&pt.rn, config.Base(config.RNUMA), " " + prefix + label},
 	} {
 		sys, err := traceSystem(s.sys, hdr)
 		if err != nil {
 			return pt, err
 		}
-		sys.Name += " " + label
+		sys.Name += s.label
 		*s.into = sys
 	}
 	if axis == AxisThreshold {
@@ -373,7 +378,7 @@ func (h *Harness) line(v *variant, axis Axis, vals []SweepValue, prefix string) 
 				return nil, nil, err
 			}
 		}
-		if pts[i], err = newSweepPoint(pv.name, pv.hdr, axis, val, prefix+label); err != nil {
+		if pts[i], err = newSweepPoint(pv.name, pv.hdr, axis, val, prefix, label); err != nil {
 			return nil, nil, err
 		}
 		labels[i] = label

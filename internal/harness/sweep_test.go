@@ -261,6 +261,55 @@ func TestSweepThreshold(t *testing.T) {
 	}
 }
 
+// TestThresholdLineLabels: the ideal, CC-NUMA and S-COMA runs of a
+// threshold line serve every point, so their progress lines name no
+// threshold, and a grid line's name only its outer value; R-NUMA's run
+// names its point.
+func TestThresholdLineLabels(t *testing.T) {
+	const scale = 0.02
+	data := recordCatalog(t, "em3d", scale)
+	var log bytes.Buffer
+	h := New(scale)
+	h.Log = &log
+	thresholds := []SweepValue{IntValue(16), IntValue(64)}
+	if _, _, err := h.Sweep(data, AxisThreshold, thresholds); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.SweepGrid(data, AxisBlockSize, []SweepValue{IntValue(16)}, AxisThreshold, thresholds); err != nil {
+		t.Fatal(err)
+	}
+	// One point more: its shared runs are store hits, and its R-NUMA run,
+	// with nothing to fork from, simulates under its own name.
+	if _, _, err := h.Sweep(data, AxisThreshold, []SweepValue{IntValue(256)}); err != nil {
+		t.Fatal(err)
+	}
+	var shared, rnuma int
+	for _, line := range strings.Split(log.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, "running ")
+		if !ok {
+			continue
+		}
+		_, sys, _ := strings.Cut(rest, " on ")
+		sys = strings.TrimSpace(sys)
+		switch {
+		case strings.HasPrefix(sys, "R-NUMA"):
+			rnuma++
+			if sys != "R-NUMA T=256" {
+				t.Errorf("R-NUMA run logged as %q, want \"R-NUMA T=256\"", sys)
+			}
+		case strings.Contains(sys, "T="):
+			t.Errorf("a run every point shares names a threshold: %q", line)
+		case strings.Contains(rest, "@block16") && !strings.HasSuffix(sys, " b=16B"):
+			t.Errorf("a grid line's shared run lacks its outer label: %q", line)
+		default:
+			shared++
+		}
+	}
+	if shared != 6 || rnuma != 1 {
+		t.Errorf("logged %d shared and %d R-NUMA runs, want 6 and 1:\n%s", shared, rnuma, log.String())
+	}
+}
+
 // TestSweepGeometry sweeps the block size through geometry retargeting:
 // each point replays on a machine of the retargeted geometry.
 func TestSweepGeometry(t *testing.T) {

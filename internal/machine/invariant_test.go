@@ -23,6 +23,32 @@ import (
 
 const checkEvery = 512
 
+// checkedStream hands out its stream's records one at a time and calls
+// pulled before each batch, so the machine refills between references,
+// where the serial event loop is quiescent, and a checker hooked to
+// pulled sees the machine there.
+type checkedStream struct {
+	trace.Stream
+	pulled func()
+}
+
+func (s checkedStream) NextBatch(int) []trace.Ref {
+	s.pulled()
+	return s.Stream.NextBatch(1)
+}
+
+// checkedStreams wraps every stream to call check every checkEvery
+// records pulled across them; pulled counts those records.
+func checkedStreams(streams []trace.Stream, pulled *int64, check func()) {
+	for i, s := range streams {
+		streams[i] = checkedStream{s, func() {
+			if *pulled++; *pulled%checkEvery == 0 {
+				check()
+			}
+		}}
+	}
+}
+
 // copyState summarizes what one node holds of one block.
 type copyState struct {
 	valid bool
@@ -260,16 +286,7 @@ func TestProtocolInvariantsUnderRandomTraffic(t *testing.T) {
 				// reference on that CPU completed, and the event loop is
 				// serial, so the machine is quiescent here).
 				streams := randomStreams(seed, 4, 12, 2500, 0.35)
-				for i, s := range streams {
-					inner := s
-					streams[i] = trace.FuncStream(func() (trace.Ref, bool) {
-						pulled++
-						if pulled%checkEvery == 0 {
-							check()
-						}
-						return inner.Next()
-					})
-				}
+				checkedStreams(streams, &pulled, check)
 				if _, err := m.Run(streams); err != nil {
 					t.Fatalf("seed %d: run: %v", seed, err)
 				}

@@ -351,7 +351,6 @@ type refBuffer struct {
 	pos, n int // next record to hand out; records of the last refill
 	store  [batchSize]trace.Ref
 	stream trace.Stream
-	src    trace.Batcher // stream as a Batcher; nil when it only has Next
 }
 
 // batchSize is the per-CPU refill unit, in records. A refill amortizes
@@ -364,18 +363,7 @@ const batchSize = 64
 // refill loads the stream's next batch into the buffer and rewinds it,
 // reporting false at end of stream.
 func (rb *refBuffer) refill() bool {
-	n := 0
-	if rb.src != nil {
-		n = copy(rb.store[:], rb.src.NextBatch(batchSize))
-	} else {
-		for ; n < batchSize; n++ {
-			r, ok := rb.stream.Next()
-			if !ok {
-				break
-			}
-			rb.store[n] = r
-		}
-	}
+	n := copy(rb.store[:], rb.stream.NextBatch(batchSize))
 	rb.pos, rb.n = 0, n
 	return n > 0
 }
@@ -428,7 +416,6 @@ func (m *Machine) bind(streams []trace.Stream) {
 	for i, s := range streams {
 		rb := &m.refs[i]
 		rb.stream = s
-		rb.src, _ = s.(trace.Batcher)
 		rb.pos, rb.n = 0, 0
 	}
 }

@@ -50,11 +50,7 @@ func newTiny(t *testing.T, p config.Protocol) *Machine {
 func streams4(perCPU map[int][]trace.Ref) []trace.Stream {
 	out := make([]trace.Stream, 4)
 	for i := range out {
-		if refs, ok := perCPU[i]; ok {
-			out[i] = trace.FromSlice(refs)
-		} else {
-			out[i] = trace.Empty()
-		}
+		out[i] = trace.FromSlice(perCPU[i])
 	}
 	return out
 }
@@ -407,7 +403,7 @@ func TestFirstTouchHoming(t *testing.T) {
 
 func TestRunStreamCountMismatch(t *testing.T) {
 	m := newTiny(t, config.CCNUMA)
-	if _, err := m.Run([]trace.Stream{trace.Empty()}); err == nil {
+	if _, err := m.Run([]trace.Stream{trace.FromSlice(nil)}); err == nil {
 		t.Error("mismatched stream count accepted")
 	}
 }

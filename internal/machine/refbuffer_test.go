@@ -12,11 +12,11 @@ import (
 	"rnuma/internal/trace"
 )
 
-// clobberBatcher is a trace.Batcher whose every view aliases one array
-// that it overwrites on the next call, as the trace-file reader's demux
+// clobberStream is a trace.Stream whose every batch view aliases one
+// array that it overwrites on the next call, as the trace-file reader's demux
 // queues do: a machine that read a view after pulling again would see
 // poisoned records.
-type clobberBatcher struct {
+type clobberStream struct {
 	refs []trace.Ref
 	pos  int
 	arr  []trace.Ref
@@ -26,7 +26,7 @@ type clobberBatcher struct {
 // touches, so reading it would derail any run.
 var poison = trace.Ref{Page: 1 << 20, Barrier: true}
 
-func (s *clobberBatcher) Next() (trace.Ref, bool) {
+func (s *clobberStream) Next() (trace.Ref, bool) {
 	if s.pos == len(s.refs) {
 		return trace.Ref{}, false
 	}
@@ -34,7 +34,7 @@ func (s *clobberBatcher) Next() (trace.Ref, bool) {
 	return s.refs[s.pos-1], true
 }
 
-func (s *clobberBatcher) NextBatch(max int) []trace.Ref {
+func (s *clobberStream) NextBatch(max int) []trace.Ref {
 	if cap(s.arr) < max {
 		s.arr = make([]trace.Ref, max)
 	}
@@ -47,27 +47,23 @@ func (s *clobberBatcher) NextBatch(max int) []trace.Ref {
 	return s.arr[:n]
 }
 
-func (s *clobberBatcher) SeekRecord(n int64) error {
+func (s *clobberStream) SeekRecord(n int64) error {
 	if n < 0 || n > int64(len(s.refs)) {
-		return fmt.Errorf("clobberBatcher: seek to %d of %d", n, len(s.refs))
+		return fmt.Errorf("clobberStream: seek to %d of %d", n, len(s.refs))
 	}
 	s.pos = int(n)
 	return nil
 }
 
-// streamKinds wraps per-CPU reference slices as each stream flavour the
-// machine accepts: a slice (a Batcher whose views alias the slice), a
-// Batcher that clobbers its views, and a stream with only Next.
+// streamKinds wraps per-CPU reference slices as each kind of batch view
+// the machine copies: a slice (views alias the slice) and a stream that
+// clobbers its views.
 var streamKinds = []struct {
 	name string
 	wrap func([]trace.Ref) trace.Stream
 }{
 	{"slice", func(refs []trace.Ref) trace.Stream { return trace.FromSlice(refs) }},
-	{"clobber", func(refs []trace.Ref) trace.Stream { return &clobberBatcher{refs: refs} }},
-	{"next-only", func(refs []trace.Ref) trace.Stream {
-		s := trace.FromSlice(refs)
-		return trace.FuncStream(s.Next)
-	}},
+	{"clobber", func(refs []trace.Ref) trace.Stream { return &clobberStream{refs: refs} }},
 }
 
 func wrapAll(perCPU [][]trace.Ref, wrap func([]trace.Ref) trace.Stream) []trace.Stream {
@@ -124,10 +120,9 @@ func runStreams(t *testing.T, sys config.System, streams []trace.Stream) *stats.
 	return run
 }
 
-// TestStreamKindsRunIdentically: whichever way a stream delivers its
-// records, in bulk through views the stream reuses or one at a time
-// through Next, the machine copies the same records and a run's
-// statistics are identical.
+// TestStreamKindsRunIdentically: whether a stream's batch views alias
+// its records or storage it overwrites on the next pull, the machine
+// copies the same records and a run's statistics are identical.
 func TestStreamKindsRunIdentically(t *testing.T) {
 	for _, sys := range bufferSystems() {
 		t.Run(sys.Name, func(t *testing.T) {
@@ -152,8 +147,8 @@ func TestStreamKindsRunIdentically(t *testing.T) {
 // over fresh streams seeked to the snapshot's cursors, finishes with the
 // uninterrupted run's statistics, and so does the paused machine itself.
 // One CPU does all the work, so the pause lands exactly on its buffer's
-// edge; the snapshot counts the records handed to it, not the records a
-// Next-only stream has already given up to the buffer.
+// edge; the snapshot counts the records handed to it, not the records
+// the stream has already given up to the buffer.
 func TestPauseAtBatchBoundaries(t *testing.T) {
 	refs := bufferRefs(5)
 	refs[0] = refs[0][:batchSize+1+batchSize/2]

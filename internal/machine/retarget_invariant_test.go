@@ -7,7 +7,6 @@ import (
 
 	"rnuma/internal/addr"
 	"rnuma/internal/config"
-	"rnuma/internal/trace"
 	"rnuma/internal/tracefile"
 )
 
@@ -117,16 +116,7 @@ func replayTraceWithInvariantChecks(t *testing.T, data []byte, p config.Protocol
 		prev = now
 	}
 	replay := d.Streams()
-	for i, s := range replay {
-		inner := s
-		replay[i] = trace.FuncStream(func() (trace.Ref, bool) {
-			pulled++
-			if pulled%checkEvery == 0 {
-				check()
-			}
-			return inner.Next()
-		})
-	}
+	checkedStreams(replay, &pulled, check)
 	if _, err := m.Run(replay); err != nil {
 		t.Fatalf("run: %v", err)
 	}

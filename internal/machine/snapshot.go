@@ -347,8 +347,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 
 // ResumeWith binds streams to a restored machine and rebuilds the event
 // loop at the captured instant, seeking each stream to its CPU's
-// Consumed cursor. Streams for CPUs that had consumed any records must
-// implement trace.Seeker; the streams must be fresh (not shared with the
+// Consumed cursor. The streams must be fresh (not shared with the
 // machine the snapshot was taken from). After ResumeWith, drive the run
 // with Finish/RunUntilRefs/RunUntilCounter as usual.
 func (m *Machine) ResumeWith(streams []trace.Stream) error {
@@ -362,11 +361,7 @@ func (m *Machine) ResumeWith(streams []trace.Stream) error {
 		if c.Consumed == 0 {
 			continue
 		}
-		sk, ok := streams[i].(trace.Seeker)
-		if !ok {
-			return fmt.Errorf("machine: stream for CPU %d does not support seeking (%d records consumed)", i, c.Consumed)
-		}
-		if err := sk.SeekRecord(c.Consumed); err != nil {
+		if err := streams[i].SeekRecord(c.Consumed); err != nil {
 			return fmt.Errorf("machine: seeking stream for CPU %d: %w", i, err)
 		}
 	}

@@ -38,7 +38,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"strconv"
 	"strings"
 
@@ -176,19 +175,6 @@ func Parse(data []byte) (*Spec, error) {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// Load reads and parses a spec file.
-func Load(path string) (*Spec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("spec: %w", err)
-	}
-	s, err := Parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }
 
 var validOps = map[string]bool{

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -352,9 +353,13 @@ func TestExampleSpecs(t *testing.T) {
 	}
 	for _, p := range paths {
 		t.Run(filepath.Base(p), func(t *testing.T) {
-			s, err := Load(p)
+			data, err := os.ReadFile(p)
 			if err != nil {
-				t.Fatalf("Load: %v", err)
+				t.Fatal(err)
+			}
+			s, err := Parse(data)
+			if err != nil {
+				t.Fatalf("Parse: %v", err)
 			}
 			cfg := workloads.DefaultConfig()
 			cfg.Scale = 0.05

@@ -16,9 +16,6 @@ func refs(n int) []Ref {
 
 func TestSliceStream(t *testing.T) {
 	s := FromSlice(refs(3))
-	if s.Len() != 3 {
-		t.Fatalf("len = %d", s.Len())
-	}
 	for i := 0; i < 3; i++ {
 		r, ok := s.Next()
 		if !ok || r.Page != addr.PageNum(i) {
@@ -30,94 +27,5 @@ func TestSliceStream(t *testing.T) {
 	}
 	if _, ok := s.Next(); ok {
 		t.Error("ended stream restarted")
-	}
-}
-
-func TestConcat(t *testing.T) {
-	cases := []struct {
-		name    string
-		streams []Stream
-		want    int
-	}{
-		{"three streams", []Stream{FromSlice(refs(2)), Empty(), FromSlice(refs(3))}, 5},
-		{"no streams", nil, 0},
-		{"all empty", []Stream{Empty(), Empty()}, 0},
-		{"leading empties", []Stream{Empty(), Empty(), FromSlice(refs(4))}, 4},
-		{"trailing empty", []Stream{FromSlice(refs(1)), Empty()}, 1},
-		{"nil stream skipped", []Stream{FromSlice(refs(2)), nil, FromSlice(refs(1))}, 3},
-		{"only nils", []Stream{nil, nil}, 0},
-		{"nested concat", []Stream{Concat(FromSlice(refs(2)), FromSlice(refs(2))), FromSlice(refs(1))}, 5},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := Concat(tc.streams...)
-			if got := Count(s); got != tc.want {
-				t.Errorf("concat length = %d, want %d", got, tc.want)
-			}
-			if _, ok := s.Next(); ok {
-				t.Error("exhausted concat restarted")
-			}
-		})
-	}
-}
-
-func TestRepeat(t *testing.T) {
-	cases := []struct {
-		name string
-		refs []Ref
-		n    int
-		want int
-	}{
-		{"three times", refs(4), 3, 12},
-		{"once", refs(4), 1, 4},
-		{"zero times", refs(4), 0, 0},
-		{"negative times", refs(4), -2, 0},
-		{"empty slice", nil, 3, 0},
-		{"empty slice zero times", nil, 0, 0},
-		{"single ref many times", refs(1), 5, 5},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := Repeat(tc.refs, tc.n)
-			var seen []addr.PageNum
-			for {
-				r, ok := s.Next()
-				if !ok {
-					break
-				}
-				seen = append(seen, r.Page)
-			}
-			if len(seen) != tc.want {
-				t.Fatalf("repeat emitted %d refs, want %d", len(seen), tc.want)
-			}
-			for i, p := range seen {
-				if p != addr.PageNum(i%len(tc.refs)) {
-					t.Fatalf("ref %d = page %d, want %d", i, p, i%len(tc.refs))
-				}
-			}
-			if _, ok := s.Next(); ok {
-				t.Error("exhausted repeat restarted")
-			}
-		})
-	}
-}
-
-func TestFuncStream(t *testing.T) {
-	n := 0
-	s := FuncStream(func() (Ref, bool) {
-		if n >= 2 {
-			return Ref{}, false
-		}
-		n++
-		return Ref{Page: addr.PageNum(n)}, true
-	})
-	if got := Count(s); got != 2 {
-		t.Errorf("func stream length = %d, want 2", got)
-	}
-}
-
-func TestEmpty(t *testing.T) {
-	if got := Count(Empty()); got != 0 {
-		t.Errorf("empty stream emitted %d refs", got)
 	}
 }

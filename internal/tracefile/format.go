@@ -7,9 +7,10 @@
 //
 // A trace file is a header followed by per-CPU record chunks and a
 // terminating end marker. All integers are unsigned varints
-// (encoding/binary) unless stated otherwise. Two on-disk versions exist;
-// the Reader handles both transparently, and the Writer emits version 2
-// unless asked otherwise.
+// (encoding/binary) unless stated otherwise. Two on-disk versions exist:
+// the Writer emits version 2, with a seed on every chunk and DEFLATE
+// wherever it shrinks the chunk, and the Reader reads both, version-1
+// files and unseeded version-2 chunks included.
 //
 //	header:
 //	  magic      [4]byte  "RNTR"
@@ -83,7 +84,7 @@ const (
 
 	// VersionV1 is the original uncompressed chunk format; VersionV2 adds
 	// the per-chunk flags byte and optional DEFLATE payload compression.
-	// Writers default to VersionV2; Readers accept both.
+	// The Writer emits VersionV2; the Reader accepts both.
 	VersionV1 = 1
 	VersionV2 = 2
 
@@ -138,7 +139,7 @@ const (
 	chunkDeflate = 1 << 0
 	// chunkSeed marks a chunk carrying its page-delta seed, making it
 	// decodable without the chunks before it (the Seek fast path). The
-	// Writer sets it on every version-2 chunk; files without it (written
+	// Writer sets it on every chunk; version-2 files without it (written
 	// before the flag existed) still decode and seek, just without
 	// whole-chunk skipping.
 	chunkSeed = 1 << 1

@@ -14,9 +14,11 @@ import (
 // short smoke window (`go test -fuzz=FuzzReader -fuzztime=10s`); the
 // unit-test mode replays the seed corpus on every `go test`.
 func FuzzReader(f *testing.F) {
-	// Seed corpus: a small valid trace (kept small so each fuzz exec is
-	// cheap), its truncations, and single-byte corruptions — enough
-	// structure that the fuzzer starts from deep inside the format.
+	// Seed corpus: a small valid trace from the Writer (kept small so
+	// each fuzz exec is cheap) and the version-1 and uncompressed
+	// fixtures, each with its truncations and single-byte corruptions —
+	// enough structure that the fuzzer starts from deep inside every
+	// encoding the Reader reads.
 	h := Header{
 		Name:        "fuzz",
 		Geometry:    addr.Default,
@@ -25,30 +27,24 @@ func FuzzReader(f *testing.F) {
 		SharedPages: 8,
 		Homes:       []addr.NodeID{0, 0, 0, 0, 1, 1, 1, 1},
 	}
-	var valid []byte
-	for _, opts := range [][]WriterOption{
-		nil, // v2, compressed chunks
-		{Compression(false)},
-		{FormatVersion(VersionV1)},
-	} {
-		var buf bytes.Buffer
-		tw, err := NewWriter(&buf, h, opts...)
-		if err != nil {
+	var buf bytes.Buffer
+	tw, err := NewWriter(&buf, h)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		r := trace.Ref{Page: addr.PageNum(i % 8), Off: uint16(i % 128), Write: i%3 == 0, Gap: uint16(i * 7 % 300)}
+		if i%17 == 0 {
+			r = trace.BarrierRef()
+		}
+		if err := tw.Append(i%2, r); err != nil {
 			f.Fatal(err)
 		}
-		for i := 0; i < 64; i++ {
-			r := trace.Ref{Page: addr.PageNum(i % 8), Off: uint16(i % 128), Write: i%3 == 0, Gap: uint16(i * 7 % 300)}
-			if i%17 == 0 {
-				r = trace.BarrierRef()
-			}
-			if err := tw.Append(i%2, r); err != nil {
-				f.Fatal(err)
-			}
-		}
-		if err := tw.Close(); err != nil {
-			f.Fatal(err)
-		}
-		valid = buf.Bytes()
+	}
+	if err := tw.Close(); err != nil {
+		f.Fatal(err)
+	}
+	for _, valid := range [][]byte{buf.Bytes(), readFixture(f, rawFixture), readFixture(f, v1Fixture)} {
 		f.Add(valid)
 		for _, cut := range []int{0, 3, 4, 7, len(valid) / 2, len(valid) - 1} {
 			f.Add(append([]byte(nil), valid[:cut]...))

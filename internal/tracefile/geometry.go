@@ -89,8 +89,8 @@ func (s GeometrySpec) resolve(src addr.Geometry) (addr.Geometry, error) {
 // and flags are untouched. Retargeting onto the source's own geometry
 // reproduces the trace exactly (the canonical hash is preserved). Returns
 // the record count written.
-func RetargetGeometry(dst io.Writer, src io.Reader, spec GeometrySpec, opts ...WriterOption) (int64, error) {
-	return apply(dst, src, func(h Header) (Map, error) { return RetargetGeometryMap(h, spec) }, opts)
+func RetargetGeometry(dst io.Writer, src io.Reader, spec GeometrySpec) (int64, error) {
+	return apply(dst, src, func(h Header) (Map, error) { return RetargetGeometryMap(h, spec) })
 }
 
 // RetargetGeometryMap is RetargetGeometry's pure form.

@@ -170,9 +170,9 @@ func (d *Reader) Streams() []trace.Stream { return d.streams }
 // file ends the streams early and parks the error here.
 func (d *Reader) Err() error { return d.err }
 
-// readerStream is one CPU's view of the demuxed trace. It implements
-// trace.Stream, trace.Batcher (bulk delivery straight out of the demux
-// queue), and trace.Seeker (forward seek with whole-chunk skipping).
+// readerStream is one CPU's view of the demuxed trace: a trace.Stream
+// with bulk delivery straight out of the demux queue and forward seeks
+// with whole-chunk skipping.
 type readerStream struct {
 	d         *Reader
 	cpu       int
@@ -207,7 +207,7 @@ func (s *readerStream) Next() (trace.Ref, bool) {
 	return r, true
 }
 
-// NextBatch implements trace.Batcher: it returns a view of up to max
+// NextBatch implements trace.Stream: it returns a view of up to max
 // queued records straight out of the demux queue (no copy), reading
 // chunks to refill an empty queue. The view is valid until the next call
 // on this stream.
@@ -227,7 +227,7 @@ func (s *readerStream) NextBatch(max int) []trace.Ref {
 	return q[head : head+n]
 }
 
-// Seek implements trace.Seeker: it positions the stream so the next
+// SeekRecord implements trace.Stream: it positions the stream so the next
 // record delivered is record n. Seeks are forward-only (the underlying
 // reader is streaming). The skip is recorded lazily and satisfied as
 // chunks are read; chunks that carry a page seed and fall entirely
@@ -552,7 +552,7 @@ func (d *Reader) Decode(limit int64) (w *workloads.Workload, n int64, err error)
 	for live := true; live; {
 		live = false
 		for cpu, s := range d.streams {
-			b := s.(*readerStream).NextBatch(chunkRecords)
+			b := s.NextBatch(chunkRecords)
 			if len(b) == 0 {
 				continue
 			}

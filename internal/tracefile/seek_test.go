@@ -41,7 +41,7 @@ func TestReaderSeekRecord(t *testing.T) {
 		// Seek every stream before pulling any, the pattern ResumeWith
 		// uses, so whole-chunk skipping sees all cursors.
 		for c, s := range streams {
-			if err := s.(trace.Seeker).SeekRecord(k); err != nil {
+			if err := s.SeekRecord(k); err != nil {
 				t.Fatalf("seek cpu %d to %d: %v", c, k, err)
 			}
 		}
@@ -69,7 +69,7 @@ func TestReaderSeekAfterConsume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := d.Streams()[2].(trace.Seeker)
+	s := d.Streams()[2]
 	for i := 0; i < 30; i++ {
 		if _, ok := s.Next(); !ok {
 			t.Fatal("short stream")
@@ -130,13 +130,9 @@ func TestReaderNextBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c, s := range d.Streams() {
-		b, ok := s.(trace.Batcher)
-		if !ok {
-			t.Fatalf("cpu %d: reader stream is not a trace.Batcher", c)
-		}
 		var got []trace.Ref
 		for {
-			batch := b.NextBatch(97)
+			batch := s.NextBatch(97)
 			if len(batch) == 0 {
 				break
 			}

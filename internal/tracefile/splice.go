@@ -12,7 +12,7 @@ import (
 // This file implements stream-level splicing: operations that read trace
 // files through the Reader's per-CPU streams and re-emit them through a
 // Writer, so slices and concatenations re-encode cleanly (fresh delta
-// chains, fresh chunking, any output version) without ever materializing
+// chains, fresh chunking) without ever materializing
 // a whole trace.
 
 // CutSpec selects a sub-trace.
@@ -100,11 +100,11 @@ func roundRobin(streams []trace.Stream, fn func(cpu int, r trace.Ref) error) err
 }
 
 // Cut copies the selected slice of src to dst, re-encoded with the given
-// writer options (version 2, compressed, by default). The source is
+// Writer's one encoding. The source is
 // drained fully — including discarded CPUs and records — so truncation
 // and corruption anywhere in the input still surface as errors. It
 // returns the record count written.
-func Cut(dst io.Writer, src io.Reader, sel CutSpec, opts ...WriterOption) (int64, error) {
+func Cut(dst io.Writer, src io.Reader, sel CutSpec) (int64, error) {
 	d, err := NewReader(src)
 	if err != nil {
 		return 0, err
@@ -114,7 +114,7 @@ func Cut(dst io.Writer, src io.Reader, sel CutSpec, opts ...WriterOption) (int64
 	if err != nil {
 		return 0, err
 	}
-	tw, err := NewWriter(dst, h, opts...)
+	tw, err := NewWriter(dst, h)
 	if err != nil {
 		return 0, err
 	}
@@ -139,7 +139,7 @@ func Cut(dst io.Writer, src io.Reader, sel CutSpec, opts ...WriterOption) (int64
 // workload name) comes from the first input, so cutting a trace into
 // range slices and concatenating them recomposes it exactly. Returns the
 // record count written.
-func Cat(dst io.Writer, srcs []io.Reader, opts ...WriterOption) (int64, error) {
+func Cat(dst io.Writer, srcs []io.Reader) (int64, error) {
 	if len(srcs) == 0 {
 		return 0, fmt.Errorf("tracefile: cat of no inputs")
 	}
@@ -153,7 +153,7 @@ func Cat(dst io.Writer, srcs []io.Reader, opts ...WriterOption) (int64, error) {
 		h := d.Header()
 		if i == 0 {
 			first = h
-			if tw, err = NewWriter(dst, first, opts...); err != nil {
+			if tw, err = NewWriter(dst, first); err != nil {
 				return 0, err
 			}
 		} else if err := sameShape(first, h); err != nil {

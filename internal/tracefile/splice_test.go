@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"io"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,78 +14,123 @@ import (
 	"rnuma/internal/workloads"
 )
 
-// encodeOpts is encode with writer options (same round-robin drain).
-func encodeOpts(t *testing.T, h Header, refs [][]trace.Ref, opts ...WriterOption) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	tw, err := NewWriter(&buf, h, opts...)
+// luSlice is the slice of a catalog capture the committed fixtures
+// encode: CPUs 0 and 3, per-CPU records [2000,7000) of `rnuma-trace
+// record -app lu -scale 0.05`. Each kept CPU spans two chunks.
+var luSlice = CutSpec{CPUs: []int{0, 3}, From: 2000, To: 7000}
+
+// The fixtures are luSlice in the two encodings the Writer no longer
+// writes, made by the rnuma-trace that still had them:
+//
+//	rnuma-trace record -app lu -scale 0.05 -o lu.trace
+//	rnuma-trace cut lu.trace -cpus 0,3 -from 2000 -to 7000 -v1 -o lu-slice.v1.trace
+//	rnuma-trace cut lu.trace -cpus 0,3 -from 2000 -to 7000 -raw -o lu-slice.raw.trace
+//
+// -v1 wrote version 1; -raw wrote version 2 with every chunk stored
+// uncompressed.
+const (
+	v1Fixture  = "testdata/lu-slice.v1.trace"
+	rawFixture = "testdata/lu-slice.raw.trace"
+)
+
+func readFixture(tb testing.TB, path string) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("NewWriter: %v", err)
+		tb.Fatal(err)
 	}
-	for i := 0; ; i++ {
-		any := false
-		for c := range refs {
-			if i < len(refs[c]) {
-				any = true
-				if err := tw.Append(c, refs[c][i]); err != nil {
-					t.Fatalf("Append: %v", err)
-				}
-			}
-		}
-		if !any {
-			break
-		}
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	return buf.Bytes()
+	return data
 }
 
+// luSliceV2 records the lu capture and cuts luSlice from it in the
+// Writer's encoding.
+func luSliceV2(t *testing.T) []byte {
+	t.Helper()
+	cfg := workloads.DefaultConfig()
+	cfg.Scale = 0.05
+	app, _ := workloads.ByName("lu")
+	var capture, cut bytes.Buffer
+	if _, _, err := WriteWorkload(&capture, app.Build(cfg), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Cut(&cut, &capture, luSlice); err != nil {
+		t.Fatal(err)
+	}
+	return cut.Bytes()
+}
+
+// TestV1RoundTripAndVersionTag: the version-1 and uncompressed fixtures
+// decode to the header and records of the Writer's cut of the same
+// slice, carry their version tags, diff identical to it, and seek across
+// their chunk boundaries like it.
 func TestV1RoundTripAndVersionTag(t *testing.T) {
-	h := testHeader()
-	refs := randRefs(h, 3*chunkRecords/2, 21)
+	v2 := luSliceV2(t)
+	wantHdr, want := decode(t, v2)
+	if len(want[0]) <= chunkRecords || len(want[3]) <= chunkRecords {
+		t.Fatalf("test premise broken: kept CPUs hold %d and %d records, want more than a chunk", len(want[0]), len(want[3]))
+	}
 	for _, tc := range []struct {
 		name    string
-		opts    []WriterOption
+		data    []byte
 		version int
 	}{
-		{"v1", []WriterOption{FormatVersion(VersionV1)}, VersionV1},
-		{"v2-raw", []WriterOption{Compression(false)}, VersionV2},
-		{"v2-deflate", nil, VersionV2},
+		{"v1", readFixture(t, v1Fixture), VersionV1},
+		{"v2-raw", readFixture(t, rawFixture), VersionV2},
+		{"v2-deflate", v2, VersionV2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			data := encodeOpts(t, h, refs, tc.opts...)
-			d, err := NewReader(bytes.NewReader(data))
+			d, err := NewReader(bytes.NewReader(tc.data))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if d.Version() != tc.version {
 				t.Fatalf("Version() = %d, want %d", d.Version(), tc.version)
 			}
-			got, gotRefs := decode(t, data)
-			if !reflect.DeepEqual(got.Homes, h.Homes) || got.Name != h.Name {
-				t.Fatal("header round-trip mismatch")
+			hdr, got := decode(t, tc.data)
+			if !reflect.DeepEqual(hdr, wantHdr) {
+				t.Fatal("header differs from the Writer's cut")
 			}
-			for c := range refs {
-				if !reflect.DeepEqual(gotRefs[c], refs[c]) {
-					t.Fatalf("cpu %d: decoded refs differ from written", c)
+			for c := range want {
+				if !reflect.DeepEqual(got[c], want[c]) {
+					t.Fatalf("cpu %d: decoded %d records, the Writer's cut %d, or they differ", c, len(got[c]), len(want[c]))
+				}
+			}
+			if res, err := Diff(bytes.NewReader(tc.data), bytes.NewReader(v2)); err != nil || !res.Identical {
+				t.Fatalf("Diff against the Writer's cut: %+v, %v", res, err)
+			}
+			for _, k := range []int64{4095, 4096, 4097, 4999} {
+				d, err := NewReader(bytes.NewReader(tc.data))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range luSlice.CPUs {
+					if err := d.Streams()[c].SeekRecord(k); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, c := range luSlice.CPUs {
+					if got := drainStream(d.Streams()[c]); !reflect.DeepEqual(got, want[c][k:]) {
+						t.Fatalf("cpu %d after seek to %d: %d records, want %d", c, k, len(got), len(want[c])-int(k))
+					}
+				}
+				if err := d.Err(); err != nil {
+					t.Fatalf("seek to %d: %v", k, err)
 				}
 			}
 		})
 	}
 }
 
-func TestBadFormatVersionRejected(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := NewWriter(&buf, testHeader(), FormatVersion(3)); err == nil {
-		t.Error("format version 3 accepted")
-	}
+// catalogV1Bytes is each catalog application's version-1 size at scale
+// 0.05 on the 8x4 machine, as the version-1 writer reported it (bytes
+// before the end marker).
+var catalogV1Bytes = map[string]int{
+	"barnes": 1421116, "cholesky": 2095717, "em3d": 196498, "fft": 141242, "fmm": 3124514,
+	"lu": 1865120, "moldyn": 3329556, "ocean": 3554838, "radix": 4738522, "raytrace": 1449536,
 }
 
 // TestCatalogCompressionRatio is the acceptance bound: every catalog
-// application's default (v2, compressed) trace must encode to at most
-// 60% of its v1 size.
+// application's trace must encode to at most 60% of its version-1 size.
 func TestCatalogCompressionRatio(t *testing.T) {
 	cfg := workloads.DefaultConfig()
 	cfg.Scale = 0.05
@@ -94,14 +140,14 @@ func TestCatalogCompressionRatio(t *testing.T) {
 	}
 	for _, name := range apps {
 		app, _ := workloads.ByName(name)
-		var v1, v2 bytes.Buffer
-		refs, v1Bytes, err := WriteWorkload(&v1, app.Build(cfg), cfg, FormatVersion(VersionV1))
-		if err != nil {
-			t.Fatalf("%s: v1: %v", name, err)
+		v1Bytes, ok := catalogV1Bytes[name]
+		if !ok {
+			t.Fatalf("%s: no recorded version-1 size", name)
 		}
-		_, _, err = WriteWorkload(&v2, app.Build(cfg), cfg)
+		var v2 bytes.Buffer
+		refs, _, err := WriteWorkload(&v2, app.Build(cfg), cfg)
 		if err != nil {
-			t.Fatalf("%s: v2: %v", name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		ratio := float64(v2.Len()) / float64(v1Bytes)
 		t.Logf("%-9s refs=%8d v1=%8d B  v2=%8d B  ratio=%.2f (%.2f B/ref)",
@@ -115,7 +161,7 @@ func TestCatalogCompressionRatio(t *testing.T) {
 func TestCutRangeAndCatRecompose(t *testing.T) {
 	h := testHeader()
 	refs := randRefs(h, 2*chunkRecords+333, 5)
-	orig := encodeOpts(t, h, refs)
+	orig := encode(t, h, refs)
 
 	// Cut [0,N) and [N,end), concatenate, and require the recomposition
 	// to decode to the original streams and share its canonical hash.
@@ -160,7 +206,7 @@ func TestCutRangeAndCatRecompose(t *testing.T) {
 func TestCutCPUSubset(t *testing.T) {
 	h := testHeader()
 	refs := randRefs(h, 500, 13)
-	orig := encodeOpts(t, h, refs)
+	orig := encode(t, h, refs)
 
 	var out bytes.Buffer
 	if _, err := Cut(&out, bytes.NewReader(orig), CutSpec{CPUs: []int{3, 1}}); err != nil {
@@ -187,7 +233,7 @@ func TestCutCPUSubset(t *testing.T) {
 
 func TestCutValidation(t *testing.T) {
 	h := testHeader()
-	orig := encodeOpts(t, h, randRefs(h, 20, 1))
+	orig := encode(t, h, randRefs(h, 20, 1))
 	cases := []struct {
 		name string
 		sel  CutSpec
@@ -210,11 +256,11 @@ func TestCutValidation(t *testing.T) {
 
 func TestCatRejectsShapeMismatch(t *testing.T) {
 	h := testHeader()
-	a := encodeOpts(t, h, randRefs(h, 20, 1))
+	a := encode(t, h, randRefs(h, 20, 1))
 
 	h2 := testHeader()
 	h2.Homes[0] = 1 // same counts, different placement
-	b := encodeOpts(t, h2, randRefs(h2, 20, 1))
+	b := encode(t, h2, randRefs(h2, 20, 1))
 
 	var out bytes.Buffer
 	_, err := Cat(&out, []io.Reader{bytes.NewReader(a), bytes.NewReader(b)})
@@ -224,44 +270,44 @@ func TestCatRejectsShapeMismatch(t *testing.T) {
 }
 
 // TestCanonicalHashAcrossEncodings pins the memoization contract: the
-// hash follows the reference streams, not the bytes on disk.
+// hash follows the reference streams, not the bytes on disk. The
+// version-1 and uncompressed fixtures and the Writer's cut of the same
+// slice share one hash.
 func TestCanonicalHashAcrossEncodings(t *testing.T) {
-	h := testHeader()
-	refs := randRefs(h, 800, 17)
-	v1 := encodeOpts(t, h, refs, FormatVersion(VersionV1))
-	v2 := encodeOpts(t, h, refs)
-	v2raw := encodeOpts(t, h, refs, Compression(false))
-	if bytes.Equal(v1, v2) {
-		t.Fatal("test premise broken: v1 and v2 encodings are identical bytes")
-	}
-
-	sum1, h1, err := CanonicalHash(bytes.NewReader(v1))
+	v2 := luSliceV2(t)
+	want, h, err := CanonicalHash(bytes.NewReader(v2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum2, _, err := CanonicalHash(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatal(err)
+	if h.CPUs != 32 || h.Name != "lu" {
+		t.Errorf("CanonicalHash returned a mangled header: %d cpus, name %q", h.CPUs, h.Name)
 	}
-	sum3, _, err := CanonicalHash(bytes.NewReader(v2raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum1 != sum2 || sum1 != sum3 {
-		t.Error("encodings of identical streams hash differently")
-	}
-	if h1.CPUs != h.CPUs || h1.SharedPages != h.SharedPages {
-		t.Error("CanonicalHash returned a mangled header")
+	for name, data := range map[string][]byte{"v1": readFixture(t, v1Fixture), "v2-raw": readFixture(t, rawFixture)} {
+		if bytes.Equal(data, v2) {
+			t.Fatalf("test premise broken: %s is the Writer's bytes", name)
+		}
+		sum, _, err := CanonicalHash(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if sum != want {
+			t.Errorf("%s: canonical hash %x, the Writer's cut %x", name, sum[:8], want[:8])
+		}
 	}
 
 	// Any semantic change must move the hash.
-	mut := randRefs(h, 800, 17)
-	mut[2][400].Write = !mut[2][400].Write
-	sumM, _, err := CanonicalHash(bytes.NewReader(encodeOpts(t, h, mut)))
+	th := testHeader()
+	refs := randRefs(th, 800, 17)
+	sum, _, err := CanonicalHash(bytes.NewReader(encode(t, th, refs)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sumM == sum1 {
+	refs[2][400].Write = !refs[2][400].Write
+	sumM, _, err := CanonicalHash(bytes.NewReader(encode(t, th, refs)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sumM == sum {
 		t.Error("flipping one record's write bit left the canonical hash unchanged")
 	}
 }
@@ -322,8 +368,8 @@ func sliceStreams(refs [][]trace.Ref) []trace.Stream {
 }
 
 // TestCanonicalHashStreams pins the canonical hash over decoded streams
-// to CanonicalHash: equal on every encoding of the same streams, on a
-// cut+cat recomposition, and on streams of unequal length (which fixes
+// to CanonicalHash: equal on the Writer's encoding of the same streams,
+// on a cut+cat recomposition, and on streams of unequal length (which fixes
 // the round-robin tail order), and both equal to the definition written
 // out longhand. Decode's streams hash the same as the matrix they came
 // from.
@@ -343,7 +389,7 @@ func TestCanonicalHashStreams(t *testing.T) {
 		if got, err := CanonicalHashStreams(h, sliceStreams(tc.refs)); err != nil || got != want {
 			t.Errorf("%s: CanonicalHashStreams %x (%v), longhand definition %x", tc.name, got[:8], err, want[:8])
 		}
-		v2 := encodeOpts(t, h, tc.refs)
+		v2 := encode(t, h, tc.refs)
 		var head, tail, joined bytes.Buffer
 		if _, err := Cut(&head, bytes.NewReader(v2), CutSpec{To: 100}); err != nil {
 			t.Fatal(err)
@@ -358,9 +404,7 @@ func TestCanonicalHashStreams(t *testing.T) {
 			name string
 			data []byte
 		}{
-			{"v1", encodeOpts(t, h, tc.refs, FormatVersion(VersionV1))},
 			{"v2", v2},
-			{"v2-raw", encodeOpts(t, h, tc.refs, Compression(false))},
 			{"cut+cat", joined.Bytes()},
 		} {
 			sum, _, err := CanonicalHash(bytes.NewReader(enc.data))

@@ -32,7 +32,7 @@ type Map struct {
 // apply streams src through the pure form pure builds from its header
 // into dst, in the canonical round-robin record order. It returns the
 // record count written.
-func apply(dst io.Writer, src io.Reader, pure func(Header) (Map, error), opts []WriterOption) (int64, error) {
+func apply(dst io.Writer, src io.Reader, pure func(Header) (Map, error)) (int64, error) {
 	d, err := NewReader(src)
 	if err != nil {
 		return 0, err
@@ -41,7 +41,7 @@ func apply(dst io.Writer, src io.Reader, pure func(Header) (Map, error), opts []
 	if err != nil {
 		return 0, err
 	}
-	tw, err := NewWriter(dst, m.Header, opts...)
+	tw, err := NewWriter(dst, m.Header)
 	if err != nil {
 		return 0, err
 	}
@@ -353,8 +353,8 @@ func (s RetargetSpec) resolve(h Header) (nodes, cpus, pages int, policy RemapPol
 // CPU count shrinks, leaving the extra streams empty when it grows.
 // Records keep their order (the canonical round-robin interleaving),
 // flags, offsets, and gaps. Returns the record count written.
-func Retarget(dst io.Writer, src io.Reader, spec RetargetSpec, opts ...WriterOption) (int64, error) {
-	return apply(dst, src, func(h Header) (Map, error) { return RetargetMap(h, spec) }, opts)
+func Retarget(dst io.Writer, src io.Reader, spec RetargetSpec) (int64, error) {
+	return apply(dst, src, func(h Header) (Map, error) { return RetargetMap(h, spec) })
 }
 
 // RetargetMap is Retarget's pure form.
@@ -463,8 +463,8 @@ func ParseRatio(s string) (num, den int64, err error) {
 // Dilate copies src to dst with every gap scaled by the spec's factor;
 // pages, offsets, flags, and stream attribution are untouched. Returns
 // the record count written.
-func Dilate(dst io.Writer, src io.Reader, spec DilateSpec, opts ...WriterOption) (int64, error) {
-	return apply(dst, src, func(h Header) (Map, error) { return DilateMap(h, spec) }, opts)
+func Dilate(dst io.Writer, src io.Reader, spec DilateSpec) (int64, error) {
+	return apply(dst, src, func(h Header) (Map, error) { return DilateMap(h, spec) })
 }
 
 // DilateMap is Dilate's pure form.

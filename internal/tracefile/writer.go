@@ -23,9 +23,6 @@ type Writer struct {
 	h   Header
 	err error
 
-	version  int  // on-disk format version (VersionV1 or VersionV2)
-	compress bool // version 2 only: DEFLATE chunk payloads
-
 	pending    [][]byte // per-CPU encoded records awaiting a chunk flush
 	counts     []int    // records pending per CPU
 	lastPage   []int64  // per-CPU delta-encoding state
@@ -39,55 +36,22 @@ type Writer struct {
 	cbuf bytes.Buffer  // compressed-chunk staging buffer
 }
 
-// WriterOption customizes a Writer's on-disk encoding.
-type WriterOption func(*Writer) error
-
-// FormatVersion selects the on-disk format version: VersionV1 for traces
-// older tools must read, VersionV2 (the default) for compressed chunks.
-func FormatVersion(v int) WriterOption {
-	return func(tw *Writer) error {
-		if v != VersionV1 && v != VersionV2 {
-			return fmt.Errorf("tracefile: unsupported format version %d", v)
-		}
-		tw.version = v
-		return nil
-	}
-}
-
-// Compression toggles per-chunk DEFLATE (version 2 only; on by default).
-// Disabling it keeps the v2 chunk layout but stores every payload raw.
-func Compression(on bool) WriterOption {
-	return func(tw *Writer) error {
-		tw.compress = on
-		return nil
-	}
-}
-
 // NewWriter validates the header, writes it, and returns a writer ready
 // for Append. Close must be called to emit the end marker; the
-// underlying io.Writer is not closed. With no options the writer emits
-// version 2 with compressed chunks.
-func NewWriter(w io.Writer, h Header, opts ...WriterOption) (*Writer, error) {
+// underlying io.Writer is not closed. The writer emits version 2: every
+// chunk carries its page seed, and its payload is DEFLATE-compressed
+// wherever that shrinks it.
+func NewWriter(w io.Writer, h Header) (*Writer, error) {
 	if err := h.Validate(); err != nil {
 		return nil, err
 	}
 	tw := &Writer{
 		w:          bufio.NewWriter(w),
 		h:          h,
-		version:    VersionV2,
-		compress:   true,
 		pending:    make([][]byte, h.CPUs),
 		counts:     make([]int, h.CPUs),
 		lastPage:   make([]int64, h.CPUs),
 		chunkStart: make([]int64, h.CPUs),
-	}
-	for _, o := range opts {
-		if err := o(tw); err != nil {
-			return nil, err
-		}
-	}
-	if tw.version == VersionV1 {
-		tw.compress = false // v1 chunks have no flags byte to carry it
 	}
 	tw.writeHeader()
 	if tw.err != nil {
@@ -99,7 +63,7 @@ func NewWriter(w io.Writer, h Header, opts ...WriterOption) (*Writer, error) {
 func (tw *Writer) writeHeader() {
 	buf := make([]byte, 0, 64+len(tw.h.Name)+2*len(tw.h.Homes))
 	buf = append(buf, magic...)
-	buf = append(buf, byte(tw.version), byte(tw.h.Geometry.BlockShift), byte(tw.h.Geometry.PageShift))
+	buf = append(buf, VersionV2, byte(tw.h.Geometry.BlockShift), byte(tw.h.Geometry.PageShift))
 	buf = binary.AppendUvarint(buf, uint64(tw.h.CPUs))
 	buf = binary.AppendUvarint(buf, uint64(tw.h.Nodes))
 	buf = binary.AppendUvarint(buf, uint64(tw.h.SharedPages))
@@ -228,27 +192,18 @@ func (tw *Writer) flushChunk(cpu int) {
 	hdr := make([]byte, 0, 24)
 	hdr = binary.AppendUvarint(hdr, uint64(cpu))
 	hdr = binary.AppendUvarint(hdr, uint64(tw.counts[cpu]))
-	switch tw.version {
-	case VersionV1:
-		hdr = binary.AppendUvarint(hdr, uint64(len(raw)))
-		tw.write(hdr)
-		tw.write(raw)
-	default: // VersionV2
-		payload, flags := raw, byte(chunkSeed)
-		if tw.compress {
-			if packed, ok := tw.deflate(raw); ok {
-				payload, flags = packed, flags|chunkDeflate
-			}
-		}
-		hdr = append(hdr, flags)
-		if flags&chunkDeflate != 0 {
-			hdr = binary.AppendUvarint(hdr, uint64(len(raw)))
-		}
-		hdr = binary.AppendVarint(hdr, tw.chunkStart[cpu])
-		hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
-		tw.write(hdr)
-		tw.write(payload)
+	payload, flags := raw, byte(chunkSeed)
+	if packed, ok := tw.deflate(raw); ok {
+		payload, flags = packed, flags|chunkDeflate
 	}
+	hdr = append(hdr, flags)
+	if flags&chunkDeflate != 0 {
+		hdr = binary.AppendUvarint(hdr, uint64(len(raw)))
+	}
+	hdr = binary.AppendVarint(hdr, tw.chunkStart[cpu])
+	hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
+	tw.write(hdr)
+	tw.write(payload)
 	tw.pending[cpu] = tw.pending[cpu][:0]
 	tw.counts[cpu] = 0
 }
@@ -330,8 +285,8 @@ func WorkloadHeader(wl *workloads.Workload, cfg workloads.Config) Header {
 // WriteWorkload records a workload's full reference streams to w,
 // draining them round-robin so chunks interleave the way replay consumes
 // them. It returns the record count and encoded byte size.
-func WriteWorkload(w io.Writer, wl *workloads.Workload, cfg workloads.Config, opts ...WriterOption) (refs, bytes int64, err error) {
-	tw, err := NewWriter(w, WorkloadHeader(wl, cfg), opts...)
+func WriteWorkload(w io.Writer, wl *workloads.Workload, cfg workloads.Config) (refs, bytes int64, err error) {
+	tw, err := NewWriter(w, WorkloadHeader(wl, cfg))
 	if err != nil {
 		return 0, 0, err
 	}

@@ -35,7 +35,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 )
 
 // DefaultMeanGap is the mean inter-arrival compute time (cycles) of a
@@ -160,19 +159,6 @@ func Parse(data []byte) (*Spec, error) {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// Load reads and parses a traffic spec file.
-func Load(path string) (*Spec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("traffic: %w", err)
-	}
-	s, err := Parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }
 
 // finitePos reports whether v is a finite value > 0.

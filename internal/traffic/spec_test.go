@@ -1,8 +1,6 @@
 package traffic
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -131,30 +129,4 @@ func TestSamplerPanicsOnUnvalidatedProcess(t *testing.T) {
 		}
 	}()
 	sampler(Arrival{Process: "pareto"})
-}
-
-func TestLoad(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.json")
-	doc := `{"name": "x", "clients": [{"name": "a", "rate_fraction": 1, "arrival": {"process": "poisson"}, "phases": [{"spec": "s.json"}]}]}`
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Load(path)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if s.Name != "x" {
-		t.Errorf("loaded name %q, want x", s.Name)
-	}
-	if _, err := Load(filepath.Join(dir, "absent.json")); err == nil {
-		t.Error("Load accepted a missing file")
-	}
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(bad); err == nil || !strings.Contains(err.Error(), bad) {
-		t.Errorf("Load on invalid content = %v, want an error naming %s", err, bad)
-	}
 }

@@ -58,7 +58,7 @@ func TestAllAppsGenerate(t *testing.T) {
 			}
 			total := 0
 			for _, s := range w.Streams {
-				n := trace.Count(s)
+				n := count(s)
 				if n == 0 {
 					t.Error("a CPU has an empty stream")
 				}
@@ -158,6 +158,15 @@ func TestBarrierCountsUniform(t *testing.T) {
 	}
 }
 
+// count drains a stream and returns its length.
+func count(s trace.Stream) int {
+	n := 0
+	for b := s.NextBatch(1024); len(b) > 0; b = s.NextBatch(1024) {
+		n += len(b)
+	}
+	return n
+}
+
 // TestScaleChangesItersNotFootprint: scaling shrinks reference counts but
 // not the shared segment (footprints drive cache fit).
 func TestScaleChangesItersNotFootprint(t *testing.T) {
@@ -169,10 +178,10 @@ func TestScaleChangesItersNotFootprint(t *testing.T) {
 	}
 	ns, nb := 0, 0
 	for _, s := range small.Streams {
-		ns += trace.Count(s)
+		ns += count(s)
 	}
 	for _, s := range big.Streams {
-		nb += trace.Count(s)
+		nb += count(s)
 	}
 	if ns >= nb {
 		t.Errorf("scale did not shrink refs: %d vs %d", ns, nb)
