@@ -43,8 +43,9 @@
 // transforms stream, so they compose with cut/cat piping.
 //
 // record captures a built-in application's reference streams; gen does
-// the same for a declarative JSON workload spec (see internal/spec), or —
-// with -traffic — for a multi-tenant traffic scenario (see
+// the same for a declarative JSON workload spec (see internal/workloads;
+// a catalog application's spec is internal/workloads/catalog/<app>.json),
+// or — with -traffic — for a multi-tenant traffic scenario (see
 // internal/traffic), whose clients' streams it interleaves by arrival
 // time into one ordinary trace. gen reads its file ("-" = stdin) and
 // builds it through the harness's one loader, as replay does. Both write

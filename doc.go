@@ -17,12 +17,10 @@
 //     detection
 //   - internal/cache, internal/blockcache, internal/pagecache — the
 //     storage hierarchy
-//   - internal/workloads — synthetic versions of the paper's ten
-//     applications (Table 3), built on exported access-pattern primitives
-//   - internal/spec — declarative JSON workload descriptions composed
-//     from the same primitives (new scenarios without code changes),
-//     including per-phase node subsets and zipf/explicit page-popularity
-//     distributions
+//   - internal/workloads — declarative JSON workload specs (new
+//     scenarios without code changes, including per-phase node subsets
+//     and zipf/explicit page-popularity distributions) and the paper's
+//     ten applications (Table 3) as ten embedded specs
 //   - internal/traffic — open-loop multi-tenant traffic scenarios
 //     layered on specs: named clients with rate fractions, deterministic
 //     arrival processes (poisson/gamma/weibull), time-varying load

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"rnuma/internal/config"
-	"rnuma/internal/spec"
 	"rnuma/internal/trace"
 	"rnuma/internal/tracefile"
 	"rnuma/internal/traffic"
@@ -65,7 +64,7 @@ func Inspect(kind string, data []byte) (Input, error) {
 		in.Header = d.Header()
 		in.Name = in.Header.Name
 	case KindSpec:
-		s, err := spec.Parse(data)
+		s, err := workloads.Parse(data)
 		if err != nil {
 			return in, fmt.Errorf("harness: bad spec: %w", err)
 		}
@@ -137,7 +136,7 @@ func (h *Harness) Load(kind string, data []byte, name, baseDir string, sys confi
 		v.name = cmp.Or(name, v.hdr.Name)
 		src = v
 	case KindSpec:
-		s, err := spec.Parse(data)
+		s, err := workloads.Parse(data)
 		if err != nil {
 			return nil, err
 		}
@@ -195,7 +194,7 @@ func ScenarioOf(src Source) *traffic.Scenario {
 
 // specSource builds workloads from a parsed declarative spec.
 type specSource struct {
-	s         *spec.Spec
+	s         *workloads.Spec
 	name, key string
 }
 

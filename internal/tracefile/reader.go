@@ -577,8 +577,6 @@ func (d *Reader) Decode(limit int64) (w *workloads.Workload, n int64, err error)
 // describe fills in a trace workload's header-derived fields.
 func (h Header) describe(w *workloads.Workload) *workloads.Workload {
 	w.Name = h.Name
-	w.Description = fmt.Sprintf("recorded trace (%d cpus, %d pages)", h.CPUs, h.SharedPages)
-	w.PaperInput = "(recorded trace)"
 	w.Homes = h.HomeFunc()
 	w.SharedPages = h.SharedPages
 	return w

@@ -175,7 +175,7 @@ type explicitPolicy struct {
 
 // MapFilePolicy parses an explicit remap document (JSON with optional
 // "pages" and "homes" arrays; see the package docs for the semantics).
-// Unknown fields are rejected, like internal/spec's parser — a typoed
+// Unknown fields are rejected, like the workload spec parser — a typoed
 // "homes" key must not silently fall back to round-robin placement.
 func MapFilePolicy(data []byte) (RemapPolicy, error) {
 	var m mapFile

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 
 	"rnuma/internal/addr"
-	"rnuma/internal/spec"
 	"rnuma/internal/trace"
 	"rnuma/internal/tracefile"
 	"rnuma/internal/workloads"
@@ -21,8 +20,7 @@ import (
 // workload — the machine replays it unchanged — plus the attribution that
 // lets stats and telemetry break results out per tenant.
 type Scenario struct {
-	Name        string
-	Description string
+	Name string
 	// Clients names the tenants in spec order (the attribution and all
 	// per-client stats index this).
 	Clients []string
@@ -70,14 +68,7 @@ func Compile(s *Spec, cfg workloads.Config, baseDir string) (*Scenario, error) {
 	if meanGap == 0 {
 		meanGap = DefaultMeanGap
 	}
-	sc := &Scenario{
-		Name:        s.Name,
-		Description: s.Description,
-		Cfg:         cfg,
-	}
-	if sc.Description == "" {
-		sc.Description = fmt.Sprintf("traffic scenario (%d clients)", len(s.Clients))
-	}
+	sc := &Scenario{Name: s.Name, Cfg: cfg}
 	for _, c := range s.Clients {
 		sc.Clients = append(sc.Clients, c.Name)
 		cl, err := compileClient(c, s.Seed, meanGap, cfg, baseDir)
@@ -224,7 +215,7 @@ func buildPhase(ph PhaseRef, cfg workloads.Config, baseDir string) (*workloads.W
 		return nil, err
 	}
 	if ph.Spec != "" {
-		ws, err := spec.Parse(data)
+		ws, err := workloads.Parse(data)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
@@ -360,10 +351,8 @@ func (sc *Scenario) Workload() *workloads.Workload {
 	homes := sc.Homes
 	nodes := addr.NodeID(sc.Cfg.Nodes)
 	return &workloads.Workload{
-		Name:        sc.Name,
-		Description: sc.Description,
-		PaperInput:  "(traffic scenario)",
-		Streams:     streams,
+		Name:    sc.Name,
+		Streams: streams,
 		Homes: func(p addr.PageNum) addr.NodeID {
 			if int(p) < len(homes) {
 				return homes[p]

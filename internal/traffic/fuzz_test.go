@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzTrafficSpec asserts the traffic-spec parser's contract on untrusted
-// input (mirroring internal/spec's FuzzSpec): malformed documents must
+// input (mirroring internal/workloads' FuzzSpec): malformed documents must
 // surface as errors — never panics — and anything Parse accepts must be
 // internally consistent: it validates, re-marshals, and re-parses to an
 // equally valid spec. Parse never touches the filesystem, so phase paths

@@ -5,7 +5,7 @@
 // per-client reference streams by arrival time into one ordinary workload
 // the existing machine replays unchanged.
 //
-// Where internal/spec describes what one application does, a traffic spec
+// Where a workload spec describes what one application does, a traffic spec
 // describes who is on the machine: the aggregate load of multiple tenants
 // sharing a DSM system, the regime the paper's Section 5 competitive
 // analysis frames per-app protocol behavior against. Arrival sequences are

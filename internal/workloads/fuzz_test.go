@@ -1,7 +1,8 @@
-package spec
+package workloads
 
 import (
 	"encoding/json"
+	"io/fs"
 	"testing"
 )
 
@@ -56,6 +57,19 @@ func FuzzSpec(f *testing.F) {
 	f.Add([]byte(`{"name": "x", "regions": [], "phases": []}`))
 	f.Add([]byte(`{"name":`))
 	f.Add([]byte(`[1, 2, 3]`))
+	// Every catalog spec, so the fuzzer starts from each field the
+	// catalog uses.
+	paths, err := fs.Glob(catalogFiles, "catalog/*.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, p := range paths {
+		data, err := catalogFiles.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Parse(data)

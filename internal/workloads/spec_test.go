@@ -1,4 +1,4 @@
-package spec
+package workloads
 
 import (
 	"fmt"
@@ -9,7 +9,6 @@ import (
 
 	"rnuma/internal/addr"
 	"rnuma/internal/trace"
-	"rnuma/internal/workloads"
 )
 
 const minimal = `{
@@ -32,13 +31,13 @@ const minimal = `{
   ]
 }`
 
-func testCfg() workloads.Config {
-	cfg := workloads.DefaultConfig()
+func testCfg() Config {
+	cfg := DefaultConfig()
 	cfg.Nodes, cfg.CPUsPerNode, cfg.Scale = 4, 2, 0.1
 	return cfg
 }
 
-func drain(w *workloads.Workload) [][]trace.Ref {
+func drain(w *Workload) [][]trace.Ref {
 	out := make([][]trace.Ref, len(w.Streams))
 	for i, s := range w.Streams {
 		for {
@@ -214,6 +213,29 @@ func TestValidateErrors(t *testing.T) {
 		{"repeats on scatter", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"scatter","region":"a","repeats":2}]}]}`, "not used"},
 		{"region on compute", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"compute","refs":5,"region":"a"}]}]}`, "not used"},
 		{"gap on barrier", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"barrier","gap":5}]}]}`, "not used"},
+		{"compute gap overflow", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"compute","refs":3,"gap":70000}]}]}`, "overflows"},
+		{"compute negative gap", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"compute","refs":3,"gap":-1}]}]}`, "negative field"},
+		{"pagesByNode on global", `{"name":"x","regions":[{"name":"g","pages":1,"pagesByNode":[2],"placement":"global"}],"phases":[{"steps":[{"op":"barrier"}]}]}`, "needs node placement"},
+		{"pagesByNode zero", `{"name":"x","regions":[{"name":"a","pages":1,"pagesByNode":[2,0],"placement":"node"}],"phases":[{"steps":[{"op":"barrier"}]}]}`, "at least 1 page"},
+		{"minIters unscaled", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"iters":2,"minIters":3,"steps":[{"op":"barrier"}]}]}`, "minIters needs scaled"},
+		{"negative minIters", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"scaled":true,"minIters":-1,"steps":[{"op":"barrier"}]}]}`, "negative iters"},
+		{"selection without select", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"sweep","region":"a","from":"selection"}]}]}`, "earlier select"},
+		{"selection of another region", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"},{"name":"b","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"select","region":"b"},{"op":"sweep","region":"a","from":"selection"}]}]}`, "earlier select"},
+		{"bad joined from", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"sweep","region":"a","from":"neighbor:1+sideways"}]}]}`, "bad from"},
+		{"range three bounds", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"sweep","region":"a","range":[1,2,3]}]}]}`, "range needs"},
+		{"range empty", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"sweep","region":"a","range":[]}]}]}`, "range needs"},
+		{"stagger without range", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"sweep","region":"a","stagger":2}]}]}`, "stagger needs a range"},
+		{"percent over 100", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"rewrite","region":"a","percent":101}]}]}`, "exceeds 100"},
+		{"negative percent", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"rewrite","region":"a","percent":-5}]}]}`, "negative field"},
+		{"negative stagger", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"sweep","region":"a","range":[0,1],"stagger":-1}]}]}`, "negative field"},
+		{"negative shift", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"windowed","region":"a","window":2,"shift":-16}]}]}`, "negative field"},
+		{"negative sweeps", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"windowed","region":"a","window":2,"sweeps":-1}]}]}`, "negative field"},
+		{"shift on sweep", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"sweep","region":"a","shift":16}]}]}`, "not used"},
+		{"each on select", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"select","region":"a","each":true}]}]}`, "not used"},
+		{"density on select", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"select","region":"a","density":4}]}]}`, "not used"},
+		{"range on compute", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"compute","refs":5,"range":[1]}]}]}`, "not used"},
+		{"percent on compute", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"compute","refs":5,"percent":50}]}]}`, "not used"},
+		{"stagger on barrier", `{"name":"x","regions":[{"name":"a","pages":1,"placement":"node"}],"phases":[{"steps":[{"op":"barrier","stagger":1}]}]}`, "not used"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -344,14 +366,19 @@ func TestPopularDistributions(t *testing.T) {
 	}
 }
 
-// TestExampleSpecs keeps the checked-in example files building against
-// the default machine shape.
+// TestExampleSpecs keeps the checked-in example files and the catalog's
+// specs parsing and building against the default machine shape. A
+// catalog spec is named after its file, which is how scripts find it.
 func TestExampleSpecs(t *testing.T) {
-	paths, err := filepath.Glob("../../examples/specs/*.json")
-	if err != nil || len(paths) == 0 {
+	examples, err := filepath.Glob("../../examples/specs/*.json")
+	if err != nil || len(examples) == 0 {
 		t.Fatalf("no example specs found: %v", err)
 	}
-	for _, p := range paths {
+	apps, err := filepath.Glob("catalog/*.json")
+	if err != nil || len(apps) != len(Names()) {
+		t.Fatalf("catalog has %d spec files, want %d: %v", len(apps), len(Names()), err)
+	}
+	for _, p := range append(examples, apps...) {
 		t.Run(filepath.Base(p), func(t *testing.T) {
 			data, err := os.ReadFile(p)
 			if err != nil {
@@ -361,7 +388,10 @@ func TestExampleSpecs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Parse: %v", err)
 			}
-			cfg := workloads.DefaultConfig()
+			if filepath.Dir(p) == "catalog" && s.Name+".json" != filepath.Base(p) {
+				t.Errorf("catalog file %s holds spec %q", p, s.Name)
+			}
+			cfg := DefaultConfig()
 			cfg.Scale = 0.05
 			w, err := s.Build(cfg)
 			if err != nil {
@@ -438,6 +468,9 @@ func TestNeighborWraparound(t *testing.T) {
 	}
 	if !same(build("neighbor:8"), build("own")) {
 		t.Error("neighbor:8 on 4 nodes should equal own (two full loops)")
+	}
+	if !same(build("neighbor:-1"), build("neighbor:3")) {
+		t.Error("neighbor:-1 on 4 nodes should equal neighbor:3 (the other way round)")
 	}
 	if same(build("neighbor:1"), build("own")) {
 		t.Error("neighbor:1 should differ from own (sanity)")
