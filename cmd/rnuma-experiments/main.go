@@ -320,7 +320,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		die(err)
 		src, err := h.Load(harness.KindTraffic, data, "", filepath.Dir(*trafficSpec), base)
 		die(err)
-		sc := harness.ScenarioOf(src)
+		w, err := src.Load(workloads.Config{Nodes: base.Nodes, CPUsPerNode: base.CPUsPerNode, Geometry: base.Geometry, Scale: *scale, Seed: *seed})
+		die(err)
+		attr := w.Attribution
 		systems := []config.System{
 			config.Base(config.CCNUMA), config.Base(config.SCOMA), config.Base(config.RNUMA),
 		}
@@ -329,7 +331,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		ideal, err := h.Ideal(src.Name())
 		die(err)
 		fmt.Fprintf(stdout, "TRAFFIC — scenario %s: %d tenants (%s), %d refs, %d pages\n\n",
-			sc.Name, len(sc.Clients), strings.Join(sc.Clients, ", "), sc.Records(), sc.SharedPages)
+			w.Name, len(attr.Clients), strings.Join(attr.Clients, ", "), attr.Records(), w.SharedPages)
 		fmt.Fprintf(stdout, "%-28s %10s %10s %10s %10s\n", "system", "norm-exec", "remote", "refetch", "reloc")
 		fmt.Fprintln(stdout, strings.Repeat("-", 72))
 		runs := make([]*stats.Run, len(systems))

@@ -389,8 +389,8 @@ func (c cli) cmdGen(args []string) error {
 	if err != nil {
 		return err
 	}
-	if sc := harness.ScenarioOf(src); sc != nil {
-		fmt.Fprintf(c.stderr, "traffic %s: %d clients (%s)\n", sc.Name, len(sc.Clients), strings.Join(sc.Clients, ", "))
+	if a := w.Attribution; a != nil {
+		fmt.Fprintf(c.stderr, "traffic %s: %d clients (%s)\n", w.Name, len(a.Clients), strings.Join(a.Clients, ", "))
 	}
 	return c.capture(w, cfg, *out)
 }

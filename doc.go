@@ -24,8 +24,10 @@
 //   - internal/traffic — open-loop multi-tenant traffic scenarios
 //     layered on specs: named clients with rate fractions, deterministic
 //     arrival processes (poisson/gamma/weibull), time-varying load
-//     shapes, and an arrival-time merge into one replayable stream set
-//     with per-record client attribution (per-tenant stats/telemetry)
+//     shapes, and an arrival-time merge into one replayable workload
+//     with per-record client attribution (per-tenant stats/telemetry);
+//     Compile returns that workload and the digest of the phase files it
+//     read, which PhaseDigest computes without compiling
 //   - internal/tracefile — the binary trace capture/replay format
 //     (a streaming writer of one encoding, v2 with seeded chunks DEFLATEd
 //     where that shrinks them; a lazy demuxing reader of v1 and v2 whose
@@ -80,13 +82,16 @@
 //     one-axis sweeps, and
 //     FindKnee locates where on a grid line the R-NUMA-over-best ratio
 //     first exceeds a bound; a bounded, in-memory trace memo maps each
-//     input's SHA-256 plus the transforms applied to it to the content
-//     key, so resubmitted sweeps, grids and replays learn every store key
-//     without decoding; a job decodes only its capture, at most once (up
-//     to a per-harness cap; past it the capture streams), and reads each
-//     sweep or grid variant from that decode through the transforms'
-//     Maps (X before Y), never encoding or decoding a variant; keys,
-//     simulations, fork trunks and forks all read it through fresh cursors
+//     input's SHA-256 plus the transforms applied to it (a traffic
+//     scenario's plus its phase files' digest and the machine it compiles
+//     for) to the content key, so resubmitted sweeps, grids and replays
+//     learn every store key without decoding or compiling; a job decodes
+//     only its capture, at most once (up to a per-harness cap; past it
+//     the capture streams), and reads each sweep or grid variant from
+//     that decode through the transforms' Maps (X before Y), never
+//     encoding or decoding a variant; a scenario is a capture whose one
+//     decode is its compile; keys, simulations, fork trunks and forks
+//     all read it through fresh cursors
 //   - internal/serve — the long-running experiment service behind
 //     cmd/rnuma-serve: content-addressed artifact uploads (traces,
 //     specs, traffic scenarios), replay/sweep/grid/diffstats/
@@ -94,11 +99,12 @@
 //     reports; uploads are checked by harness.Inspect and jobs load
 //     them through Harness.Load; requests resolve at submission, so
 //     unknown systems, figures or applications, malformed axis/value
-//     lists, points the trace rejects and traces whose nodes do not
-//     divide their CPUs answer 422 naming the offending value; every
-//     job runs on its own harness over the server's one shared result
-//     store, so repeated and concurrent submissions re-simulate nothing,
-//     and through the harness's trace memo a warm resubmission decodes
+//     lists, points the trace rejects, traces whose nodes do not
+//     divide their CPUs and scenarios whose phase files cannot be read
+//     answer 422 naming the offending value; every job runs on its own
+//     harness over the server's one shared result store, so repeated and
+//     concurrent submissions re-simulate nothing, and through the
+//     harness's trace memo a warm resubmission decodes and compiles
 //     nothing; Execute, the job executor, also runs rnuma-experiments'
 //     figures, sweeps and grids and rnuma-trace replay, so served and
 //     offline reports agree byte for byte

@@ -222,16 +222,16 @@ func TestDecodeTraceCap(t *testing.T) {
 	if !reflect.DeepEqual(tr.hdr, full.hdr) {
 		t.Error("a streamed trace's header differs from the decoded one's")
 	}
-	k1, err := full.key()
+	s1, err := full.hash()
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2, err := tr.key()
+	s2, err := tr.hash()
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := fullKey(t, data)
-	if k1 != want || k2 != want {
+	if k1, k2 := traceKey(s1, full.hdr.Name), traceKey(s2, tr.hdr.Name); k1 != want || k2 != want {
 		t.Errorf("content keys: decoded %s, streamed %s, full decode %s", k1, k2, want)
 	}
 	sys := config.Base(config.RNUMA)

@@ -169,6 +169,15 @@ func (h *Harness) runJob(j Job) (*stats.Run, error) {
 func (h *Harness) runShared(j Job, b *builds) (run *stats.Run, simulated bool, err error) {
 	key := h.KeyFor(j)
 	st := h.store()
+	// A scenario's phase files may change after its load, so its compile
+	// is checked against the key before the claim: a mismatch is not filed.
+	if v, ok := h.source(j.App).(*variant); ok && v.sc != nil {
+		if _, done, _ := st.Get(key); !done {
+			if _, err := v.trace(); err != nil {
+				return nil, false, err
+			}
+		}
+	}
 	run, owner, err := st.StartOrWait(key)
 	if !owner {
 		return run, false, err

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -12,7 +14,9 @@ import (
 	"time"
 
 	"rnuma/internal/config"
+	"rnuma/internal/stats"
 	"rnuma/internal/tracefile"
+	"rnuma/internal/traffic"
 	"rnuma/internal/workloads"
 )
 
@@ -156,6 +160,152 @@ func TestMemoWarmStoreCold(t *testing.T) {
 	// and hashed exactly once, against its key.
 	if tr1 == tr0 || hs1-hs0 != tr1-tr0 {
 		t.Errorf("lazy variants: %d mapped, %d canonical hashes; want equal and > 0", tr1-tr0, hs1-hs0)
+	}
+}
+
+// trafficRuns loads the scenario at path into h and runs it under R-NUMA
+// and the ideal machine.
+func trafficRuns(t *testing.T, h *Harness, path string) ([]*stats.Run, error) {
+	t.Helper()
+	src := compileScenario(t, h, path)
+	var runs []*stats.Run
+	for _, sys := range []config.System{config.Base(config.RNUMA), config.Ideal()} {
+		run, err := h.Run(src.Name(), sys)
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, run)
+	}
+	return runs, nil
+}
+
+// allocated reports the heap bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestWarmTrafficReplayDoesNoTraceWork: a second harness on a warm store
+// loads a traffic scenario and runs it without compiling, hashing or
+// simulating, and returns the first harness's runs. A compile is counted
+// as a decode, and is also bounded by what it allocates, which no count
+// can skip.
+func TestWarmTrafficReplayDoesNoTraceWork(t *testing.T) {
+	isolateMemo(t)
+	path := writeTrafficScenario(t)
+	store := NewMemoryStore()
+	cold := New(0.05)
+	cold.Store = store
+	want, err := trafficRuns(t, cold, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	warm := New(0.05)
+	warm.Store = store
+	tr0, hs0 := traceWorkNow()
+	d0 := decodesNow()
+	var got []*stats.Run
+	warmBytes := allocated(func() { got, err = trafficRuns(t, warm, path) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr, hs := traceWorkNow(); tr != tr0 || hs != hs0 {
+		t.Errorf("warm replay mapped %d variants and ran %d canonical hashes, want 0 and 0", tr-tr0, hs-hs0)
+	}
+	if d := decodesNow() - d0; d != 0 {
+		t.Errorf("warm replay compiled %d times, want 0", d)
+	}
+	if n := warm.Simulations(); n != 0 {
+		t.Errorf("warm replay ran %d simulations", n)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("warm runs differ from the cold harness's")
+	}
+	s, err := traffic.Parse([]byte(testTrafficScenario))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compileBytes := allocated(func() {
+		_, _, err = traffic.Compile(s, cold.workloadConfig(config.Base(config.RNUMA)), filepath.Dir(path))
+	})
+	if err != nil || 2*warmBytes > compileBytes {
+		t.Errorf("the warm replay allocated %d bytes, one compile %d (%v): it compiled", warmBytes, compileBytes, err)
+	}
+}
+
+// TestTrafficMemoWarmStoreCold: with the memo warm but the store empty, a
+// harness loads the scenario without compiling, then compiles it once,
+// lazily, for its first simulation, checks the hash against the memoized
+// key, and returns the cold runs.
+func TestTrafficMemoWarmStoreCold(t *testing.T) {
+	isolateMemo(t)
+	path := writeTrafficScenario(t)
+	want, err := trafficRuns(t, New(0.05), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := New(0.05)
+	_, hs0 := traceWorkNow()
+	d0 := decodesNow()
+	compileScenario(t, again, path)
+	if _, hs := traceWorkNow(); hs != hs0 || decodesNow() != d0 {
+		t.Errorf("a memo-hit load compiled %d times and hashed %d, want 0 and 0", decodesNow()-d0, hs-hs0)
+	}
+	got, err := trafficRuns(t, again, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, hs := traceWorkNow(); hs-hs0 != 1 || decodesNow()-d0 != 1 {
+		t.Errorf("memo-warm, store-cold runs compiled %d times and hashed %d, want 1 and 1", decodesNow()-d0, hs-hs0)
+	}
+	if n := again.Simulations(); n != 2 {
+		t.Errorf("memo-warm, store-cold runs simulated %d configurations, want 2", n)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("memo-warm, store-cold runs differ from the cold runs")
+	}
+}
+
+// TestTrafficPhaseContentIsIdentity: a scenario's phase files are part
+// of its derivation. A rewritten phase file misses the memo and keys the
+// new streams; one rewritten after a memo-hit load but before the first
+// simulation fails that run naming the scenario, with nothing stored
+// under the key the load memoized.
+func TestTrafficPhaseContentIsIdentity(t *testing.T) {
+	isolateMemo(t)
+	path := writeTrafficScenario(t)
+	phase := filepath.Join(filepath.Dir(path), "w.json")
+	rewrite := func(spec string) {
+		t.Helper()
+		if err := os.WriteFile(phase, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := compileScenario(t, New(0.05), path)
+	denser := strings.Replace(testSpec, `"density": 16`, `"density": 8`, 1)
+	rewrite(denser)
+	d0 := decodesNow()
+	second := compileScenario(t, New(0.05), path)
+	if decodesNow()-d0 != 1 || second.Key() == first.Key() {
+		t.Errorf("rewritten phase file: %d compiles, key %s (was %s); want 1 and a new key", decodesNow()-d0, second.Key(), first.Key())
+	}
+
+	rewrite(testSpec)
+	h := New(0.05)
+	if src := compileScenario(t, h, path); src.Key() != first.Key() {
+		t.Fatalf("restored phase file keyed %s, want %s", src.Key(), first.Key())
+	}
+	rewrite(denser)
+	_, err := h.Run("mix-test", config.Base(config.RNUMA))
+	if err == nil || !strings.Contains(err.Error(), "mix-test") || !strings.Contains(err.Error(), "memoized as "+first.Key()) {
+		t.Errorf("a phase file rewritten after a memo-hit load: %v, want a key mismatch naming mix-test", err)
+	}
+	if _, stored, _ := h.Store.Get(h.KeyFor(NewJob("mix-test", config.Base(config.RNUMA)))); stored {
+		t.Error("the failed run was stored under the memoized key")
 	}
 }
 

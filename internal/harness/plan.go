@@ -220,8 +220,9 @@ func byApp(jobs []Job) []Job {
 // first simulation of an (application, config) group builds the
 // workload; every simulation of the group replays the same reference
 // slices through fresh cursors; the group's last job drops the build.
-// Registered sources are never shared: they keep precedence over the
-// catalog, and trace sources hand out consume-once streams.
+// Registered sources stay out: their names shadow the catalog's, and a
+// capture or scenario already shares its one decode or compile with
+// every simulation, for as long as its harness holds it.
 type builds struct {
 	h      *Harness
 	mu     sync.Mutex

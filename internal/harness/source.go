@@ -28,8 +28,10 @@ type Source interface {
 	// inputs with the same name but different bytes must not share
 	// simulations, and re-registering identical content is a no-op.
 	Key() string
-	// Load builds the workload for one simulation. It is called once per
-	// memoized job, so sources may hand out consume-once streams.
+	// Load returns the workload for one simulation, its streams at
+	// record 0. It is called once per simulation: a spec builds afresh,
+	// and a capture or scenario hands out fresh cursors over its one
+	// decode or compile.
 	Load(cfg workloads.Config) (*workloads.Workload, error)
 }
 
@@ -44,6 +46,7 @@ const (
 type Input struct {
 	Kind, Name string           // Name is the embedded workload or scenario name
 	Header     tracefile.Header // a trace's recorded header; zero otherwise
+	Clients    int              // a scenario's client count; 0 otherwise
 }
 
 // Inspect checks data as one input of the given kind, reading only what
@@ -74,7 +77,7 @@ func Inspect(kind string, data []byte) (Input, error) {
 		if err != nil {
 			return in, fmt.Errorf("harness: bad traffic scenario: %w", err)
 		}
-		in.Name = s.Name
+		in.Name, in.Clients = s.Name, len(s.Clients)
 	default:
 		return in, fmt.Errorf("harness: unknown input kind %q (want trace, spec, or traffic)", kind)
 	}
@@ -115,13 +118,16 @@ func sniffKind(data []byte) string {
 // keyed in this process reuse their key from the trace memo, and the
 // trace is decoded at most once, charged to h's decode budget (past the
 // budget it streams from data). A spec is keyed by its bytes' hash. A
-// traffic scenario is compiled once, for sys's machine shape at h's
+// traffic scenario is a capture compiled for sys's machine shape at h's
 // scale and seed, with relative phase paths resolved against baseDir
-// ("" means the working directory); it is keyed by its compiled
+// ("" means the working directory): it is keyed by its compiled
 // streams' canonical hash plus its bytes' hash, since the attribution
-// split shapes per-client results. Specs and traces ignore sys.
-// Re-loading content already registered under the name returns the
-// registered source; different content under it is an error.
+// split shapes per-client results. Every load digests its phase files;
+// content already keyed in this process compiles only when a simulation
+// reads it, and other content compiles now, once for all simulations.
+// Specs and traces ignore sys. Re-loading content already registered
+// under the name returns the registered source; different content under
+// it is an error.
 func (h *Harness) Load(kind string, data []byte, name, baseDir string, sys config.System) (Source, error) {
 	if kind == "" {
 		kind = sniffKind(data)
@@ -143,11 +149,12 @@ func (h *Harness) Load(kind string, data []byte, name, baseDir string, sys confi
 		sum := sha256.Sum256(data)
 		src = &specSource{s: s, name: cmp.Or(name, s.Name), key: fmt.Sprintf("spec:%s:%x", s.Name, sum[:8])}
 	case KindTraffic:
-		t, err := compileTraffic(data, name, baseDir, h.workloadConfig(sys))
+		v, err := openScenario(data, baseDir, h.workloadConfig(sys))
 		if err != nil {
 			return nil, err
 		}
-		src = t
+		v.name = cmp.Or(name, v.hdr.Name)
+		src = v
 	default:
 		return nil, fmt.Errorf("harness: unknown input kind %q (want trace, spec, or traffic)", kind)
 	}
@@ -183,15 +190,6 @@ func (h *Harness) source(name string) Source {
 	return h.sources[name]
 }
 
-// ScenarioOf returns a traffic source's compiled scenario, or nil for
-// any other source.
-func ScenarioOf(src Source) *traffic.Scenario {
-	if t, ok := src.(*trafficSource); ok {
-		return t.sc
-	}
-	return nil
-}
-
 // specSource builds workloads from a parsed declarative spec.
 type specSource struct {
 	s         *workloads.Spec
@@ -204,62 +202,27 @@ func (s *specSource) Load(cfg workloads.Config) (*workloads.Workload, error) {
 	return s.s.Build(cfg)
 }
 
-// trafficSource serves a compiled multi-tenant traffic scenario, handing
-// out fresh streams per Load.
-type trafficSource struct {
-	sc        *traffic.Scenario
-	name, key string
-}
-
-// compileTraffic compiles a traffic scenario's bytes for cfg and keys
-// the result, named name ("" keeps the scenario's own).
-func compileTraffic(data []byte, name, baseDir string, cfg workloads.Config) (*trafficSource, error) {
-	s, err := traffic.Parse(data)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := traffic.Compile(s, cfg, baseDir)
-	if err != nil {
-		return nil, err
-	}
-	wl := sc.Workload()
-	sum, err := tracefile.CanonicalHashStreams(tracefile.WorkloadHeader(wl, sc.Cfg), wl.Streams)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	specSum := sha256.Sum256(data)
-	return &trafficSource{sc: sc, name: cmp.Or(name, sc.Name), key: fmt.Sprintf("traffic:%s:%x:%x", sc.Name, sum[:8], specSum[:8])}, nil
-}
-
-func (t *trafficSource) Name() string { return t.name }
-func (t *trafficSource) Key() string  { return t.key }
-
-func (t *trafficSource) Load(cfg workloads.Config) (*workloads.Workload, error) {
-	want := t.sc.Cfg
-	if cfg.Geometry != want.Geometry || cfg.Nodes != want.Nodes || cfg.CPUsPerNode != want.CPUsPerNode {
-		return nil, fmt.Errorf("harness: traffic scenario %q compiled for %dx%d %v, machine wants %dx%d %v",
-			t.name, want.Nodes, want.CPUsPerNode, want.Geometry, cfg.Nodes, cfg.CPUsPerNode, cfg.Geometry)
-	}
-	return t.sc.Workload(), nil
-}
-
 // ---------------------------------------------------------------------
 // The trace memo. A trace's store key is its content key, which only
 // hashing every record can produce. It depends on nothing but the input
-// bytes and the sweep transforms applied to them, so the process
-// remembers each derivation's key: a resubmitted sweep, grid or replay
-// learns every key without decoding, and a variant is mapped only when a
+// bytes and the sweep transforms applied to them (a scenario's also on
+// its phase files and machine), so the process remembers each
+// derivation's key: a resubmitted sweep, grid or replay learns every key
+// without decoding or compiling, and a variant is read only when a
 // simulation or a fork trunk reads it. The memo is never persisted: a
-// change to a transform changes the variants it maps, and so their keys,
-// which a persisted map would not notice.
+// change to a transform or the traffic compiler changes the variants it
+// makes, and so their keys, which a persisted map would not notice.
 
 // derivation names a trace by how it was made: the SHA-256 of the bytes
 // a caller handed in, then each sweep transform applied to them in
-// order (a grid's X transform, then its Y transform).
+// order (a grid's X transform, then its Y transform). A scenario adds
+// its phase files' digest and the config it compiles for.
 type derivation struct {
-	input [sha256.Size]byte
-	n     int // transforms applied
-	steps [2]axisValue
+	input  [sha256.Size]byte
+	phases [sha256.Size]byte // a scenario's traffic.PhaseDigest
+	cfg    workloads.Config  // a scenario's machine, scale and seed
+	n      int               // transforms applied
+	steps  [2]axisValue
 }
 
 // axisValue is one transform of a derivation: the axis and its reduced
@@ -285,10 +248,11 @@ func (d derivation) then(axis Axis, v SweepValue) derivation {
 const traceMemoBound = 2048
 
 // traceInfo is what the memo keeps of a trace: its content key and, for
-// a capture, its header, so a resubmission reads only its bytes' digest.
+// a capture, its header, so a resubmission reads only its bytes' digest
+// (and a scenario's phase files).
 type traceInfo struct {
 	key string
-	hdr *tracefile.Header // a capture's, homes included; nil for a variant
+	hdr *tracefile.Header // a capture's, homes included; nil for a transform
 }
 
 // traceMemo maps derivations to what the memo keeps for the whole
@@ -322,7 +286,7 @@ func memoPut(d derivation, info traceInfo) {
 // traceWork counts, process-wide, the trace work the memo and the shared
 // decode avoid: variants mapped to learn or check their keys, canonical
 // hashes of in-memory traces, and passes that decode a capture's records
-// (a decode for replay, a streamed replay or a streamed hash).
+// (a decode, a streamed replay or hash, or a scenario's compile).
 var traceWork struct{ maps, hashes, decodes atomic.Int64 }
 
 // traceKey names a trace by its canonical hash: "trace:<name>:<hash8>",
@@ -440,18 +404,18 @@ func (t *replayTrace) open() (*workloads.Workload, error) {
 	}, nil
 }
 
-// key hashes the trace's content key from the records open delivers.
-func (t *replayTrace) key() (string, error) {
+// hash is the canonical hash of the records open delivers.
+func (t *replayTrace) hash() ([sha256.Size]byte, error) {
 	w, err := t.open()
 	if err != nil {
-		return "", err
+		return [sha256.Size]byte{}, err
 	}
 	traceWork.hashes.Add(1)
 	sum, err := tracefile.CanonicalHashStreams(t.hdr, w.Streams)
 	if cerr := checkStreams(w); cerr != nil {
 		err = cerr
 	}
-	return traceKey(sum, t.hdr.Name), err
+	return sum, err
 }
 
 // mapStream is one CPU's records read through a variant's maps (no sweep
@@ -505,50 +469,69 @@ func (s *mapStream) NextBatch(max int) []trace.Ref {
 func (s *mapStream) SeekRecord(n int64) error { return s.src.SeekRecord(n) }
 
 // variant is one in-memory trace a job reads, and the Source it
-// registers as: a caller's capture, or a sweep transform of one. A
-// capture holds its bytes and decodes them at most once, charged to the
-// budget of the harness that built it, for its key on a memo miss or for
-// the first simulation, fork trunk or variant that reads it; the decode
-// is held while its variants exist. A transform's variant is never
-// encoded or decoded: it is its capture's records read through the
-// transforms' pure forms (a grid's X map, then its Y map), keyed by the
-// canonical hash of those mapped records, which is the key its encoding
-// would have.
+// registers as: a caller's capture, a traffic scenario, or a sweep
+// transform of a capture. A capture holds its bytes and decodes them at
+// most once, charged to the budget of the harness that built it, for its
+// key on a memo miss or for the first simulation, fork trunk or variant
+// that reads it; the decode is held while its variants exist. A scenario
+// is a capture whose one decode is its compile, with the attribution on
+// the compiled workload. A transform's variant is never encoded or
+// decoded: it is its capture's records read through the transforms' pure
+// forms (a grid's X map, then its Y map), keyed by the canonical hash of
+// those mapped records, which is the key its encoding would have.
 type variant struct {
-	d    derivation
-	name string           // the registered name ("" until registered)
-	key  string           // the content key
-	hdr  tracefile.Header // homes included
-	data []byte           // a capture's bytes
-	in   *variant         // the capture (itself for a capture)
-	maps []tracefile.Map  // a transform's pure forms, in order
+	d       derivation
+	name    string           // the registered name ("" until registered)
+	key     string           // the content key
+	hdr     tracefile.Header // homes included
+	data    []byte           // a trace capture's bytes
+	sc      *traffic.Spec    // a scenario's, compiled for d.cfg
+	baseDir string           // resolves a scenario's relative phase paths
+	in      *variant         // the capture (itself for a capture)
+	maps    []tracefile.Map  // a transform's pure forms, in order
 
 	mu     sync.Mutex
-	budget *decodeBudget // a capture's: its harness's
+	budget *decodeBudget // a trace capture's: its harness's
 	tr     *replayTrace  // nil until read
 	err    error         // sticky read error
 }
 
-// openCapture resolves a caller's input trace: its key and header come
-// from the memo, or else from decoding and hashing it now. b is the
-// budget of the harness the decode is charged to.
+// openCapture resolves a caller's input trace. b is the budget of the
+// harness the decode is charged to.
 func openCapture(data []byte, b *decodeBudget) (*variant, error) {
-	v := &variant{d: derivation{input: sha256.Sum256(data)}, data: data, budget: b}
+	return (&variant{d: derivation{input: sha256.Sum256(data)}, data: data, budget: b}).resolve()
+}
+
+// openScenario resolves a traffic scenario compiled for cfg. It reads
+// every phase file for the derivation, so a phase file rewritten on disk
+// misses the memo.
+func openScenario(data []byte, baseDir string, cfg workloads.Config) (*variant, error) {
+	s, err := traffic.Parse(data)
+	if err != nil {
+		return nil, err
+	}
+	phases, err := s.PhaseDigest(baseDir)
+	if err != nil {
+		return nil, err
+	}
+	return (&variant{d: derivation{input: sha256.Sum256(data), phases: phases, cfg: cfg}, sc: s, baseDir: baseDir}).resolve()
+}
+
+// resolve keys a caller's input: its key and header come from the memo,
+// or else from reading and hashing it now, memoized under what was read.
+func (v *variant) resolve() (*variant, error) {
 	v.in = v
 	if info, ok := memoGet(v.d); ok {
 		v.key, v.hdr = info.key, *info.hdr
 		return v, nil
 	}
-	tr, err := v.trace()
-	if err == nil {
-		v.hdr = tr.hdr
-		v.key, err = tr.key()
-	}
+	tr, key, err := v.view()
 	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
+		return nil, err
 	}
+	v.tr, v.key, v.hdr = tr, key, tr.hdr
 	hdr := tr.hdr // a copy: the memo must not keep the decode alive
-	memoPut(v.d, traceInfo{v.key, &hdr})
+	memoPut(v.d, traceInfo{key, &hdr})
 	return v, nil
 }
 
@@ -584,36 +567,57 @@ func (h *Harness) registerVariant(v *variant) error {
 	return err
 }
 
-// view reads the capture through the variant's maps and hashes the
-// result.
+// view reads the variant and hashes what it read: a capture's decode, a
+// scenario's compile (counted as its decode; a scenario's derivation
+// becomes what the compile read), or a transform's capture read through
+// its maps.
 func (v *variant) view() (*replayTrace, string, error) {
-	tr, err := v.in.trace()
+	var tr *replayTrace
+	var err error
+	switch {
+	case v.sc != nil:
+		traceWork.decodes.Add(1)
+		var w *workloads.Workload
+		if w, v.d.phases, err = traffic.Compile(v.sc, v.d.cfg, v.baseDir); err != nil {
+			return nil, "", err
+		}
+		tr = &replayTrace{hdr: tracefile.WorkloadHeader(w, v.d.cfg), w: w}
+	case v.in == v:
+		tr, err = decodeTrace(v.data, v.budget)
+	default:
+		if tr, err = v.in.trace(); err == nil {
+			traceWork.maps.Add(1)
+			tr = &replayTrace{hdr: v.hdr, w: tr.w, data: tr.data, maps: v.maps}
+		}
+	}
 	if err != nil {
 		return nil, "", fmt.Errorf("harness: %w", err)
 	}
-	traceWork.maps.Add(1)
-	tr = &replayTrace{hdr: v.hdr, w: tr.w, data: tr.data, maps: v.maps}
-	key, err := tr.key()
+	sum, err := tr.hash()
 	if err != nil {
 		return nil, "", fmt.Errorf("harness: %w", err)
 	}
-	return tr, key, nil
+	if v.sc != nil {
+		return tr, fmt.Sprintf("traffic:%s:%x:%x", tr.hdr.Name, sum[:8], v.d.input[:8]), nil
+	}
+	return tr, traceKey(sum, tr.hdr.Name), nil
 }
 
 // trace returns the trace ready to replay, reading it on first use: a
-// capture's decode, or a transform read through its maps and hashed
-// against its memoized key, so a stale memo entry fails the job instead
-// of keying a result to the wrong trace.
+// capture's decode, or a scenario's compile or a transform read through
+// its maps, hashed against its memoized key, so a stale memo entry or a
+// phase file rewritten since the load fails the job instead of keying a
+// result to the wrong trace.
 func (v *variant) trace() (*replayTrace, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.tr == nil && v.err == nil {
-		if v.in == v {
+		if v.in == v && v.sc == nil {
 			v.tr, v.err = decodeTrace(v.data, v.budget)
 		} else if tr, key, err := v.view(); err != nil {
 			v.err = err
 		} else if key != v.key {
-			v.err = fmt.Errorf("harness: variant %s mapped as %s, memoized as %s", v.hdr.Name, key, v.key)
+			v.err = fmt.Errorf("harness: variant %s read as %s, memoized as %s", v.hdr.Name, key, v.key)
 		} else {
 			v.tr = tr
 		}
@@ -624,15 +628,15 @@ func (v *variant) trace() (*replayTrace, error) {
 func (v *variant) Name() string { return v.name }
 func (v *variant) Key() string  { return v.key }
 
-// Load replays the trace on a machine of its recorded shape and
-// geometry.
+// Load replays the trace on a machine of its recorded (a scenario's
+// compiled) shape and geometry.
 func (v *variant) Load(cfg workloads.Config) (*workloads.Workload, error) {
 	hdr := v.hdr
 	if cfg.Geometry != hdr.Geometry {
-		return nil, fmt.Errorf("harness: trace %s recorded with %v, machine uses %v", v.name, hdr.Geometry, cfg.Geometry)
+		return nil, fmt.Errorf("harness: %s has geometry %v, machine uses %v", v.name, hdr.Geometry, cfg.Geometry)
 	}
 	if cpus := cfg.Nodes * cfg.CPUsPerNode; cpus != hdr.CPUs || cfg.Nodes != hdr.Nodes {
-		return nil, fmt.Errorf("harness: trace %s recorded on %d nodes/%d cpus, machine has %d/%d",
+		return nil, fmt.Errorf("harness: %s has %d nodes/%d cpus, machine has %d/%d",
 			v.name, hdr.Nodes, hdr.CPUs, cfg.Nodes, cpus)
 	}
 	tr, err := v.trace()

@@ -385,10 +385,15 @@ func TestTrafficKeyMatchesEncoding(t *testing.T) {
 		t.Fatalf("example scenarios %v (%v), want two", paths, err)
 	}
 	for _, path := range paths {
-		src := compileScenario(t, New(0.05), path)
+		h := New(0.05)
+		src := compileScenario(t, h, path)
+		cfg := h.workloadConfig(config.Base(config.RNUMA))
+		w, err := src.Load(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var buf bytes.Buffer
-		sc := ScenarioOf(src)
-		if _, _, err := tracefile.WriteWorkload(&buf, sc.Workload(), sc.Cfg); err != nil {
+		if _, _, err := tracefile.WriteWorkload(&buf, w, cfg); err != nil {
 			t.Fatal(err)
 		}
 		sum, _, err := tracefile.CanonicalHash(&buf)
@@ -422,10 +427,15 @@ func TestTrafficSourceThroughHarness(t *testing.T) {
 		t.Errorf("two compilations of one scenario produced keys %q vs %q", src.Key(), src2.Key())
 	}
 	// A scenario compiled for one shape refuses to load on another.
-	bad := h.workloadConfig(config.Base(config.RNUMA))
+	cfg := h.workloadConfig(config.Base(config.RNUMA))
+	bad := cfg
 	bad.Nodes = 4
 	if _, err := src.Load(bad); err == nil {
 		t.Error("Load accepted a machine shape the scenario was not compiled for")
+	}
+	if w, err := src.Load(cfg); err != nil || w.Name != "mix-test" || w.Attribution == nil ||
+		!reflect.DeepEqual(w.Attribution.Clients, []string{"steady", "bursty"}) {
+		t.Fatalf("loaded workload %+v (%v), want mix-test attributed to steady and bursty", w, err)
 	}
 
 	run, err := h.Run("mix-test", config.Base(config.RNUMA))
@@ -488,12 +498,5 @@ func TestTrafficSourceErrors(t *testing.T) {
 		"arrival": {"process": "poisson"}, "phases": [{"spec": "absent.json"}]}]}`
 	if _, err := h.Load(KindTraffic, []byte(missing), "", t.TempDir(), sys); err == nil {
 		t.Error("Load accepted a scenario with a missing phase file")
-	}
-	src := compileScenario(t, h, writeTrafficScenario(t))
-	if sc := ScenarioOf(src); sc == nil || sc.Name != src.Name() {
-		t.Errorf("ScenarioOf = %+v, want the compiled scenario named %q", sc, src.Name())
-	}
-	if sc := ScenarioOf(load(t, h, KindSpec, []byte(testSpec))); sc != nil {
-		t.Errorf("ScenarioOf a spec = %+v, want nil", sc)
 	}
 }

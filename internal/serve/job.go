@@ -321,15 +321,15 @@ func checkSystem(a *Artifact, sys config.System) error {
 }
 
 // checkPhases rejects a traffic scenario whose phase files the job could
-// not read (missing, not regular, or past the phase bound), resolving each
-// path against the artifact's base directory as the job does.
+// not read (missing, not regular, or past the phase bound), reading each
+// against the artifact's base directory as the job's load digests it.
 func checkPhases(a *Artifact) error {
 	if a.Kind != harness.KindTraffic {
 		return nil
 	}
 	s, err := traffic.Parse(a.data)
 	if err == nil {
-		err = s.CheckPhases(a.baseDir)
+		_, err = s.PhaseDigest(a.baseDir)
 	}
 	if err != nil {
 		return &valueError{err}

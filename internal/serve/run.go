@@ -130,8 +130,7 @@ func runReplay(h *harness.Harness, w io.Writer, job Job) (any, error) {
 	case harness.KindSpec:
 		fmt.Fprintf(w, "spec: %s (%d nodes x %d CPUs)\n", app, sys.Nodes, sys.CPUsPerNode)
 	case harness.KindTraffic:
-		fmt.Fprintf(w, "traffic: %s (%d clients, %d nodes x %d CPUs)\n",
-			app, len(harness.ScenarioOf(src).Clients), sys.Nodes, sys.CPUsPerNode)
+		fmt.Fprintf(w, "traffic: %s (%d clients, %d nodes x %d CPUs)\n", app, a.in.Clients, sys.Nodes, sys.CPUsPerNode)
 	}
 	run, err := h.Run(app, sys)
 	if err != nil {

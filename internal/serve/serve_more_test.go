@@ -262,8 +262,17 @@ func TestSpecAndTrafficReplay(t *testing.T) {
 		t.Fatalf("traffic replay failed: %s", got.Error)
 	}
 	_, text = fetchReport(t, ts, info.ID, "")
-	if !strings.Contains(text, "traffic: ") || !strings.Contains(text, "CLIENTS") {
+	if !strings.Contains(text, "traffic: solo-mix (1 clients") || !strings.Contains(text, "CLIENTS") {
 		t.Errorf("traffic replay report missing per-client table:\n%s", text)
+	}
+	// A resubmission learns the scenario's key from the trace memo and
+	// its runs from the store: no simulation, the same report.
+	info = submit(t, ts, JobRequest{Type: "replay", Artifact: art.ID})
+	if got := waitJob(t, ts, info.ID); got.Status != StatusDone || got.Simulations != 0 {
+		t.Errorf("warm traffic replay: %s, %d simulations (%s); want done and 0", got.Status, got.Simulations, got.Error)
+	}
+	if _, again := fetchReport(t, ts, info.ID, ""); again != text {
+		t.Errorf("warm traffic replay report differs:\n%s\nwant\n%s", again, text)
 	}
 }
 

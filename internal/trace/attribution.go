@@ -48,11 +48,13 @@ func (a *Attribution) Validate() error {
 	return nil
 }
 
-// Records returns the total record count the CPU's spans cover.
-func (a *Attribution) Records(cpu int) int64 {
+// Records returns the record count the spans cover, on every CPU.
+func (a *Attribution) Records() int64 {
 	var n int64
-	for _, s := range a.Spans[cpu] {
-		n += s.N
+	for _, spans := range a.Spans {
+		for _, s := range spans {
+			n += s.N
+		}
 	}
 	return n
 }

@@ -244,9 +244,6 @@ func (tw *Writer) Refs() int64 { return int64(tw.total) }
 // at Close).
 func (tw *Writer) Bytes() int64 { return tw.bytes }
 
-// Err returns the writer's sticky error.
-func (tw *Writer) Err() error { return tw.err }
-
 // Close flushes all pending chunks and the end marker. It does not close
 // the underlying writer.
 func (tw *Writer) Close() error {

@@ -2,7 +2,9 @@ package traffic
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"hash"
 	"io"
 	"math"
 	"os"
@@ -13,33 +15,6 @@ import (
 	"rnuma/internal/tracefile"
 	"rnuma/internal/workloads"
 )
-
-// Scenario is a compiled traffic spec: per-CPU merged reference streams in
-// a single global page numbering, the per-record client attribution, and
-// the concatenated page placement. It behaves exactly like a built
-// workload — the machine replays it unchanged — plus the attribution that
-// lets stats and telemetry break results out per tenant.
-type Scenario struct {
-	Name string
-	// Clients names the tenants in spec order (the attribution and all
-	// per-client stats index this).
-	Clients []string
-	// Cfg is the machine shape the scenario was compiled for.
-	Cfg workloads.Config
-
-	// Refs holds the merged per-CPU streams (global page numbering).
-	Refs [][]trace.Ref
-	// Attr attributes every record of Refs to its client.
-	Attr *trace.Attribution
-	// Homes is the dense page placement for the concatenated segment.
-	Homes       []addr.NodeID
-	SharedPages int
-
-	// perClient keeps each client's stamped, client-locally-numbered
-	// lanes: the pre-merge form whose bit-stability under client set
-	// changes the regression tests pin.
-	perClient []clientLanes
-}
 
 // stampedRef is one client-lane record with its arrival time.
 type stampedRef struct {
@@ -55,41 +30,54 @@ type clientLanes struct {
 	homes []addr.NodeID
 }
 
-// Compile builds the scenario for a machine configuration. Phase paths
-// are resolved against baseDir (the traffic spec's directory).
-func Compile(s *Spec, cfg workloads.Config, baseDir string) (*Scenario, error) {
+// Compile builds the scenario for a machine configuration as one
+// workload: per-CPU streams merged in a single global page numbering,
+// the concatenated page placement, and the attribution of every record
+// to its client. The machine replays it unchanged; the attribution lets
+// stats and telemetry break results out per tenant. Phase paths are
+// resolved against baseDir (the traffic spec's directory), and phases is
+// the digest of the phase files it read, as PhaseDigest reads them.
+func Compile(s *Spec, cfg workloads.Config, baseDir string) (w *workloads.Workload, phases [sha256.Size]byte, err error) {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return nil, phases, err
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, phases, err
 	}
+	digest := sha256.New()
+	cls, err := compileClients(s, cfg, baseDir, digest)
+	if err != nil {
+		return nil, phases, err
+	}
+	return merge(s.Name, cls, cfg), [sha256.Size]byte(digest.Sum(nil)), nil
+}
+
+// compileClients compiles every client's stamped lanes, adding each
+// phase file's SHA-256 to digest in schedule order.
+func compileClients(s *Spec, cfg workloads.Config, baseDir string, digest hash.Hash) ([]clientLanes, error) {
 	meanGap := s.MeanGap
 	if meanGap == 0 {
 		meanGap = DefaultMeanGap
 	}
-	sc := &Scenario{Name: s.Name, Cfg: cfg}
-	for _, c := range s.Clients {
-		sc.Clients = append(sc.Clients, c.Name)
-		cl, err := compileClient(c, s.Seed, meanGap, cfg, baseDir)
-		if err != nil {
+	cls := make([]clientLanes, len(s.Clients))
+	for i, c := range s.Clients {
+		var err error
+		if cls[i], err = compileClient(c, s.Seed, meanGap, cfg, baseDir, digest); err != nil {
 			return nil, fmt.Errorf("traffic %q: client %q: %w", s.Name, c.Name, err)
 		}
-		sc.perClient = append(sc.perClient, cl)
 	}
-	sc.merge()
-	return sc, nil
+	return cls, nil
 }
 
 // compileClient builds one client's phases against the machine config,
 // concatenates them into client-local lanes, and stamps every record with
 // its arrival time.
-func compileClient(c Client, specSeed int64, meanGap float64, cfg workloads.Config, baseDir string) (clientLanes, error) {
+func compileClient(c Client, specSeed int64, meanGap float64, cfg workloads.Config, baseDir string, digest hash.Hash) (clientLanes, error) {
 	cpus := cfg.Nodes * cfg.CPUsPerNode
 	cl := clientLanes{name: c.Name, lanes: make([][]stampedRef, cpus)}
 	refs := make([][]trace.Ref, cpus) // client-local, accumulated over phases
 	for pi, ph := range c.Phases {
-		wl, err := buildPhase(ph, cfg, baseDir)
+		wl, err := buildPhase(ph, cfg, baseDir, digest)
 		if err != nil {
 			return clientLanes{}, fmt.Errorf("phase %d: %w", pi, err)
 		}
@@ -134,20 +122,20 @@ func compileClient(c Client, specSeed int64, meanGap float64, cfg workloads.Conf
 // wrote the scenario.
 var maxPhaseBytes int64 = 256 << 20
 
-// CheckPhases reports the first phase file Compile would refuse to read,
-// with its path resolved against baseDir as Compile resolves it: one that
-// is missing, not a regular file, or past maxPhaseBytes. It reads no
-// file, so a phase file that exists but does not parse still fails in
-// Compile.
-func (s *Spec) CheckPhases(baseDir string) error {
+// PhaseDigest reads every phase file of s as Compile reads it and returns
+// the digest Compile returns. A file it cannot read (missing, not a
+// regular file, or past maxPhaseBytes) fails naming the client, phase and
+// file; one that does not parse fails only in Compile.
+func (s *Spec) PhaseDigest(baseDir string) (sum [sha256.Size]byte, err error) {
+	digest := sha256.New()
 	for _, c := range s.Clients {
 		for pi, ph := range c.Phases {
-			if err := statPhase(ph.path(baseDir)); err != nil {
-				return fmt.Errorf("traffic %q: client %q: phase %d: %w", s.Name, c.Name, pi, err)
+			if err := readPhase(ph.path(baseDir), io.Discard, digest); err != nil {
+				return sum, fmt.Errorf("traffic %q: client %q: phase %d: %w", s.Name, c.Name, pi, err)
 			}
 		}
 	}
-	return nil
+	return [sha256.Size]byte(digest.Sum(nil)), nil
 }
 
 // path resolves a phase's file against baseDir (the traffic spec's
@@ -163,10 +151,16 @@ func (ph PhaseRef) path(baseDir string) string {
 	return path
 }
 
-// statPhase checks, before anything is read, that a phase file is
-// regular and within maxPhaseBytes: a device such as /dev/zero never
-// ends, and a FIFO blocks its reader.
-func statPhase(path string) error {
+func tooBig(path string) error {
+	return fmt.Errorf("traffic: phase file %s is past the %d-byte bound", path, maxPhaseBytes)
+}
+
+// readPhase copies a phase file to w, checking before anything is read
+// that it is regular and within maxPhaseBytes (a device such as
+// /dev/zero never ends, and a FIFO blocks its reader), and adds its
+// SHA-256 to digest: a digest of digests, so where one file ends stays
+// part of it.
+func readPhase(path string, w io.Writer, digest hash.Hash) error {
 	fi, err := os.Stat(path)
 	if err != nil {
 		return fmt.Errorf("traffic: %w", err)
@@ -177,43 +171,34 @@ func statPhase(path string) error {
 	if fi.Size() > maxPhaseBytes {
 		return tooBig(path)
 	}
-	return nil
-}
-
-func tooBig(path string) error {
-	return fmt.Errorf("traffic: phase file %s is past the %d-byte bound", path, maxPhaseBytes)
-}
-
-// readPhase reads a phase file that statPhase accepts.
-func readPhase(path string) ([]byte, error) {
-	if err := statPhase(path); err != nil {
-		return nil, err
-	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("traffic: %w", err)
+		return fmt.Errorf("traffic: %w", err)
 	}
 	defer f.Close()
-	data, err := io.ReadAll(io.LimitReader(f, maxPhaseBytes+1))
+	sum := sha256.New()
+	n, err := io.Copy(io.MultiWriter(w, sum), io.LimitReader(f, maxPhaseBytes+1))
 	if err != nil {
-		return nil, fmt.Errorf("traffic: %w", err)
+		return fmt.Errorf("traffic: %w", err)
 	}
-	if int64(len(data)) > maxPhaseBytes { // it grew since the check
-		return nil, tooBig(path)
+	if n > maxPhaseBytes { // it grew since the check
+		return tooBig(path)
 	}
-	return data, nil
+	digest.Write(sum.Sum(nil))
+	return nil
 }
 
 // buildPhase materializes one phase reference: a workload spec built for
 // the config, or a captured trace validated against it.
-func buildPhase(ph PhaseRef, cfg workloads.Config, baseDir string) (*workloads.Workload, error) {
+func buildPhase(ph PhaseRef, cfg workloads.Config, baseDir string, digest hash.Hash) (*workloads.Workload, error) {
 	path := ph.path(baseDir)
 	// Read the whole file up front: a trace's streams decode lazily, long
 	// after this frame is gone.
-	data, err := readPhase(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := readPhase(path, &buf, digest); err != nil {
 		return nil, err
 	}
+	data := buf.Bytes()
 	if ph.Spec != "" {
 		ws, err := workloads.Parse(data)
 		if err != nil {
@@ -278,30 +263,26 @@ func (cl *clientLanes) stamp(raw [][]trace.Ref, c Client, specSeed int64, meanGa
 // merge is deterministic), offsets pages into the global numbering,
 // derives compute gaps from consecutive stamps, and run-length encodes
 // the per-record attribution.
-func (sc *Scenario) merge() {
-	cpus := sc.Cfg.Nodes * sc.Cfg.CPUsPerNode
-	base := make([]addr.PageNum, len(sc.perClient))
-	for i, cl := range sc.perClient {
-		base[i] = addr.PageNum(len(sc.Homes))
-		sc.Homes = append(sc.Homes, cl.homes...)
+func merge(name string, cls []clientLanes, cfg workloads.Config) *workloads.Workload {
+	cpus := cfg.Nodes * cfg.CPUsPerNode
+	base := make([]addr.PageNum, len(cls))
+	var homes []addr.NodeID
+	attr := &trace.Attribution{Spans: make([][]trace.ClientSpan, cpus)}
+	for i, cl := range cls {
+		base[i] = addr.PageNum(len(homes))
+		homes = append(homes, cl.homes...)
+		attr.Clients = append(attr.Clients, cl.name)
 	}
-	sc.SharedPages = len(sc.Homes)
-	sc.Refs = make([][]trace.Ref, cpus)
-	sc.Attr = &trace.Attribution{
-		Clients: sc.Clients,
-		Spans:   make([][]trace.ClientSpan, cpus),
-	}
-	pos := make([]int, len(sc.perClient))
+	refs := make([][]trace.Ref, cpus)
+	pos := make([]int, len(cls))
 	for cpu := 0; cpu < cpus; cpu++ {
-		for i := range pos {
-			pos[i] = 0
-		}
+		clear(pos)
 		var out []trace.Ref
 		var spans []trace.ClientSpan
 		lastT := 0.0
 		for {
 			best, bestT := -1, math.Inf(1)
-			for i, cl := range sc.perClient {
+			for i, cl := range cls {
 				if pos[i] >= len(cl.lanes[cpu]) {
 					continue
 				}
@@ -312,7 +293,7 @@ func (sc *Scenario) merge() {
 			if best < 0 {
 				break
 			}
-			sr := sc.perClient[best].lanes[cpu][pos[best]]
+			sr := cls[best].lanes[cpu][pos[best]]
 			pos[best]++
 			r := sr.ref
 			if !r.Barrier {
@@ -335,41 +316,16 @@ func (sc *Scenario) merge() {
 				spans = append(spans, trace.ClientSpan{Client: int32(best), N: 1})
 			}
 		}
-		sc.Refs[cpu] = out
-		sc.Attr.Spans[cpu] = spans
+		refs[cpu] = out
+		attr.Spans[cpu] = spans
 	}
-}
-
-// Workload wraps the scenario as a replayable workload: fresh streams over
-// the merged references, the concatenated placement, and the attribution
-// the machine uses to split counters per client.
-func (sc *Scenario) Workload() *workloads.Workload {
-	streams := make([]trace.Stream, len(sc.Refs))
-	for i, r := range sc.Refs {
-		streams[i] = trace.FromSlice(r)
-	}
-	homes := sc.Homes
-	nodes := addr.NodeID(sc.Cfg.Nodes)
-	return &workloads.Workload{
-		Name:    sc.Name,
-		Streams: streams,
-		Homes: func(p addr.PageNum) addr.NodeID {
-			if int(p) < len(homes) {
-				return homes[p]
-			}
-			return addr.NodeID(p) % nodes
-		},
-		SharedPages: sc.SharedPages,
-		Attribution: sc.Attr,
-	}
-}
-
-// Records returns the scenario's total record count (all CPUs, barriers
-// included).
-func (sc *Scenario) Records() int64 {
-	var n int64
-	for _, r := range sc.Refs {
-		n += int64(len(r))
-	}
-	return n
+	nodes := addr.NodeID(cfg.Nodes)
+	w := workloads.FromRefs(name, refs, func(p addr.PageNum) addr.NodeID {
+		if int(p) < len(homes) {
+			return homes[p]
+		}
+		return addr.NodeID(p) % nodes
+	}, len(homes))
+	w.Attribution = attr
+	return w
 }

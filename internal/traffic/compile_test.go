@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"rnuma/internal/machine"
 	"rnuma/internal/stats"
 	"rnuma/internal/telemetry"
+	"rnuma/internal/trace"
 	"rnuma/internal/tracefile"
 	"rnuma/internal/workloads"
 )
@@ -67,17 +69,43 @@ func twoClients() *Spec {
 	}
 }
 
+// compile compiles s for cfg with its phases under dir.
+func compile(t *testing.T, s *Spec, cfg workloads.Config, dir string) *workloads.Workload {
+	t.Helper()
+	w, _, err := Compile(s, cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// refsOf drains a fresh copy of w's streams.
+func refsOf(w *workloads.Workload) [][]trace.Ref {
+	w = w.Fresh()
+	out := make([][]trace.Ref, len(w.Streams))
+	for cpu, s := range w.Streams {
+		for r, ok := s.Next(); ok; r, ok = s.Next() {
+			out[cpu] = append(out[cpu], r)
+		}
+	}
+	return out
+}
+
+// records counts w's records, barriers included.
+func records(w *workloads.Workload) (n int64) {
+	for _, lane := range refsOf(w) {
+		n += int64(len(lane))
+	}
+	return n
+}
+
 func TestCompileDeterministic(t *testing.T) {
 	dir := writeMini(t)
 	cfg := testCfg()
 	var bufs [2]bytes.Buffer
 	var hashes [2][32]byte
 	for i := range bufs {
-		sc, err := Compile(twoClients(), cfg, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := tracefile.WriteWorkload(&bufs[i], sc.Workload(), sc.Cfg); err != nil {
+		if _, _, err := tracefile.WriteWorkload(&bufs[i], compile(t, twoClients(), cfg, dir), cfg); err != nil {
 			t.Fatal(err)
 		}
 		sum, _, err := tracefile.CanonicalHash(bytes.NewReader(bufs[i].Bytes()))
@@ -96,47 +124,44 @@ func TestCompileDeterministic(t *testing.T) {
 
 // TestClientLanesStableUnderClientSetChange pins the arrival-RNG
 // derivation contract: a client's stamped, client-locally-numbered lanes
-// depend only on (spec seed, client name, machine config) — adding or
-// removing another client must leave them bit-identical.
+// depend only on (spec seed, client name, machine config) — adding
+// another client ahead of it, which moves its index, must leave them
+// bit-identical.
 func TestClientLanesStableUnderClientSetChange(t *testing.T) {
 	dir := writeMini(t)
 	cfg := testCfg()
-	base, err := Compile(twoClients(), cfg, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	withExtra := twoClients()
 	withExtra.Clients = append([]Client{{
 		Name: "extra", RateFraction: 0.3,
 		Arrival: Arrival{Process: "weibull", Shape: 0.7},
 		Phases:  []PhaseRef{{Spec: "mini.json"}},
 	}}, withExtra.Clients...)
-	grown, err := Compile(withExtra, cfg, dir)
-	if err != nil {
-		t.Fatal(err)
+	var lanes [2]map[string]clientLanes
+	var merged [2][][]trace.Ref
+	for i, s := range []*Spec{twoClients(), withExtra} {
+		cls, err := compileClients(s, cfg, dir, sha256.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lanes[i] = make(map[string]clientLanes)
+		for _, cl := range cls {
+			lanes[i][cl.name] = cl
+		}
+		merged[i] = refsOf(merge(s.Name, cls, cfg))
+	}
+	if len(lanes[1]) != 3 {
+		t.Fatalf("three-client spec compiled %d clients", len(lanes[1]))
 	}
 	for _, name := range []string{"steady", "bursty"} {
-		a, b := laneOf(t, base, name), laneOf(t, grown, name)
-		if !reflect.DeepEqual(a, b) {
+		if a, ok := lanes[0][name]; !ok || !reflect.DeepEqual(a, lanes[1][name]) {
 			t.Errorf("client %q: lanes changed when another client was added", name)
 		}
 	}
 	// The merged streams DO change (page bases shift, interleaving
 	// changes) — assert so, to keep this test honest about what it pins.
-	if reflect.DeepEqual(base.Refs, grown.Refs) {
+	if reflect.DeepEqual(merged[0], merged[1]) {
 		t.Error("merged streams unexpectedly identical despite an added client")
 	}
-}
-
-func laneOf(t *testing.T, sc *Scenario, name string) [][]stampedRef {
-	t.Helper()
-	for _, cl := range sc.perClient {
-		if cl.name == name {
-			return cl.lanes
-		}
-	}
-	t.Fatalf("client %q not found", name)
-	return nil
 }
 
 // TestClientStatsSumToRun pins the attribution exactness contract: the
@@ -146,11 +171,7 @@ func laneOf(t *testing.T, sc *Scenario, name string) [][]stampedRef {
 func TestClientStatsSumToRun(t *testing.T) {
 	dir := writeMini(t)
 	cfg := testCfg()
-	sc, err := Compile(twoClients(), cfg, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := sc.Workload()
+	w := compile(t, twoClients(), cfg, dir)
 	sys := config.Base(config.RNUMA)
 	sys.Geometry = cfg.Geometry
 	sys.Nodes = cfg.Nodes
@@ -213,17 +234,14 @@ func TestClientStatsSumToRun(t *testing.T) {
 func TestScenarioReplayableAsPlainTrace(t *testing.T) {
 	dir := writeMini(t)
 	cfg := testCfg()
-	sc, err := Compile(twoClients(), cfg, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := compile(t, twoClients(), cfg, dir)
 	var buf bytes.Buffer
-	refs, _, err := tracefile.WriteWorkload(&buf, sc.Workload(), sc.Cfg)
+	refs, _, err := tracefile.WriteWorkload(&buf, w.Fresh(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if refs != sc.Records() {
-		t.Errorf("encoded %d records, scenario has %d", refs, sc.Records())
+	if n := records(w); refs != n {
+		t.Errorf("encoded %d records, scenario has %d", refs, n)
 	}
 	d, err := tracefile.NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -234,7 +252,7 @@ func TestScenarioReplayableAsPlainTrace(t *testing.T) {
 	sys.Nodes = cfg.Nodes
 	sys.CPUsPerNode = cfg.CPUsPerNode
 	runTrace := replayStreams(t, sys, d.Workload(), nil)
-	runDirect := replayStreams(t, sys, sc.Workload(), nil)
+	runDirect := replayStreams(t, sys, w.Fresh(), nil)
 	runDirect.Clients = nil // the trace replay has no attribution
 	if !reflect.DeepEqual(runTrace, runDirect) {
 		t.Error("trace replay and direct replay of the compiled scenario differ")
@@ -269,12 +287,8 @@ func replayStreams(t *testing.T, sys config.System, w *workloads.Workload, extra
 // deadlock otherwise).
 func TestBarrierCountsAligned(t *testing.T) {
 	dir := writeMini(t)
-	sc, err := Compile(twoClients(), testCfg(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := -1
-	for cpu, lane := range sc.Refs {
+	for cpu, lane := range refsOf(compile(t, twoClients(), testCfg(), dir)) {
 		n := 0
 		for _, r := range lane {
 			if r.Barrier {
@@ -297,23 +311,20 @@ func TestTracePhase(t *testing.T) {
 	dir := writeMini(t)
 	cfg := testCfg()
 	// Record the mini spec as a trace in the same dir.
-	sc0, err := Compile(&Spec{
+	w0 := compile(t, &Spec{
 		Name: "solo",
 		Clients: []Client{{Name: "only", RateFraction: 1,
 			Arrival: Arrival{Process: "poisson"},
 			Phases:  []PhaseRef{{Spec: "mini.json"}}}},
 	}, cfg, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if _, _, err := tracefile.WriteWorkload(&buf, sc0.Workload(), sc0.Cfg); err != nil {
+	if _, _, err := tracefile.WriteWorkload(&buf, w0, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "solo.trace"), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := Compile(&Spec{
+	w := compile(t, &Spec{
 		Name: "replayed",
 		Clients: []Client{
 			{Name: "a", RateFraction: 0.5, Arrival: Arrival{Process: "poisson"},
@@ -322,15 +333,12 @@ func TestTracePhase(t *testing.T) {
 				Phases: []PhaseRef{{Spec: "mini.json"}}},
 		},
 	}, cfg, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.SharedPages <= sc0.SharedPages {
-		t.Errorf("two-tenant scenario has %d pages, single has %d — concatenation missing?", sc.SharedPages, sc0.SharedPages)
+	if w.SharedPages <= w0.SharedPages {
+		t.Errorf("two-tenant scenario has %d pages, single has %d — concatenation missing?", w.SharedPages, w0.SharedPages)
 	}
 	// A trace of the wrong shape is rejected.
 	bad := workloads.Config{Nodes: 2, CPUsPerNode: 2, Geometry: addr.Default, Scale: 0.05}
-	if _, err := Compile(&Spec{
+	if _, _, err := Compile(&Spec{
 		Name: "badshape",
 		Clients: []Client{{Name: "a", RateFraction: 1, Arrival: Arrival{Process: "poisson"},
 			Phases: []PhaseRef{{Trace: "solo.trace"}}}},
@@ -344,17 +352,9 @@ func TestTracePhase(t *testing.T) {
 func TestSeedChangesArrivals(t *testing.T) {
 	dir := writeMini(t)
 	cfg := testCfg()
-	a, err := Compile(twoClients(), cfg, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	seeded := twoClients()
 	seeded.Seed = 7
-	b, err := Compile(seeded, cfg, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(a.Refs, b.Refs) {
+	if reflect.DeepEqual(refsOf(compile(t, twoClients(), cfg, dir)), refsOf(compile(t, seeded, cfg, dir))) {
 		t.Error("different spec seeds compiled identical streams")
 	}
 }
@@ -391,25 +391,25 @@ func TestCompileErrors(t *testing.T) {
 			Phases:  []PhaseRef{ph},
 		}}}
 	}
-	if _, err := Compile(&Spec{}, cfg, dir); err == nil {
+	if _, _, err := Compile(&Spec{}, cfg, dir); err == nil {
 		t.Error("Compile accepted an invalid spec")
 	}
 	badCfg := cfg
 	badCfg.Nodes = 0
-	if _, err := Compile(clientWith(PhaseRef{Spec: "mini.json"}), badCfg, dir); err == nil {
+	if _, _, err := Compile(clientWith(PhaseRef{Spec: "mini.json"}), badCfg, dir); err == nil {
 		t.Error("Compile accepted an invalid machine config")
 	}
-	if _, err := Compile(clientWith(PhaseRef{Spec: "absent.json"}), cfg, dir); err == nil {
+	if _, _, err := Compile(clientWith(PhaseRef{Spec: "absent.json"}), cfg, dir); err == nil {
 		t.Error("Compile accepted a missing phase spec")
 	}
-	if _, err := Compile(clientWith(PhaseRef{Trace: "absent.trace"}), cfg, dir); err == nil {
+	if _, _, err := Compile(clientWith(PhaseRef{Trace: "absent.trace"}), cfg, dir); err == nil {
 		t.Error("Compile accepted a missing phase trace")
 	}
 	garbage := filepath.Join(dir, "garbage.trace")
 	if err := os.WriteFile(garbage, []byte("not a trace"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compile(clientWith(PhaseRef{Trace: "garbage.trace"}), cfg, dir); err == nil {
+	if _, _, err := Compile(clientWith(PhaseRef{Trace: "garbage.trace"}), cfg, dir); err == nil {
 		t.Error("Compile accepted a corrupt phase trace")
 	}
 	skewed := addr.Geometry{BlockShift: 4, PageShift: 12}
@@ -417,12 +417,12 @@ func TestCompileErrors(t *testing.T) {
 		Name: "skew", Geometry: skewed,
 		CPUs: cfg.Nodes * cfg.CPUsPerNode, Nodes: cfg.Nodes,
 	})
-	if _, err := Compile(clientWith(PhaseRef{Trace: "skew.trace"}), cfg, dir); err == nil || !strings.Contains(err.Error(), "geometry") {
+	if _, _, err := Compile(clientWith(PhaseRef{Trace: "skew.trace"}), cfg, dir); err == nil || !strings.Contains(err.Error(), "geometry") {
 		t.Errorf("geometry-mismatched phase trace: err = %v, want a geometry complaint", err)
 	}
 	// Absolute phase paths bypass the base directory entirely.
 	abs := clientWith(PhaseRef{Spec: filepath.Join(dir, "mini.json")})
-	if _, err := Compile(abs, cfg, "/nowhere"); err != nil {
+	if _, _, err := Compile(abs, cfg, "/nowhere"); err != nil {
 		t.Errorf("absolute phase path: %v", err)
 	}
 }
@@ -450,7 +450,7 @@ func TestPhaseFileBound(t *testing.T) {
 	}
 	f.Close()
 	compile := func(ph PhaseRef) error {
-		_, err := Compile(&Spec{Name: "b", Clients: []Client{{
+		_, _, err := Compile(&Spec{Name: "b", Clients: []Client{{
 			Name: "a", RateFraction: 1, Arrival: Arrival{Process: "poisson"}, Phases: []PhaseRef{ph},
 		}}}, cfg, dir)
 		return err
@@ -473,26 +473,63 @@ func TestPhaseFileBound(t *testing.T) {
 	}
 }
 
-// TestCheckPhases: CheckPhases refuses, without reading, every phase
-// file Compile would refuse to read (missing, not regular, past the
-// bound), names the client, phase and file, and resolves relative paths
-// against the base directory as Compile does.
-func TestCheckPhases(t *testing.T) {
+// TestPhaseDigest: PhaseDigest digests what Compile reads, the phase
+// files' contents in schedule order and not their paths; it refuses
+// every phase file Compile would refuse to read (missing, not regular,
+// past the bound), naming the client, phase and file; and it resolves
+// relative paths against the base directory as Compile does.
+func TestPhaseDigest(t *testing.T) {
 	dir := writeMini(t)
-	defer func(old int64) { maxPhaseBytes = old }(maxPhaseBytes)
-	maxPhaseBytes = 16
+	write := func(name, data string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	spec := func(phases ...PhaseRef) *Spec {
 		return &Spec{Name: "s", Clients: []Client{
 			{Name: "ok", RateFraction: 1, Arrival: Arrival{Process: "poisson"}, Phases: []PhaseRef{{Spec: "small.json"}}},
 			{Name: "b", RateFraction: 1, Arrival: Arrival{Process: "poisson"}, Phases: phases},
 		}}
 	}
-	if err := os.WriteFile(filepath.Join(dir, "small.json"), []byte("not even json"), 0o644); err != nil {
-		t.Fatal(err)
+	digest := func(s *Spec, baseDir string) [sha256.Size]byte {
+		t.Helper()
+		sum, err := s.PhaseDigest(baseDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum
 	}
-	if err := spec(PhaseRef{Trace: "small.json"}).CheckPhases(dir); err != nil {
-		t.Errorf("readable phase files: %v", err)
+	sum := digest(twoClients(), dir)
+	if _, phases, err := Compile(twoClients(), testCfg(), dir); err != nil || phases != sum {
+		t.Errorf("Compile digested %x (%v), PhaseDigest %x", phases, err, sum)
 	}
+	write("copy.json", miniSpec)
+	moved := twoClients()
+	for i := range moved.Clients {
+		moved.Clients[i].Phases = []PhaseRef{{Spec: filepath.Join(dir, "copy.json")}}
+	}
+	if digest(moved, "/nowhere") != sum {
+		t.Error("the same contents under another path digest differently")
+	}
+	write("small.json", "not even json")
+	write("ab", "ab")
+	write("c", "c")
+	write("a", "a")
+	write("bc", "bc")
+	if digest(spec(PhaseRef{Trace: "ab"}, PhaseRef{Spec: "c"}), dir) == digest(spec(PhaseRef{Trace: "a"}, PhaseRef{Spec: "bc"}), dir) {
+		t.Error("phase files that concatenate alike digest alike")
+	}
+	if digest(spec(PhaseRef{Spec: "a"}, PhaseRef{Spec: "c"}), dir) == digest(spec(PhaseRef{Spec: "c"}, PhaseRef{Spec: "a"}), dir) {
+		t.Error("reordered phase files digest alike")
+	}
+	write("mini.json", miniSpec+" ")
+	if digest(twoClients(), dir) == sum {
+		t.Error("a rewritten phase file kept its digest")
+	}
+
+	defer func(old int64) { maxPhaseBytes = old }(maxPhaseBytes)
+	maxPhaseBytes = 16
 	for _, tc := range []struct {
 		ph   PhaseRef
 		want string
@@ -501,12 +538,12 @@ func TestCheckPhases(t *testing.T) {
 		{PhaseRef{Trace: dir}, dir + " is not a regular file"},
 		{PhaseRef{Spec: "mini.json"}, filepath.Join(dir, "mini.json") + " is past the 16-byte bound"},
 	} {
-		err := spec(PhaseRef{Spec: "small.json"}, tc.ph).CheckPhases(dir)
+		_, err := spec(PhaseRef{Spec: "small.json"}, tc.ph).PhaseDigest(dir)
 		if err == nil || !strings.Contains(err.Error(), `client "b": phase 1: `) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: %v, want an error naming client b, phase 1 and %q", tc.ph, err, tc.want)
 		}
 	}
-	if err := spec().CheckPhases("/nowhere"); err == nil {
+	if _, err := spec().PhaseDigest("/nowhere"); err == nil {
 		t.Error("relative phase paths did not resolve against the base directory")
 	}
 }
@@ -520,19 +557,16 @@ func TestCompileDegenerateStreams(t *testing.T) {
 	})
 	// A zero-reference phase compiles to empty lanes (the n=0 guard in
 	// stamp) and an empty merged scenario.
-	sc, err := Compile(&Spec{Name: "quiet", Clients: []Client{{
+	w := compile(t, &Spec{Name: "quiet", Clients: []Client{{
 		Name: "idle", RateFraction: 1,
 		Arrival: Arrival{Process: "poisson"},
 		Phases:  []PhaseRef{{Trace: "empty.trace"}},
 	}}}, cfg, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := sc.Records(); n != 0 {
+	if n := records(w); n != 0 {
 		t.Errorf("zero-reference scenario has %d records", n)
 	}
 	// The placement falls back to round-robin past the compiled segment.
-	if h := sc.Workload().Homes(1 << 20); int(h) >= cfg.Nodes {
+	if h := w.Homes(1 << 20); int(h) >= cfg.Nodes {
 		t.Errorf("fallback home %d out of range", h)
 	}
 }
@@ -544,12 +578,8 @@ func TestGapClampsAtUint16(t *testing.T) {
 		Arrival: Arrival{Process: "poisson"},
 		Phases:  []PhaseRef{{Spec: "mini.json"}},
 	}}}
-	sc, err := Compile(s, testCfg(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	clamped := false
-	for _, lane := range sc.Refs {
+	for _, lane := range refsOf(compile(t, s, testCfg(), dir)) {
 		for _, r := range lane {
 			if !r.Barrier && r.Gap == 0xFFFF {
 				clamped = true
