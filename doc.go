@@ -46,14 +46,15 @@
 //     truncation/corruption rejection) behind rnuma-trace snapshot and
 //     resume; a checkpoint lists the page-cache frames a run created, so
 //     its size does not follow the configured capacity
-//   - internal/stats — the per-run counter set, plus Diff: the
+//   - internal/stats — the per-run counter set (stats.Run, which embeds
+//     telemetry.Counters, the protocol-activity block), plus Diff: the
 //     per-counter delta table (absolute + relative + refetch-map
 //     digest) between two runs that rnuma-trace diffstats and
 //     rnuma-serve diffstats jobs render, and its Tolerance classification
 //     (timing counters may drift within a band, structural counters
 //     must match exactly) behind diffstats -tol
 //   - internal/telemetry — the reference-windowed sampling probe: every
-//     N references it emits the windowed counter deltas as an interval
+//     N references it emits the deltas of the run's Counters as an interval
 //     series, a per-window node-to-node remote-fetch traffic matrix,
 //     and a log of relocation events; off by default, free when off,
 //     and schedule-independent — serial, parallel, trunk-and-fork, and

@@ -11,12 +11,12 @@ import (
 	"rnuma/internal/tracefile"
 )
 
-// This file is the one-shot execution surface: replaying a recorded
-// trace exactly once, outside the memoizing store (callers that replay each input once have nothing to memoize).
-// One variadic-option family — WithTelemetry, WithThresholds — replaced
-// the old ReplayTrace / ReplayTraceFile / ThresholdForkRuns /
-// ThresholdForkRunsProbe entry points and their probe/no-probe duplicate
-// signatures.
+// This file is the one-shot execution surface: Replay runs a recorded
+// trace outside the memoizing store, since its callers replay each input
+// once and have nothing to memoize. Its options attach a telemetry probe
+// (WithTelemetry) or fork the replay across relocation thresholds
+// (WithThresholds); NewTraceMachine builds the machine of a trace's
+// recorded shape for Replay, the snapshot/resume CLI and the fork engine.
 
 // RunOption configures a one-shot Replay.
 type RunOption func(*runOptions)

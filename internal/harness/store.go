@@ -198,10 +198,12 @@ func (s *MemoryStore) Stats() StoreStats {
 // ---------------------------------------------------------------------
 
 // storeRecordVersion gates the on-disk encoding; bump it when the
-// record layout (or anything reachable from stats.Run) changes shape
-// incompatibly, and old files degrade to misses instead of decoding
-// garbage.
-const storeRecordVersion = 1
+// record layout (or anything reachable from stats.Run) changes shape,
+// and files of another version degrade to misses instead of decoding
+// garbage. gob drops a field the reader's type lacks without an error,
+// so a clean decode proves nothing: a version-1 binary reads version
+// 2's embedded telemetry.Counters as zero counters.
+const storeRecordVersion = 2
 
 // storeRecord is the on-disk form of one completed result.
 type storeRecord struct {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -316,6 +317,48 @@ func TestDiskStoreCorruptRecord(t *testing.T) {
 	}
 	if _, owner, _ := s2.StartOrWait(key); !owner {
 		t.Error("corrupt record should degrade to a miss (owner=true)")
+	}
+}
+
+// TestDiskStoreOtherVersion: a record of another layout version is a
+// miss, even when gob decodes it without an error, as it does both
+// records here (a version-1 record declared the windowed counters on
+// stats.Run itself). gob drops fields the reader's type lacks, so only
+// the version tells a binary that a record's layout is not its own.
+func TestDiskStoreOtherVersion(t *testing.T) {
+	type flatRun struct{ ExecCycles, Refs int64 }
+	type flatRecord struct {
+		Version int
+		Key     string
+		Run     *flatRun
+	}
+	key := testKey("fft")
+	for _, rec := range []any{
+		flatRecord{Version: storeRecordVersion - 1, Key: key.String(), Run: &flatRun{ExecCycles: 10, Refs: 5}},
+		storeRecord{Version: storeRecordVersion + 1, Key: key.String(), Run: testRun(10)},
+	} {
+		dir := t.TempDir()
+		s, err := NewDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+			t.Fatal(err)
+		}
+		var decoded storeRecord
+		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&decoded); err != nil {
+			t.Fatalf("%T: gob refused the record (%v); the version check would go untested", rec, err)
+		}
+		if err := os.WriteFile(s.path(key), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, owner, _ := s.StartOrWait(key); !owner {
+			t.Errorf("record version %d served as a hit", decoded.Version)
+		}
+		if st := s.Stats(); st.DiskHits != 0 {
+			t.Errorf("record version %d: DiskHits = %d, want 0", decoded.Version, st.DiskHits)
+		}
 	}
 }
 

@@ -265,7 +265,7 @@ func (m *Machine) attrAdvance(cpu int) int32 {
 // the client that issued the one just processed.
 func (m *Machine) attrCharge(cpu int) {
 	id := m.attrAdvance(cpu)
-	cur := m.counterSample()
+	cur := m.run.Counters
 	m.clientTotals[id].Add(cur.Sub(m.attrPrev))
 	m.attrPrev = cur
 }
@@ -562,34 +562,11 @@ func (m *Machine) loop(pauseRefs int64, pauseAt uint32, pauseCounter bool) (done
 // compare with no call.
 func (m *Machine) probeFlush() {
 	if m.attr != nil {
-		m.probe.FlushClients(m.counterSample(), m.run.Refs, m.clientTotals)
+		m.probe.FlushClients(m.run.Counters, m.run.Refs, m.clientTotals)
 	} else {
-		m.probe.Flush(m.counterSample(), m.run.Refs)
+		m.probe.Flush(m.run.Counters, m.run.Refs)
 	}
 	m.probeNext = m.probe.NextBoundary()
-}
-
-// counterSample projects the run's cumulative counters into the windowed
-// subset the interval series tracks.
-func (m *Machine) counterSample() telemetry.Counters {
-	r := m.run
-	return telemetry.Counters{
-		Refs:           r.Refs,
-		L1Hits:         r.L1Hits,
-		LocalFills:     r.LocalFills,
-		BlockCacheHits: r.BlockCacheHits,
-		PageCacheHits:  r.PageCacheHits,
-		RemoteFetches:  r.RemoteFetches,
-		Refetches:      r.Refetches,
-		Upgrades:       r.Upgrades,
-		PageFaults:     r.PageFaults,
-		Allocations:    r.Allocations,
-		Replacements:   r.Replacements,
-		Relocations:    r.Relocations,
-		Demotions:      r.Demotions,
-		InvalsSent:     r.InvalsSent,
-		WritebacksHome: r.WritebacksHome,
-	}
 }
 
 func (m *Machine) finalize() {

@@ -80,19 +80,10 @@ func TestTelemetryIntervalInvariants(t *testing.T) {
 		if iv.Delta.RemoteFetches == 0 && iv.Traffic != nil {
 			t.Errorf("interval %d is quiet but stores a traffic matrix", i)
 		}
-		sum = sum.Sub(telemetry.Counters{}.Sub(iv.Delta)) // sum += delta (a - (0 - b))
+		sum.Add(iv.Delta)
 	}
-	want := telemetry.Counters{
-		Refs: run.Refs, L1Hits: run.L1Hits, LocalFills: run.LocalFills,
-		BlockCacheHits: run.BlockCacheHits, PageCacheHits: run.PageCacheHits,
-		RemoteFetches: run.RemoteFetches, Refetches: run.Refetches,
-		Upgrades: run.Upgrades, PageFaults: run.PageFaults,
-		Allocations: run.Allocations, Replacements: run.Replacements,
-		Relocations: run.Relocations, Demotions: run.Demotions,
-		InvalsSent: run.InvalsSent, WritebacksHome: run.WritebacksHome,
-	}
-	if sum != want {
-		t.Errorf("interval deltas sum to %+v,\nrun totals are  %+v", sum, want)
+	if sum != run.Counters {
+		t.Errorf("interval deltas sum to %+v,\nrun totals are  %+v", sum, run.Counters)
 	}
 
 	if int64(len(tl.Events)) != run.Relocations {

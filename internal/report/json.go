@@ -178,8 +178,11 @@ type DeltaDoc struct {
 	B         string `json:"b"`
 	Identical bool   `json:"identical"`
 	Differing int    `json:"differing"`
-	// Counters lists only counters whose values differ; the full table
-	// is reconstructable from the two RunDocs.
+	// Counters lists only counters whose values differ, each named by
+	// its Go field name ("Refs", "ExecCycles"). The full table is
+	// reconstructable from the two RunDocs, but they key the 15
+	// telemetry.Counters fields by their JSON tags ("refs"), so a
+	// lookup must map those names.
 	Counters              []stats.CounterDelta `json:"counters,omitempty"`
 	RefetchDigestA        string               `json:"refetchDigestA"`
 	RefetchDigestB        string               `json:"refetchDigestB"`

@@ -343,7 +343,7 @@ func TestJSONReports(t *testing.T) {
 		System string `json:"system"`
 		Run    struct {
 			ExecCycles int64 `json:"ExecCycles"`
-			Refs       int64 `json:"Refs"`
+			Refs       int64 `json:"refs"`
 		} `json:"run"`
 	}
 	if err := json.Unmarshal([]byte(body), &runDoc); err != nil {
@@ -351,6 +351,43 @@ func TestJSONReports(t *testing.T) {
 	}
 	if runDoc.System != "R-NUMA" || runDoc.Run.ExecCycles <= 0 || runDoc.Run.Refs <= 0 {
 		t.Errorf("run doc = %+v", runDoc)
+	}
+	// encoding/json matches keys case-insensitively, so the decode above
+	// passes under either spelling; pin the raw keys. The windowed
+	// counters are spelled as in timelines, the rest as stats.Run's
+	// field names.
+	for _, key := range []string{`"ExecCycles":`, `"refs":`, `"l1Hits":`, `"allocations":`, `"writebacksHome":`, `"C2CTransfers":`} {
+		if !strings.Contains(body, key) {
+			t.Errorf("run doc lacks key %s", key)
+		}
+	}
+	for _, key := range []string{`"Refs":`, `"L1Hits":`, `"Allocations":`, `"Counters":`} {
+		if strings.Contains(body, key) {
+			t.Errorf("run doc has key %s", key)
+		}
+	}
+
+	// A delta doc names every counter by its Go field name, so a windowed
+	// counter's name there is not its run doc key: "Allocations" against
+	// "allocations" above (CC-NUMA allocates no frames, S-COMA does).
+	jd := waitJob(t, ts, submit(t, ts, JobRequest{
+		Type: "diffstats", Artifact: a.ID, ArtifactB: a.ID, System: "ccnuma", SystemB: "scoma",
+	}).ID)
+	_, body = fetchReport(t, ts, jd.ID, "json")
+	var deltaDoc struct {
+		Counters []struct {
+			Name string `json:"Name"`
+		} `json:"counters"`
+	}
+	if err := json.Unmarshal([]byte(body), &deltaDoc); err != nil {
+		t.Fatalf("decode delta doc: %v\n%s", err, body)
+	}
+	found := false
+	for _, c := range deltaDoc.Counters {
+		found = found || c.Name == "Allocations"
+	}
+	if !found {
+		t.Errorf("delta doc has no counter named Allocations: %+v", deltaDoc.Counters)
 	}
 
 	js := waitJob(t, ts, submit(t, ts, JobRequest{Type: "sweep", Artifact: a.ID, Axis: "nodes", Values: "4,8"}).ID)

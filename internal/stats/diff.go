@@ -39,8 +39,8 @@ func (c CounterDelta) RelPct() (pct float64, defined bool) {
 // RunDelta is a full per-counter comparison of two runs.
 type RunDelta struct {
 	// Counters holds every int64 counter of stats.Run in declaration
-	// order (future counters join automatically — the walk is by
-	// reflection, not a hand-kept list).
+	// order, promoted fields included (future counters join
+	// automatically — the walk is by reflection, not a hand-kept list).
 	Counters []CounterDelta
 	// Differing counts entries with a nonzero delta.
 	Differing int
@@ -145,24 +145,24 @@ func (r *Run) RefetchDigest() string {
 	return fmt.Sprintf("%x", hash.Sum(nil)[:12])
 }
 
-// Diff compares two runs counter by counter. Every exported int64 field
-// of stats.Run participates, in declaration order; the per-page refetch
-// maps are compared by digest and by per-key count.
+// Diff compares two runs counter by counter. Every int64 field of
+// stats.Run participates, the embedded telemetry.Counters' included, in
+// declaration order; the per-page refetch maps are compared by digest
+// and by per-key count.
 func Diff(a, b *Run) *RunDelta {
 	d := &RunDelta{
 		RefetchDigestA: a.RefetchDigest(),
 		RefetchDigestB: b.RefetchDigest(),
 	}
 	va, vb := reflect.ValueOf(*a), reflect.ValueOf(*b)
-	t := va.Type()
-	for i := 0; i < t.NumField(); i++ {
-		if t.Field(i).Type.Kind() != reflect.Int64 {
+	for _, f := range reflect.VisibleFields(va.Type()) {
+		if f.Type.Kind() != reflect.Int64 {
 			continue
 		}
 		c := CounterDelta{
-			Name: t.Field(i).Name,
-			A:    va.Field(i).Int(),
-			B:    vb.Field(i).Int(),
+			Name: f.Name,
+			A:    va.FieldByIndex(f.Index).Int(),
+			B:    vb.FieldByIndex(f.Index).Int(),
 		}
 		c.Delta = c.B - c.A
 		if c.Delta != 0 {

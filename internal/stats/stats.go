@@ -44,32 +44,17 @@ type Run struct {
 	// time over all processors.
 	ExecCycles int64
 
-	// References processed, split by kind of service.
-	Refs           int64 // total references issued
-	L1Hits         int64
-	LocalFills     int64 // fills from node memory (home-local data)
-	C2CTransfers   int64 // intra-node cache-to-cache supplies (owned blocks)
-	BlockCacheHits int64
-	PageCacheHits  int64
-	RemoteFetches  int64 // block fetches that crossed the network
-	Upgrades       int64 // writes serviced by a permission upgrade (data already held)
+	// Counters holds the protocol-activity counters, the set the
+	// telemetry probe windows and attribution splits per client. Its
+	// fields are promoted: run.Refs, run.Refetches, ...
+	telemetry.Counters
 
-	// Refetches are remote fetches for blocks the node previously held and
-	// lost to capacity/conflict eviction (never to an invalidation).
-	Refetches int64
-
-	// Paging activity.
-	PageFaults     int64 // mapping faults (first touch of an unmapped page)
-	Allocations    int64 // S-COMA page-cache frame allocations
-	Replacements   int64 // S-COMA page-cache victim replacements
-	Relocations    int64 // R-NUMA CC->S-COMA page relocations
-	Demotions      int64 // always zero: no page returns from S-COMA to CC-NUMA
-	FlushedBlocks  int64 // blocks written back during page ops
-	TLBShootdowns  int64
-	RemotePages    int64 // distinct (node, page) remote pairs touched
-	InvalsSent     int64 // directory-initiated invalidations
-	ThreeHopXfers  int64 // dirty blocks forwarded from third-party owners
-	WritebacksHome int64 // dirty block writebacks that reached the home
+	// Service and paging activity outside the windowed set.
+	C2CTransfers  int64 // intra-node cache-to-cache supplies (owned blocks)
+	FlushedBlocks int64 // blocks written back during page ops
+	TLBShootdowns int64
+	RemotePages   int64 // distinct (node, page) remote pairs touched
+	ThreeHopXfers int64 // dirty blocks forwarded from third-party owners
 
 	// Contention.
 	BusWaitCycles int64
@@ -95,11 +80,10 @@ type Run struct {
 	// counters it windows; Diff ignores it (non-int64 field).
 	Timeline *telemetry.Timeline
 
-	// Clients splits the run's windowed counters per traffic client, in
-	// scenario order; nil unless the workload carried attribution. The
-	// per-client Counters sum exactly to the machine-level fields they
-	// mirror (attribution charges every reference to exactly one client).
-	// Diff ignores it (non-int64 field).
+	// Clients splits the run's Counters per traffic client, in scenario
+	// order; nil unless the workload carried attribution. The per-client
+	// Counters sum exactly to the run's (attribution charges every
+	// reference to exactly one client). Diff ignores it (non-int64 field).
 	Clients []ClientStats
 }
 

@@ -35,26 +35,32 @@ type Config struct {
 // Enabled reports whether the configuration asks for a probe at all.
 func (c Config) Enabled() bool { return c.Window > 0 }
 
-// Counters is the windowed subset of stats.Run the interval series tracks:
-// the protocol-activity counters whose temporal shape the reactive story
-// is about. Timing/contention counters are excluded — they are not
+// Counters is the protocol-activity counter block: the counters whose
+// temporal shape the reactive story is about. stats.Run embeds it as its
+// run totals, the interval series windows it, and attribution splits it
+// per client. Timing/contention counters stay outside — they are not
 // meaningful as per-window deltas under the conservative event engine.
+// A new counter here also needs a line in Sub and in Add.
 type Counters struct {
-	Refs           int64 `json:"refs"`
+	Refs           int64 `json:"refs"` // total references issued
 	L1Hits         int64 `json:"l1Hits"`
-	LocalFills     int64 `json:"localFills"`
+	LocalFills     int64 `json:"localFills"` // fills from node memory (home-local data)
 	BlockCacheHits int64 `json:"blockCacheHits"`
 	PageCacheHits  int64 `json:"pageCacheHits"`
-	RemoteFetches  int64 `json:"remoteFetches"`
-	Refetches      int64 `json:"refetches"`
-	Upgrades       int64 `json:"upgrades"`
-	PageFaults     int64 `json:"pageFaults"`
-	Allocations    int64 `json:"allocations"`
-	Replacements   int64 `json:"replacements"`
-	Relocations    int64 `json:"relocations"`
-	Demotions      int64 `json:"demotions"` // always zero, as stats.Run's
-	InvalsSent     int64 `json:"invalsSent"`
-	WritebacksHome int64 `json:"writebacksHome"`
+	RemoteFetches  int64 `json:"remoteFetches"` // block fetches that crossed the network
+
+	// Refetches are remote fetches for blocks the node previously held and
+	// lost to capacity/conflict eviction (never to an invalidation).
+	Refetches int64 `json:"refetches"`
+
+	Upgrades       int64 `json:"upgrades"`       // writes serviced by a permission upgrade (data already held)
+	PageFaults     int64 `json:"pageFaults"`     // mapping faults (first touch of an unmapped page)
+	Allocations    int64 `json:"allocations"`    // S-COMA page-cache frame allocations
+	Replacements   int64 `json:"replacements"`   // S-COMA page-cache victim replacements
+	Relocations    int64 `json:"relocations"`    // R-NUMA CC->S-COMA page relocations
+	Demotions      int64 `json:"demotions"`      // always zero: no page returns from S-COMA to CC-NUMA
+	InvalsSent     int64 `json:"invalsSent"`     // directory-initiated invalidations
+	WritebacksHome int64 `json:"writebacksHome"` // dirty block writebacks that reached the home
 }
 
 // Sub returns the component-wise difference c - prev: the delta a window

@@ -33,7 +33,7 @@ func noEOF(err error) error {
 // process:
 //
 //	magic      [4]byte  "RNSS"
-//	version    byte     2
+//	version    byte     3
 //	payloadLen uvarint  gob-encoded machine.Snapshot size
 //	payload    payloadLen bytes
 //	crc        [4]byte  little-endian CRC-32C (Castagnoli) of the payload
@@ -44,11 +44,13 @@ func noEOF(err error) error {
 // sanity) is re-validated by machine.Restore on load, so the envelope
 // only needs to guarantee integrity — which the length and checksum do,
 // rejecting truncated or bit-flipped files before any state is
-// installed. A version-2 payload lists only the page-cache frames a run
-// created; files of another version are rejected.
+// installed. A version-3 payload lists only the page-cache frames a run
+// created and carries stats.Run's windowed counters as one embedded
+// telemetry.Counters; files of another version are rejected, since gob
+// drops a field the reader's type lacks without an error.
 const (
 	snapshotMagic   = "RNSS"
-	snapshotVersion = 2
+	snapshotVersion = 3
 
 	// maxSnapshotLen bounds the payload allocation when reading untrusted
 	// input. Real snapshots are a few MB (dominated by the dense per-page

@@ -2,6 +2,7 @@ package snapfile
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"path/filepath"
@@ -159,16 +160,20 @@ func TestRejectsCorruption(t *testing.T) {
 	}
 
 	// A huge declared length is bounded before allocation.
-	huge := append([]byte("RNSS\x02"), 0xff, 0xff, 0xff, 0xff, 0x7f)
+	huge := append([]byte("RNSS\x03"), 0xff, 0xff, 0xff, 0xff, 0x7f)
 	if _, err := Read(bytes.NewReader(huge)); err == nil || !strings.Contains(err.Error(), "bound") {
 		t.Errorf("oversized payload length: err = %v", err)
 	}
 
-	// A version-1 checkpoint (capacity-sized page-cache state) is refused.
-	old := append([]byte(nil), enc...)
-	old[4] = 1
-	if _, err := Read(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Errorf("version-1 snapshot: err = %v", err)
+	// Version-1 (capacity-sized page-cache state) and version-2
+	// (stats.Run's counters declared field by field) checkpoints are
+	// refused.
+	for _, v := range []byte{1, 2} {
+		old := append([]byte(nil), enc...)
+		old[4] = v
+		if _, err := Read(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
+			t.Errorf("version-%d snapshot: err = %v", v, err)
+		}
 	}
 
 	if err := Write(io.Discard, nil); err == nil {

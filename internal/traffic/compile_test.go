@@ -194,17 +194,8 @@ func TestClientStatsSumToRun(t *testing.T) {
 	for _, c := range run.Clients {
 		sum.Add(c.Counters)
 	}
-	machineTotals := telemetry.Counters{
-		Refs: run.Refs, L1Hits: run.L1Hits, LocalFills: run.LocalFills,
-		BlockCacheHits: run.BlockCacheHits, PageCacheHits: run.PageCacheHits,
-		RemoteFetches: run.RemoteFetches, Refetches: run.Refetches,
-		Upgrades: run.Upgrades, PageFaults: run.PageFaults,
-		Allocations: run.Allocations, Replacements: run.Replacements,
-		Relocations: run.Relocations, Demotions: run.Demotions,
-		InvalsSent: run.InvalsSent, WritebacksHome: run.WritebacksHome,
-	}
-	if sum != machineTotals {
-		t.Errorf("per-client sum %+v\n != machine totals %+v", sum, machineTotals)
+	if sum != run.Counters {
+		t.Errorf("per-client sum %+v\n != machine totals %+v", sum, run.Counters)
 	}
 	if run.Refs == 0 || run.RemoteFetches == 0 {
 		t.Errorf("degenerate run (refs=%d remote=%d): the scenario should exercise the protocol", run.Refs, run.RemoteFetches)
